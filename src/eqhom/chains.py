@@ -26,7 +26,7 @@ output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rewrite import Rule, Trs, certify, is_irreducible, op_morphism
 from .terms import (
@@ -35,9 +35,9 @@ from .terms import (
     Term,
     TermError,
     Var,
-    canonical_morphism,
     compose_chain,
     compose_raw,
+    essential_from_terms,
     is_canonical,
     is_partial_permutation,
     positions,
@@ -51,12 +51,21 @@ from .unify import match_term, unify_terms
 RedexIndex = tuple[Position, int]  # (position, rule rank); None plays bottom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """A tuple of composable canonical morphisms over a base sort."""
 
     sort: str
     entries: tuple[Morphism, ...]
+    _hash: int = field(default=-1, init=False, compare=False, repr=False, hash=False)
+
+    def __hash__(self):
+        # computed once, as for App; -1 marks "not yet computed"
+        h = self._hash
+        if h == -1:
+            h = hash((self.sort, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def dim(self) -> int:
@@ -98,9 +107,21 @@ def redex_set(t: Term, trs: Trs) -> set[RedexIndex]:
 
 
 def max_redex(t: Term, trs: Trs) -> RedexIndex | None:
-    """Greatest redex index of ``t``; None iff ``t`` is irreducible."""
-    redexes = redex_set(t, trs)
-    return max(redexes) if redexes else None
+    """Greatest redex index of ``t``; None iff ``t`` is irreducible.
+
+    Preorder is lexicographic order on positions, so the first match
+    scanning positions backwards and ranks downwards is the maximum of
+    ``redex_set``.
+    """
+    ranked = list(enumerate(trs.rules))[::-1]
+    for p in reversed(positions(t)):
+        sub = subterm_at(t, p)
+        if isinstance(sub, Var):
+            continue
+        for rank, rule in ranked:
+            if match_term(rule.lhs, sub) is not None:
+                return p, rank
+    return None
 
 
 def redex_less(a: RedexIndex | None, b: RedexIndex | None) -> bool:
@@ -138,20 +159,7 @@ def mgu_extension(T: Morphism, p: Position, rule: Rule, trs: Trs) -> Morphism | 
     if sigma is None:
         return None
     terms = tuple(sigma.get(name, Var(name, sort)) for name, sort in T.context)
-    return canonical_morphism(
-        Morphism(_covering_context(terms), terms)
-    )
-
-
-def _covering_context(terms: tuple[Term, ...]):
-    ctx = []
-    seen = set()
-    for t in terms:
-        for v in variables(t):
-            if v.name not in seen:
-                seen.add(v.name)
-                ctx.append((v.name, v.sort))
-    return tuple(ctx)
+    return essential_from_terms(terms)
 
 
 def sigma_cell_entry(m: Morphism, trs: Trs) -> str | None:

@@ -20,6 +20,7 @@ from .homology import (
     CoefficientError,
     boundary_matrices,
     homology_group,
+    inequalities,
     inequality_report,
 )
 from .monoid import (
@@ -173,8 +174,7 @@ def _cmd_homology(args) -> int:
     for n in range(args.max_dim + 1):
         print(f"H_{n}: {groups[n].describe(d)}   ({counts[n]} chain(s))")
     if args.max_dim >= 2:
-        rep = inequality_report(trs, d, 2, chains)
-        print(rep.lines()[-1])
+        print(inequalities(2, d, counts, groups).lines()[-1])
     return 0
 
 
@@ -260,6 +260,12 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; remap the latter
         return 0 if exc.code == 0 else 1
+    for flag in ("max_dim", "dim"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"error: --{flag.replace('_', '-')} must be at least 0, got {value}",
+                  file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -317,6 +317,13 @@ def inequality_report(trs: Trs, d: int, n: int,
     counts = {k: len(v) for k, v in chains.items()}
     matrices = boundary_matrices(trs, chains, n + 1, d)
     groups = {k: homology_group(matrices, k, d, counts) for k in range(n + 1)}
+    return inequalities(n, d, counts, groups)
+
+
+def inequalities(n: int, d: int, counts: dict[int, int],
+                 groups: dict[int, HomologyGroup]) -> InequalityReport:
+    """Both inequalities at dimension ``n`` from chain counts and the
+    homology groups of dimensions 0..n already computed."""
     weak_lhs = counts[n]
     weak_rhs = groups[n].generators
     strong_lhs = sum((-1) ** (n - i) * counts[i] for i in range(n + 1))

@@ -344,16 +344,6 @@ def _matched_sign_symbolic(coeff: RingoidElement) -> int:
     return c
 
 
-def express_critical(cell: Cell, trs: Trs, mode: str = "count",
-                     budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
-    """Write the cell's class in the collapsed complex: a combination of
-    critical cells of the same dimension obtained by routing through
-    matched pairs.  Critical cells map to themselves, collapsible cells
-    to zero."""
-    counter = [budget]
-    return _express(cell, trs, mode, counter)
-
-
 def _express(cell: Cell, trs: Trs, mode: str, counter: list[int]) -> Boundary:
     cache = trs.cache("express_" + mode)
     hit = cache.get(cell)

@@ -27,7 +27,6 @@ from .terms import (
     Term,
     TermError,
     Var,
-    canonical_morphism,
     positions,
     render_term,
     rename_vars,
@@ -165,10 +164,6 @@ def _innermost(u: Term, trs: Trs, budget: list[int]) -> Term:
 
 def normal_form_morphism(m: Morphism, trs: Trs) -> Morphism:
     return Morphism(m.context, tuple(normal_form(t, trs) for t in m.terms))
-
-
-def is_irreducible_morphism(m: Morphism, trs: Trs) -> bool:
-    return all(is_irreducible(t, trs) for t in m.terms)
 
 
 @dataclass(frozen=True)
@@ -394,9 +389,3 @@ def op_morphism(sig: Signature, name: str) -> Morphism:
     term = sig.app(name, *(Var(n, s) for n, s in ctx))
     return Morphism(ctx, (term,))
 
-
-def lhs_morphism(rule: Rule) -> Morphism:
-    """The rule's left-hand side as a canonical single-term morphism."""
-    return canonical_morphism(
-        Morphism(tuple((v.name, v.sort) for v in variables(rule.lhs)), (rule.lhs,))
-    )

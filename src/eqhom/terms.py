@@ -19,7 +19,10 @@ that form is called *canonical* here, and ``canonicalize`` computes the
 factorization.  All higher-level cell machinery stores canonical morphisms
 only, so structural equality is semantic equality.
 
-All values are immutable; every function is pure and thread-safe.
+All values are immutable; every function is pure and thread-safe.  The
+hash of an application is computed on first use and kept in a slot; that
+slot is written at most once per value, and only ever with the same
+value, so concurrent readers can at worst compute it twice.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class TermError(Exception):
     """Ill-sorted or structurally invalid term-level input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     sort: str
@@ -44,11 +47,20 @@ class Var:
         return f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     op: str
     args: tuple["Term", ...]
     sort: str
+    _hash: int = field(default=-1, init=False, compare=False, repr=False, hash=False)
+
+    def __hash__(self):
+        # -1 marks "not yet computed": hash() never returns it
+        h = self._hash
+        if h == -1:
+            h = hash((self.op, self.args, self.sort))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         if not self.args:
@@ -197,7 +209,7 @@ def canonical_name(i: int) -> str:
     return f"x{i}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     """A sorting context together with a tuple of terms over it."""
 
@@ -205,16 +217,21 @@ class Morphism:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
-        names = [n for n, _ in self.context]
-        if len(set(names)) != len(names):
-            raise TermError("duplicate context variable")
         sorts = dict(self.context)
-        for t in self.terms:
-            for v in variables(t):
-                if v.name not in sorts:
-                    raise TermError(f"term variable {v.name!r} missing from context")
-                if sorts[v.name] != v.sort:
-                    raise TermError(f"context sort clash for {v.name!r}")
+        if len(sorts) != len(self.context):
+            raise TermError("duplicate context variable")
+        # depth-first, left to right: the first offending variable is reported
+        stack = list(reversed(self.terms))
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Var):
+                sort = sorts.get(u.name)
+                if sort != u.sort:
+                    if sort is None:
+                        raise TermError(f"term variable {u.name!r} missing from context")
+                    raise TermError(f"context sort clash for {u.name!r}")
+            else:
+                stack.extend(reversed(u.args))
 
     @property
     def domain_sorts(self) -> tuple[str, ...]:
@@ -346,8 +363,24 @@ def essential_from_terms(terms: tuple[Term, ...]) -> Morphism:
 
 
 def is_canonical(m: Morphism) -> bool:
-    ess, pp = canonicalize(m.context, m.terms)
-    return pp.is_identity and ess == m
+    """True iff ``canonicalize`` would return ``m`` itself with the
+    identity selection: the k-th variable to occur, depth-first and left
+    to right, is ``xk`` in context slot k, and every slot is used."""
+    context = m.context
+    seen: set[str] = set()
+    stack = list(reversed(m.terms))
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            name = u.name
+            if name not in seen:
+                k = len(seen)
+                if k == len(context) or context[k][0] != name or name != canonical_name(k + 1):
+                    return False
+                seen.add(name)
+        else:
+            stack.extend(reversed(u.args))
+    return len(seen) == len(context)
 
 
 def is_partial_permutation(m: Morphism) -> bool:

@@ -141,3 +141,17 @@ def test_group_dim3_chains_include_associativity_nesting(group_trs):
     a, b, c, d = (Var(n, "G") for n in ("x1", "x2", "x3", "x4"))
     nested = g.app("m", g.app("m", g.app("m", a, b), c), d)
     assert repr(nested) in composites
+
+
+def test_max_redex_is_the_maximum_of_redex_set(ab_trs, group_trs):
+    # redex_set is the reference; max_redex stops at the first hit of a
+    # backwards scan and must agree with it everywhere
+    rng = random.Random(29)
+    for trs, sort in ((ab_trs, "X"), (group_trs, "G")):
+        reducible = 0
+        for _ in range(400):
+            t = random_term(trs.signature, sort, rng, rng.randint(0, 4))
+            redexes = redex_set(t, trs)
+            assert max_redex(t, trs) == (max(redexes) if redexes else None), t
+            reducible += bool(redexes)
+        assert 50 < reducible < 400

@@ -4,6 +4,7 @@ import pytest
 
 from eqhom.cli import cell_json, cli_dispatch, emit_json
 from eqhom.chains import enumerate_chains
+from eqhom.homology import inequality_report
 from eqhom.parser import (
     ParseError,
     parse_presentation,
@@ -147,10 +148,13 @@ def test_cli_homology_json(capsys, data_dir):
     assert mats[3] == [[-1, 1]]
 
 
-def test_cli_homology_group_inequality_line(capsys, data_dir):
+def test_cli_homology_group_inequality_line(capsys, data_dir, group_trs):
     code, out, _ = _run(capsys, "homology", str(data_dir / "group.lwv"),
                         "--max-dim", "2")
     assert code == 0
+    # the bound line reuses the homology just printed; it must read as
+    # the full inequality report does
+    assert out.splitlines()[-1] == inequality_report(group_trs, 2, 2).lines()[-1]
     assert "axiom-count bound" in out
 
 
@@ -210,3 +214,19 @@ def test_cli_exit_codes(capsys, data_dir, tmp_path):
 
     code, _, _ = _run(capsys, "bogus-command")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("chains", "abelian_unit.lwv", "--max-dim", "-1"),
+    ("resolution", "abelian_unit.lwv", "--max-dim", "-1"),
+    ("homology", "abelian_unit.lwv", "--max-dim", "-1"),
+    ("inequality", "group.lwv", "--dim", "-1"),
+    ("monoid", "homology", "z2.srs", "--max-dim", "-2"),
+    ("monoid", "chains", "z2.srs", "--max-dim", "-1"),
+])
+def test_cli_rejects_negative_dimensions(capsys, data_dir, argv):
+    argv = [str(data_dir / a) if a.endswith((".lwv", ".srs")) else a for a in argv]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1

@@ -1,7 +1,10 @@
 import random
+from dataclasses import fields
 
 import pytest
 
+from eqhom.chains import Cell
+from eqhom.rewrite import random_term
 from eqhom.terms import (
     App,
     Morphism,
@@ -20,6 +23,7 @@ from eqhom.terms import (
     subterm_at,
     substitute,
     var_count,
+    variables,
 )
 
 SIG = Signature(("X",), (("plus", ("X", "X"), "X"), ("zero", (), "X")))
@@ -199,3 +203,117 @@ def test_substitution_commutes_with_positions():
 def test_render_term():
     assert render_term(plus(x(), ZERO)) == "plus(x,zero)"
     assert render_term(ZERO) == "zero"
+
+
+def _is_canonical_reference(m):
+    ess, pp = canonicalize(m.context, m.terms)
+    return pp.is_identity and ess == m
+
+
+def _random_morphism(rng, sig, sort):
+    """Terms over a mix of canonical and other names, in a context that is
+    sometimes reordered, padded with unused slots or renamed to x1..xn."""
+    pool = {s: rng.sample(["x1", "x2", "x3", "a", "b"], 3) for s in sig.sorts}
+    terms = tuple(random_term(sig, sort, rng, rng.randint(0, 3), pool)
+                  for _ in range(rng.randint(1, 3)))
+    if rng.random() < 0.3:
+        return essential_from_terms(terms)
+    ctx = list(dict.fromkeys((v.name, v.sort) for t in terms for v in variables(t)))
+    if rng.random() < 0.3:
+        rng.shuffle(ctx)
+    if rng.random() < 0.3:
+        ctx.insert(rng.randint(0, len(ctx)), ("unused", sort))
+    return Morphism(tuple(ctx), terms)
+
+
+def test_is_canonical_matches_canonicalize(group_trs, ab_trs):
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for trs, sort in ((group_trs, "G"), (ab_trs, "X")):
+        for _ in range(600):
+            m = _random_morphism(rng, trs.signature, sort)
+            expected = _is_canonical_reference(m)
+            assert is_canonical(m) == expected, m
+            seen[expected] += 1
+    assert min(seen.values()) > 100
+    # hand-picked: unused slot, swapped slots, wrong names, a closed term
+    ctx = (("x1", "X"), ("x2", "X"))
+    for m in (Morphism(ctx, (x("x1"),)),
+              Morphism(ctx, (plus(x("x2"), x("x1")),)),
+              Morphism((("x2", "X"), ("x1", "X")), (plus(x("x2"), x("x1")),)),
+              Morphism((("y1", "X"),), (x("y1"),)),
+              Morphism((), (ZERO,)),
+              Morphism(ctx, (x("x1"), plus(x("x1"), x("x2"))))):
+        assert is_canonical(m) == _is_canonical_reference(m), m
+
+
+def _morphism_error_reference(context, terms):
+    """The validation messages as a per-term scan of first occurrences."""
+    names = [n for n, _ in context]
+    if len(set(names)) != len(names):
+        return "duplicate context variable"
+    sorts = dict(context)
+    for t in terms:
+        for v in variables(t):
+            if v.name not in sorts:
+                return f"term variable {v.name!r} missing from context"
+            if sorts[v.name] != v.sort:
+                return f"context sort clash for {v.name!r}"
+    return None
+
+
+def test_morphism_validation_messages(group_trs):
+    rng = random.Random(5)
+    sig = group_trs.signature
+    raised = 0
+    for _ in range(500):
+        m = _random_morphism(rng, sig, "G")
+        ctx = list(m.context)
+        if ctx:
+            k = rng.randrange(len(ctx))
+            how = rng.choice(["drop", "clash", "duplicate"])
+            if how == "drop":
+                del ctx[k]
+            elif how == "clash":
+                ctx[k] = (ctx[k][0], "H")
+            else:
+                ctx.insert(rng.randint(0, len(ctx)), ctx[k])
+        expected = _morphism_error_reference(tuple(ctx), m.terms)
+        if expected is None:
+            Morphism(tuple(ctx), m.terms)
+            continue
+        with pytest.raises(TermError) as info:
+            Morphism(tuple(ctx), m.terms)
+        assert str(info.value) == expected
+        raised += 1
+    assert raised > 200
+    with pytest.raises(TermError, match="^term variable 'y' missing from context$"):
+        Morphism((("x", "X"),), (plus(x("x"), plus(x("y"), x("z"))),))
+    with pytest.raises(TermError, match="^context sort clash for 'x'$"):
+        Morphism((("x", "G"),), (x("x"),))
+    with pytest.raises(TermError, match="^duplicate context variable$"):
+        Morphism((("x", "X"), ("x", "X")), (x("x"),))
+
+
+def test_hash_eq_contract():
+    def build():
+        v = Var("x1", "X")
+        app = plus(v, plus(ZERO, v))
+        m = Morphism((("x1", "X"),), (app,))
+        return v, app, m, Cell("X", (m,))
+
+    first, second = build(), build()
+    for a, b in zip(first, second):
+        assert a is not b
+        hash(a)  # fills the cache on one side only
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "_hash" not in repr(a)
+        assert not hasattr(a, "__dict__")
+    for value in first:
+        cached = [f for f in fields(value) if f.name == "_hash"]
+        assert all(not (f.compare or f.repr or f.init) for f in cached)
+    # the cached hash is the generated dataclass hash, so hash-ordered
+    # containers iterate as they did before it was cached
+    _, app, _, cell = first
+    assert hash(app) == hash((app.op, app.args, app.sort))
+    assert hash(cell) == hash((cell.sort, cell.entries))
