@@ -1,0 +1,193 @@
+"""Algebraic discrete Morse theory: the collapse of a bar-type complex
+along a matching (Sköldberg, Trans. AMS 2006; Jöllenbeck & Welker,
+Mem. AMS 2009), shared by the term and the word engine.
+
+An engine supplies its complex through a small adapter (``Complex``):
+which cells are chains, the partner one dimension up that splits a
+cell, the candidate partners one dimension down that merge it, the
+signed boundary in each coefficient mode, and the ring operations of
+each mode.  Everything else lives here.
+
+Classification.  A chain (or a 0-cell) is critical.  Any other cell is
+redundant when it splits, that is when it is a face of its split partner
+one dimension up, and collapsible when exactly one merge candidate
+splits back to it.  Both at once, two merge targets, or neither is a
+``MatchingError``.  The matched coefficient, read off the partner's
+counting boundary, must be plus or minus one.
+
+Routing.  The collapsed differential of a critical cell is its boundary
+with every face rewritten until only critical cells remain: a critical
+face stays, a collapsible face vanishes, and a redundant face ``c`` with
+partner ``p`` and matched sign ``ε`` is replaced by ``-ε`` times the
+rest of the boundary of ``p``, routed in turn.  Termination holds for a
+certified system; a step budget turns a non-terminating matching into
+``BudgetExceeded``.  Classification and routing are memoised in the
+system's caches (``classify``, ``express_<mode>``, ``morse_<mode>``).
+
+Coefficients are plain integers in the ``"count"`` mode and ring
+elements with ``+``, ``scale`` and ``is_zero`` in the ``"symbolic"``
+mode; sums never keep a zero coefficient.  Counting differentials of
+the chains assemble into integer matrices, rows indexed by the chains of
+a dimension, columns by the chains one dimension down.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Iterable, Protocol
+
+from .rewrite import BudgetExceeded
+
+DEFAULT_ROUTE_BUDGET = 200_000
+
+Boundary = dict[Hashable, Any]
+Matrix = list[list[int]]
+
+
+class MatchingError(Exception):
+    """The critical/redundant/collapsible trichotomy failed (a bug, or the
+    input system was not actually complete)."""
+
+
+@dataclass(frozen=True)
+class CellClass:
+    kind: str  # "critical" | "redundant" | "collapsible"
+    partner: Hashable | None = None
+    epsilon: int | None = None
+
+
+@dataclass
+class BoundaryMatrix:
+    dim: int
+    rows: list      # chains of dimension dim
+    cols: list      # chains of dimension dim-1
+    entries: Matrix  # entries[row][col]
+    modulus: int
+
+
+class Complex(Protocol):
+    """What an engine supplies about its complex over ``system``."""
+
+    system: Any  # owns the memo tables: ``system.cache(kind) -> dict``
+
+    def classify(self, cell) -> CellClass: ...  # the engine's public classify
+    def is_chain(self, cell) -> bool: ...
+    def split(self, cell): ...  # partner one dimension up, or None
+    def merges(self, cell) -> Iterable: ...  # candidate partners one dimension down
+    def boundary(self, cell, mode: str) -> Boundary: ...
+    def one(self, cell, mode: str): ...
+    def mul(self, a, b, mode: str): ...
+    def sign(self, coeff) -> int: ...  # ±1 of a unit symbolic coefficient
+
+
+def is_zero(c) -> bool:
+    return c == 0 if isinstance(c, int) else c.is_zero
+
+
+def scale(c, k: int):
+    return c * k if isinstance(c, int) else c.scale(k)
+
+
+def add_term(acc: Boundary, cell, coeff) -> None:
+    """``acc[cell] += coeff``, dropping the cell when the sum is zero."""
+    if cell in acc:
+        coeff = acc[cell] + coeff
+        if is_zero(coeff):
+            del acc[cell]
+            return
+        acc[cell] = coeff
+    elif not is_zero(coeff):
+        acc[cell] = coeff
+
+
+def unit_sign(coeff) -> int:
+    if coeff not in (1, -1):
+        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
+    return coeff
+
+
+def classify(cell, cx: Complex) -> CellClass:
+    """Critical, redundant-with-partner or collapsible-with-partner."""
+    cache = cx.system.cache("classify")
+    hit = cache.get(cell)
+    if hit is None:
+        hit = cache[cell] = _classify(cell, cx)
+    return hit
+
+
+def _classify(cell, cx: Complex) -> CellClass:
+    if cx.is_chain(cell):
+        return CellClass("critical")
+    split = cx.split(cell)
+    found = [t for t in cx.merges(cell) if cx.split(t) == cell]
+    if len(found) > 1:
+        raise MatchingError(f"cell {cell!r} splits two targets: {found!r}")
+    if split is not None and found:
+        raise MatchingError(f"cell {cell!r} is both redundant and collapsible")
+    if split is not None:
+        return CellClass("redundant", split, unit_sign(cx.boundary(split, "count").get(cell)))
+    if found:
+        merge = found[0]
+        return CellClass("collapsible", merge, unit_sign(cx.boundary(cell, "count").get(merge)))
+    raise MatchingError(f"cell {cell!r} is neither critical, redundant nor collapsible")
+
+
+def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
+    """The cell as a combination of critical cells (memoised, read-only)."""
+    cache = cx.system.cache("express_" + mode)
+    hit = cache.get(cell)
+    if hit is not None:
+        return hit
+    counter[0] -= 1
+    if counter[0] < 0:
+        raise BudgetExceeded("routing budget exhausted; matching may not terminate")
+    cls = cx.classify(cell)
+    out: Boundary = {}
+    if cls.kind == "critical":
+        out[cell] = cx.one(cell, mode)
+    elif cls.kind == "redundant":
+        bd = cx.boundary(cls.partner, mode)
+        eps = cls.epsilon if mode == "count" else cx.sign(bd[cell])
+        for face, coeff in bd.items():
+            if face == cell:
+                continue
+            for crit, w in _express(face, cx, mode, counter).items():
+                add_term(out, crit, scale(cx.mul(coeff, w, mode), -eps))
+    cache[cell] = out
+    return out
+
+
+def morse_differential(cell, cx: Complex, mode: str = "count",
+                       budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
+    """Differential of a critical cell in the collapsed complex."""
+    cache = cx.system.cache("morse_" + mode)
+    hit = cache.get(cell)
+    if hit is None:
+        counter = [budget]
+        hit = {}
+        for face, coeff in cx.boundary(cell, mode).items():
+            for crit, w in _express(face, cx, mode, counter).items():
+                add_term(hit, crit, cx.mul(coeff, w, mode))
+        cache[cell] = hit
+    return dict(hit)
+
+
+def assemble_matrices(differential: Callable[[Any], Boundary], chains: dict[int, list],
+                      max_dim: int, modulus: int = 0) -> dict[int, BoundaryMatrix]:
+    """Matrices of the counting differentials for dimensions 1..max_dim,
+    entries reduced modulo ``modulus`` unless it is 0."""
+    out: dict[int, BoundaryMatrix] = {}
+    for n in range(1, max_dim + 1):
+        rows, cols = chains[n], chains[n - 1]
+        col_index = {c: j for j, c in enumerate(cols)}
+        entries = [[0] * len(cols) for _ in rows]
+        for i, cell in enumerate(rows):
+            for target, coeff in differential(cell).items():
+                j = col_index.get(target)
+                if j is None:
+                    raise ValueError(
+                        f"differential of {cell!r} hits {target!r}, "
+                        f"which is not an enumerated chain")
+                entries[i][j] = coeff % modulus if modulus else coeff
+        out[n] = BoundaryMatrix(n, list(rows), list(cols), entries, modulus)
+    return out

@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import Cell, enumerate_chains
+from .collapse import BoundaryMatrix, Matrix, assemble_matrices
 from .morse import morse_differential
 from .rewrite import Trs, degree
-
-Matrix = list[list[int]]
 
 
 class CoefficientError(Exception):
@@ -69,37 +68,14 @@ def validate_modulus(d: int, trs_degree: int) -> None:
             f"prime {d} does not divide the system degree {trs_degree}")
 
 
-@dataclass
-class BoundaryMatrix:
-    dim: int
-    rows: list[Cell]      # chains of dimension dim
-    cols: list[Cell]      # chains of dimension dim-1
-    entries: Matrix       # entries[row][col]
-    modulus: int
-
-
 def boundary_matrices(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,
                       d: int) -> dict[int, BoundaryMatrix]:
     """Counting-coefficient matrices of the collapsed differentials for
     dimensions 1..max_dim.  ``d`` must be 0 or a prime dividing the
     system's degree lattice."""
     validate_modulus(d, degree(trs))
-    out: dict[int, BoundaryMatrix] = {}
-    for n in range(1, max_dim + 1):
-        rows = chains[n]
-        cols = chains[n - 1]
-        col_index = {c: j for j, c in enumerate(cols)}
-        entries = [[0] * len(cols) for _ in rows]
-        for i, cell in enumerate(rows):
-            for target, coeff in morse_differential(cell, trs, "count").items():
-                j = col_index.get(target)
-                if j is None:
-                    raise ValueError(
-                        f"differential of {cell!r} hits {target!r}, "
-                        f"which is not an enumerated chain")
-                entries[i][j] = coeff if d == 0 else coeff % d
-        out[n] = BoundaryMatrix(n, list(rows), list(cols), entries, d)
-    return out
+    return assemble_matrices(lambda cell: morse_differential(cell, trs, "count"),
+                             chains, max_dim, d)
 
 
 def matrix_product(a: BoundaryMatrix, b: BoundaryMatrix) -> Matrix:

@@ -1,14 +1,17 @@
-"""Classical chain enumeration and homology for monoids presented by
-complete string rewriting systems.
+"""The word complex: monoids presented by complete string rewriting
+systems, the one-sorted, one-operation-per-letter case of the term
+engine.
 
-This is the one-sorted, one-operation-per-letter sibling of the term
-machinery: cells are tuples of nonempty irreducible words, a cell is a
-chain when every consecutive concatenation first becomes reducible
-exactly at its right end, and the collapse pairs each non-chain cell
-with the unique way of splitting the entry after its longest chain
-prefix at the earliest reducible point.  The collapsed complex of the
-trivial coefficients has one free generator per chain, and its integral
-homology is the monoid's homology.
+Cells are tuples of nonempty irreducible words.  A cell is a chain when
+every consecutive concatenation first becomes reducible exactly at its
+right end.  The boundary is that of the normalized bar resolution: act
+by the first word, merge adjacent words, drop the last word.  A
+non-chain cell splits the entry after its longest chain prefix at the
+earliest reducible point; it merges two adjacent entries whose
+concatenation is irreducible when that face splits back to it.  The
+collapse along this matching (``eqhom.collapse``) has one free
+generator per chain, and the integral homology of its trivial
+coefficients is the monoid's homology.
 
 Coefficients are elements of the monoid ring, stored as formal sums over
 irreducible words; the counting mode maps every monoid element to 1.
@@ -17,9 +20,20 @@ irreducible words; the counting mode maps every monoid element to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from itertools import chain
+from typing import Iterable, Union
 
-from .homology import BoundaryMatrix, HomologyGroup, homology_group
+from . import collapse
+from .collapse import (
+    DEFAULT_ROUTE_BUDGET,
+    BoundaryMatrix,
+    CellClass,
+    MatchingError,
+    add_term,
+    assemble_matrices,
+    scale,
+)
+from .homology import HomologyGroup, homology_group
 from .rewrite import BudgetExceeded, CompletenessError
 
 Word = tuple[str, ...]
@@ -67,7 +81,7 @@ class Srs:
 
 
 WordCell = tuple[Word, ...]
-WordCoeff = Union[int, dict]  # count, or formal sum {word: int}
+WordCoeff = Union[int, "WordSum"]  # count, or a monoid-ring element
 
 
 def render_word(w: Word) -> str:
@@ -185,7 +199,16 @@ def certify_srs(srs: Srs) -> SrsReport:
 
 def chain_tails(last: Word, srs: Srs) -> list[Word]:
     """Words v such that appending v to ``last`` creates a redex ending
-    exactly at the end, with every proper prefix irreducible."""
+    exactly at the end, with every proper prefix irreducible.  Memoised
+    per ``last``; the returned list is shared, not to be mutated."""
+    cache = srs.cache("tails")
+    hit = cache.get(last)
+    if hit is None:
+        hit = cache[last] = _chain_tails(last, srs)
+    return hit
+
+
+def _chain_tails(last: Word, srs: Srs) -> list[Word]:
     out = set()
     for rule in srs.rules:
         l = rule.lhs
@@ -234,69 +257,9 @@ def longest_word_chain_prefix(cell: WordCell, srs: Srs) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class WordCellClass:
-    kind: str
-    partner: WordCell | None = None
-    epsilon: int | None = None
-
-
-def classify_word_cell(cell: WordCell, srs: Srs) -> WordCellClass:
-    cache = srs.cache("classify")
-    hit = cache.get(cell)
-    if hit is None:
-        hit = _classify_word_cell(cell, srs)
-        cache[cell] = hit
-    return hit
-
-
-def _classify_word_cell(cell: WordCell, srs: Srs) -> WordCellClass:
-    n = len(cell)
-    if is_word_chain(cell, srs):
-        return WordCellClass("critical")
-    i = longest_word_chain_prefix(cell, srs)
-    # split the entry after the chain prefix at the earliest reducible point
-    split = None
-    u = cell[i]
-    if i == 0:
-        if len(u) >= 2:
-            split = ((u[:1], u[1:]), 0)
-    else:
-        prev = cell[i - 1]
-        for k in range(1, len(u)):
-            head, tail = u[:k], u[k:]
-            if not is_irreducible_word(prev + head, srs):
-                if all(is_irreducible_word((prev + head)[:j], srs)
-                       for j in range(len(prev + head))):
-                    split = ((head, tail), i)
-                break
-    if split is not None:
-        (head, tail), at = split
-        partner = cell[:at] + (head, tail) + cell[at + 1:]
-        eps = _word_matched_sign(word_boundary(partner, srs, "count").get(cell))
-        return WordCellClass("redundant", partner, eps)
-    # collapsible: the unique merge whose split recovers the cell
-    found = []
-    for j in range(1, n):
-        merged = cell[j - 1] + cell[j]
-        if not is_irreducible_word(merged, srs):
-            continue
-        target = cell[:j - 1] + (merged,) + cell[j + 1:]
-        if longest_word_chain_prefix(target, srs) != j - 1:
-            continue
-        back = _classify_word_cell_split_only(target, srs)
-        if back == cell:
-            found.append(target)
-    if len(found) > 1:
-        raise ValueError(f"word cell {cell!r} splits two targets")
-    if found:
-        target = found[0]
-        eps = _word_matched_sign(word_boundary(cell, srs, "count").get(target))
-        return WordCellClass("collapsible", target, eps)
-    raise ValueError(f"word cell {cell!r} is neither critical, redundant nor collapsible")
-
-
-def _classify_word_cell_split_only(cell: WordCell, srs: Srs) -> WordCell | None:
+def _split_word_cell(cell: WordCell, srs: Srs) -> WordCell | None:
+    """Split the entry after the chain prefix at its earliest reducible
+    point: the matched partner one dimension up, or None."""
     i = longest_word_chain_prefix(cell, srs)
     if i >= len(cell):
         return None
@@ -314,140 +277,107 @@ def _classify_word_cell_split_only(cell: WordCell, srs: Srs) -> WordCell | None:
     return None
 
 
-def _word_matched_sign(coeff) -> int:
-    value = coeff if isinstance(coeff, int) else _count_of(coeff)
-    if value not in (1, -1):
-        raise ValueError(f"matched word coefficient {coeff!r} is not a unit")
-    return value
+class WordSum(dict):
+    """A formal sum ``{word: int}`` over irreducible words, no zero entries:
+    an element of the monoid ring."""
 
+    @staticmethod
+    def collect(pairs: Iterable[tuple[Word, int]]) -> "WordSum":
+        out: dict[Word, int] = {}
+        for w, k in pairs:
+            out[w] = out.get(w, 0) + k
+        return WordSum({w: k for w, k in out.items() if k})
 
-def _count_of(c: WordCoeff) -> int:
-    return c if isinstance(c, int) else sum(c.values())
+    def __add__(self, other: dict) -> "WordSum":
+        return WordSum.collect(chain(self.items(), other.items()))
+
+    def scale(self, k: int) -> "WordSum":
+        return WordSum.collect((w, v * k) for w, v in self.items())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self
 
 
 def _coeff_one(mode: str) -> WordCoeff:
-    return 1 if mode == "count" else {EMPTY: 1}
+    return 1 if mode == "count" else WordSum({EMPTY: 1})
 
 
-def _coeff_word(w: Word, mode: str, srs: Srs) -> WordCoeff:
-    return 1 if mode == "count" else {reduce_word(w, srs): 1}
+class _Words:
+    """The word complex of ``srs`` as ``eqhom.collapse`` sees it.  The
+    kernels are looked up as module globals at call time."""
+
+    def __init__(self, srs: Srs):
+        self.system = srs
+
+    def classify(self, cell: WordCell) -> CellClass:
+        return classify_word_cell(cell, self.system)
+
+    def is_chain(self, cell: WordCell) -> bool:
+        return is_word_chain(cell, self.system)
+
+    def split(self, cell: WordCell) -> WordCell | None:
+        return _split_word_cell(cell, self.system)
+
+    def merges(self, cell: WordCell):
+        """Faces concatenating entries j-1 and j, irreducibly, whose chain
+        prefix ends just before the concatenation."""
+        srs = self.system
+        for j in range(1, len(cell)):
+            merged = cell[j - 1] + cell[j]
+            if not is_irreducible_word(merged, srs):
+                continue
+            target = cell[:j - 1] + (merged,) + cell[j + 1:]
+            if longest_word_chain_prefix(target, srs) == j - 1:
+                yield target
+
+    def boundary(self, cell: WordCell, mode: str) -> dict[WordCell, WordCoeff]:
+        return word_boundary(cell, self.system, mode)
+
+    def one(self, cell: WordCell, mode: str) -> WordCoeff:
+        return _coeff_one(mode)
+
+    def mul(self, a: WordCoeff, b: WordCoeff, mode: str) -> WordCoeff:
+        if mode == "count":
+            return a * b
+        return WordSum.collect((reduce_word(wa + wb, self.system), ka * kb)
+                               for wa, ka in a.items() for wb, kb in b.items())
+
+    def sign(self, coeff: WordSum) -> int:
+        if len(coeff) == 1 and coeff.get(EMPTY) in (1, -1):
+            return coeff[EMPTY]
+        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
 
 
-def _coeff_add(acc: dict, cell: WordCell, c: WordCoeff):
-    if cell not in acc:
-        if not _coeff_is_zero(c):
-            acc[cell] = c
-        return
-    cur = acc[cell]
-    if isinstance(cur, int):
-        new: WordCoeff = cur + c
-    else:
-        new = dict(cur)
-        for w, k in c.items():
-            new[w] = new.get(w, 0) + k
-            if new[w] == 0:
-                del new[w]
-    if _coeff_is_zero(new):
-        del acc[cell]
-    else:
-        acc[cell] = new
-
-
-def _coeff_is_zero(c: WordCoeff) -> bool:
-    return c == 0 if isinstance(c, int) else not c
-
-
-def _coeff_mul(a: WordCoeff, b: WordCoeff, srs: Srs) -> WordCoeff:
-    if isinstance(a, int):
-        return a * b
-    out: dict = {}
-    for wa, ka in a.items():
-        for wb, kb in b.items():
-            w = reduce_word(wa + wb, srs)
-            out[w] = out.get(w, 0) + ka * kb
-            if out[w] == 0:
-                del out[w]
-    return out
-
-
-def _coeff_scale(a: WordCoeff, k: int) -> WordCoeff:
-    if isinstance(a, int):
-        return a * k
-    return {w: v * k for w, v in a.items()}
+def classify_word_cell(cell: WordCell, srs: Srs) -> CellClass:
+    return collapse.classify(cell, _Words(srs))
 
 
 def word_boundary(cell: WordCell, srs: Srs, mode: str = "count") -> dict[WordCell, WordCoeff]:
     """Bar-resolution boundary with identity entries dropped: act by the
     first word, merge adjacent words, drop the last word."""
     n = len(cell)
+    one = _coeff_one(mode)
     acc: dict[WordCell, WordCoeff] = {}
-    _coeff_add(acc, cell[1:], _coeff_word(cell[0], mode, srs))
+    add_term(acc, cell[1:], 1 if mode == "count" else WordSum({reduce_word(cell[0], srs): 1}))
     for j in range(1, n):
         merged = reduce_word(cell[j - 1] + cell[j], srs)
         if not merged:
             continue  # identity entry, degenerate face
-        sign = -1 if j % 2 else 1
-        _coeff_add(acc, cell[:j - 1] + (merged,) + cell[j + 1:],
-                   _coeff_scale(_coeff_one(mode), sign))
-    sign = -1 if n % 2 else 1
-    _coeff_add(acc, cell[:n - 1], _coeff_scale(_coeff_one(mode), sign))
+        add_term(acc, cell[:j - 1] + (merged,) + cell[j + 1:], scale(one, -1 if j % 2 else 1))
+    add_term(acc, cell[:n - 1], scale(one, -1 if n % 2 else 1))
     return acc
 
 
-def word_express_critical(cell: WordCell, srs: Srs, mode: str,
-                          counter: list[int]) -> dict[WordCell, WordCoeff]:
-    cache = srs.cache("express_" + mode)
-    hit = cache.get(cell)
-    if hit is not None:
-        return dict(hit)
-    counter[0] -= 1
-    if counter[0] < 0:
-        raise BudgetExceeded("word routing budget exhausted")
-    cls = classify_word_cell(cell, srs)
-    if cls.kind == "critical":
-        out = {cell: _coeff_one(mode)}
-    elif cls.kind == "collapsible":
-        out = {}
-    else:
-        partner, eps = cls.partner, cls.epsilon
-        bd = word_boundary(partner, srs, mode)
-        out = {}
-        for face, coeff in bd.items():
-            if face == cell:
-                continue
-            for crit, w in word_express_critical(face, srs, mode, counter).items():
-                _coeff_add(out, crit, _coeff_scale(_coeff_mul(coeff, w, srs), -eps))
-    cache[cell] = dict(out)
-    return out
-
-
 def word_morse_differential(cell: WordCell, srs: Srs, mode: str = "count",
-                            budget: int = 200_000) -> dict[WordCell, WordCoeff]:
-    cache = srs.cache("morse_" + mode)
-    hit = cache.get(cell)
-    if hit is not None:
-        return dict(hit)
-    counter = [budget]
-    out: dict[WordCell, WordCoeff] = {}
-    for face, coeff in word_boundary(cell, srs, mode).items():
-        for crit, w in word_express_critical(face, srs, mode, counter).items():
-            _coeff_add(out, crit, _coeff_mul(coeff, w, srs))
-    cache[cell] = dict(out)
-    return dict(out)
+                            budget: int = DEFAULT_ROUTE_BUDGET) -> dict[WordCell, WordCoeff]:
+    return collapse.morse_differential(cell, _Words(srs), mode, budget)
 
 
 def word_boundary_matrices(srs: Srs, chains: dict[int, list[WordCell]],
                            max_dim: int) -> dict[int, BoundaryMatrix]:
-    out: dict[int, BoundaryMatrix] = {}
-    for n in range(1, max_dim + 1):
-        rows, cols = chains[n], chains[n - 1]
-        col_index = {c: j for j, c in enumerate(cols)}
-        entries = [[0] * len(cols) for _ in rows]
-        for i, cell in enumerate(rows):
-            for target, coeff in word_morse_differential(cell, srs, "count").items():
-                entries[i][col_index[target]] = _count_of(coeff)
-        out[n] = BoundaryMatrix(n, list(rows), list(cols), entries, 0)
-    return out
+    return assemble_matrices(lambda cell: word_morse_differential(cell, srs, "count"),
+                             chains, max_dim)
 
 
 def monoid_homology(srs: Srs, max_dim: int) -> dict[int, HomologyGroup]:

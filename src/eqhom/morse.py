@@ -1,6 +1,7 @@
-"""Collapsing machinery: the normalized boundary, the classification of
-cells as critical, redundant or collapsible, and the collapsed
-differential computed by routing boundary terms through matched pairs.
+"""The term engine's complex: the normalized boundary of a cell, and the
+split and merge partners that define its matching.  The collapse itself
+(classification, routing, the collapsed differential) is
+``eqhom.collapse``; this module adapts the term complex to it.
 
 The boundary of a cell is a signed sum of faces: face 0 differentiates
 the head entry (one summand per component of the second entry, with a
@@ -12,12 +13,10 @@ otherwise the leftmost non-canonical entry is factored into its
 essential part, pushing the leftover selection rightward until it either
 dies, is absorbed, or falls off the end as a restriction coefficient.
 
-Classification pairs every non-critical cell with a partner one
-dimension up (split) or down (merge); the matched boundary coefficient
-is always plus or minus one.  The collapsed differential of a critical
-cell routes every boundary term through these pairs until only critical
-cells remain; termination is guaranteed for a certified system and is
-enforced with a step budget.
+A non-chain cell splits at the entry after its chain prefix, along the
+maximal redex of the composite through that entry; it merges with a
+face obtained by composing two adjacent entries when that face splits
+back to it.
 
 Two coefficient modes are supported: ``"symbolic"`` tracks ringoid
 elements, ``"count"`` tracks their signed monomial counts (the tensoring
@@ -26,9 +25,9 @@ used for homology matrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from . import collapse
 from .chains import (
     Cell,
     chain_prefix_length,
@@ -45,7 +44,8 @@ from .coeff import (
     multiply,
     star,
 )
-from .rewrite import BudgetExceeded, Trs, normal_form_morphism, op_morphism
+from .collapse import DEFAULT_ROUTE_BUDGET, CellClass, MatchingError, add_term
+from .rewrite import Trs, normal_form_morphism, op_morphism
 from .terms import (
     App,
     Context,
@@ -69,58 +69,11 @@ from .unify import match_tuple
 Coeff = Union[int, RingoidElement]
 Boundary = dict[Cell, Coeff]
 
-DEFAULT_ROUTE_BUDGET = 200_000
-
-
-class MatchingError(Exception):
-    """The critical/redundant/collapsible trichotomy failed (a bug, or the
-    input system was not actually complete)."""
-
-
-@dataclass(frozen=True)
-class CellClass:
-    kind: str  # "critical" | "redundant" | "collapsible"
-    partner: Cell | None = None
-    epsilon: int | None = None
-
 
 def cell_domain(cell: Cell) -> Context:
     if cell.entries:
         return cell.entries[-1].context
     return ((canonical_name(1), cell.sort),)
-
-
-def _one(cell: Cell, mode: str) -> Coeff:
-    if mode == "count":
-        return 1
-    return identity_element(cell_domain(cell))
-
-
-def _combine(a: Coeff, b: Coeff, trs: Trs, mode: str) -> Coeff:
-    if mode == "count":
-        return a * b
-    return multiply(a, b, trs)
-
-
-def _scale(a: Coeff, k: int) -> Coeff:
-    if isinstance(a, int):
-        return a * k
-    return a.scale(k)
-
-
-def _is_zero(a: Coeff) -> bool:
-    return a == 0 if isinstance(a, int) else a.is_zero
-
-
-def _add_term(acc: Boundary, cell: Cell, coeff: Coeff):
-    if cell in acc:
-        new = acc[cell] + coeff
-        if _is_zero(new):
-            del acc[cell]
-        else:
-            acc[cell] = new
-    elif not _is_zero(coeff):
-        acc[cell] = coeff
 
 
 def _phi(entries: tuple[Morphism, ...]) -> tuple[tuple[Morphism, ...], Morphism | None] | None:
@@ -183,12 +136,12 @@ def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
                     star(projection(head.context, i), trs),
                     trs,
                 )
-            _add_term(acc, target, coeff)
+            add_term(acc, target, coeff)
         codomain = Cell(cell.sort, ())
         if mode == "count":
-            _add_term(acc, codomain, -1)
+            add_term(acc, codomain, -1)
         else:
-            _add_term(acc, codomain, star(head, trs).scale(-1))
+            add_term(acc, codomain, star(head, trs).scale(-1))
         return acc
 
     head, second = entries[0], entries[1]
@@ -209,7 +162,7 @@ def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
             coeff = expand_derivative(i, head, subscript, trs)
             if leftover is not None:
                 coeff = multiply(coeff, star(leftover, trs), trs)
-        _add_term(acc, Cell(second.terms[i - 1].sort, new_entries), coeff)
+        add_term(acc, Cell(second.terms[i - 1].sort, new_entries), coeff)
 
     # middle faces: compose adjacent entries and re-normalize
     for j in range(1, n):
@@ -226,7 +179,7 @@ def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
             coeff = identity_element(cell_domain(cell)).scale(sign)
             if leftover is not None:
                 coeff = multiply(coeff, star(leftover, trs), trs)
-        _add_term(acc, Cell(cell.sort, new_entries), coeff)
+        add_term(acc, Cell(cell.sort, new_entries), coeff)
 
     # last face: drop the tail entry, emit its restriction
     sign = -1 if n % 2 else 1
@@ -235,7 +188,7 @@ def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
         coeff = sign
     else:
         coeff = star(entries[n - 1], trs).scale(sign)
-    _add_term(acc, target, coeff)
+    add_term(acc, target, coeff)
     return acc
 
 
@@ -244,7 +197,6 @@ def _try_split(cell: Cell, trs: Trs) -> Cell | None:
     if is_chain(cell, trs):
         return None
     entries = cell.entries
-    n = cell.dim
     L = chain_prefix_length(cell, trs)
     if L == 1:
         head = entries[0]
@@ -279,23 +231,48 @@ def _try_split(cell: Cell, trs: Trs) -> Cell | None:
     return Cell(cell.sort, entries[: L - 1] + (u, w) + entries[L:])
 
 
-def _find_merge(cell: Cell, trs: Trs) -> Cell | None:
-    """The partner one dimension down, when the cell is a matched source."""
-    entries = cell.entries
-    n = cell.dim
-    found = []
-    for j in range(1, n):
-        merged = normal_form_morphism(compose_raw(entries[j - 1], entries[j]), trs)
-        if is_partial_permutation(merged) or not is_canonical(merged):
-            continue
-        target = Cell(cell.sort, entries[: j - 1] + (merged,) + entries[j + 1 :])
-        if chain_prefix_length(target, trs) != j:
-            continue
-        if _try_split(target, trs) == cell:
-            found.append(target)
-    if len(found) > 1:
-        raise MatchingError(f"cell {cell!r} splits two targets: {found!r}")
-    return found[0] if found else None
+class _Terms:
+    """The term complex of ``trs`` as ``eqhom.collapse`` sees it.  The
+    kernels are looked up as module globals at call time."""
+
+    def __init__(self, trs: Trs):
+        self.system = trs
+
+    def classify(self, cell: Cell) -> CellClass:
+        return classify(cell, self.system)
+
+    def is_chain(self, cell: Cell) -> bool:
+        return is_chain(cell, self.system)
+
+    def split(self, cell: Cell) -> Cell | None:
+        return _try_split(cell, self.system)
+
+    def merges(self, cell: Cell):
+        """Faces composing entries j-1 and j whose chain prefix ends at j."""
+        trs, entries = self.system, cell.entries
+        for j in range(1, cell.dim):
+            merged = normal_form_morphism(compose_raw(entries[j - 1], entries[j]), trs)
+            if is_partial_permutation(merged) or not is_canonical(merged):
+                continue
+            target = Cell(cell.sort, entries[: j - 1] + (merged,) + entries[j + 1 :])
+            if chain_prefix_length(target, trs) == j:
+                yield target
+
+    def boundary(self, cell: Cell, mode: str) -> Boundary:
+        return normalized_boundary(cell, self.system, mode)
+
+    def one(self, cell: Cell, mode: str) -> Coeff:
+        return 1 if mode == "count" else identity_element(cell_domain(cell))
+
+    def mul(self, a: Coeff, b: Coeff, mode: str) -> Coeff:
+        return a * b if mode == "count" else multiply(a, b, self.system)
+
+    def sign(self, coeff: RingoidElement) -> int:
+        if len(coeff.terms) == 1:
+            mono, c = coeff.terms[0]
+            if not mono.factors and is_identity(mono.tail) and c in (1, -1):
+                return c
+        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
 
 
 def classify(cell: Cell, trs: Trs) -> CellClass:
@@ -304,85 +281,10 @@ def classify(cell: Cell, trs: Trs) -> CellClass:
     The matched sign is read off the partner's boundary; it must be +1 or
     -1, and no cell may qualify both ways.
     """
-    cache = trs.cache("classify")
-    hit = cache.get(cell)
-    if hit is not None:
-        return hit
-    result = _classify(cell, trs)
-    cache[cell] = result
-    return result
-
-
-def _classify(cell: Cell, trs: Trs) -> CellClass:
-    if cell.dim == 0 or is_chain(cell, trs):
-        return CellClass("critical")
-    split = _try_split(cell, trs)
-    merge = _find_merge(cell, trs)
-    if split is not None and merge is not None:
-        raise MatchingError(f"cell {cell!r} is both redundant and collapsible")
-    if split is not None:
-        eps = _matched_sign(normalized_boundary(split, trs, "count").get(cell))
-        return CellClass("redundant", split, eps)
-    if merge is not None:
-        eps = _matched_sign(normalized_boundary(cell, trs, "count").get(merge))
-        return CellClass("collapsible", merge, eps)
-    raise MatchingError(f"cell {cell!r} is neither critical, redundant nor collapsible")
-
-
-def _matched_sign(coeff: Coeff | None) -> int:
-    if coeff not in (1, -1):
-        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
-    return coeff
-
-
-def _matched_sign_symbolic(coeff: RingoidElement) -> int:
-    if len(coeff.terms) != 1:
-        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
-    mono, c = coeff.terms[0]
-    if mono.factors or not is_identity(mono.tail) or c not in (1, -1):
-        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
-    return c
-
-
-def _express(cell: Cell, trs: Trs, mode: str, counter: list[int]) -> Boundary:
-    cache = trs.cache("express_" + mode)
-    hit = cache.get(cell)
-    if hit is not None:
-        return dict(hit)
-    counter[0] -= 1
-    if counter[0] < 0:
-        raise BudgetExceeded("routing budget exhausted; matching may not terminate")
-    cls = classify(cell, trs)
-    if cls.kind == "critical":
-        out: Boundary = {cell: _one(cell, mode)}
-    elif cls.kind == "collapsible":
-        out = {}
-    else:
-        partner = cls.partner
-        bd = normalized_boundary(partner, trs, mode)
-        eps = cls.epsilon if mode == "count" else _matched_sign_symbolic(bd[cell])
-        out = {}
-        for face, coeff in bd.items():
-            if face == cell:
-                continue
-            routed = _express(face, trs, mode, counter)
-            for crit, w in routed.items():
-                _add_term(out, crit, _scale(_combine(coeff, w, trs, mode), -eps))
-    cache[cell] = dict(out)
-    return out
+    return collapse.classify(cell, _Terms(trs))
 
 
 def morse_differential(cell: Cell, trs: Trs, mode: str = "count",
                        budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
-    cache = trs.cache("morse_" + mode)
-    hit = cache.get(cell)
-    if hit is not None:
-        return dict(hit)
-    counter = [budget]
-    out: Boundary = {}
-    for face, coeff in normalized_boundary(cell, trs, mode).items():
-        for crit, w in _express(face, trs, mode, counter).items():
-            _add_term(out, crit, _combine(coeff, w, trs, mode))
-    cache[cell] = dict(out)
-    return dict(out)
+    return collapse.morse_differential(cell, _Terms(trs), mode, budget)

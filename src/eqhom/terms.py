@@ -98,9 +98,6 @@ class Signature:
     def arg_sorts(self, name: str) -> tuple[str, ...]:
         return self._by_name[name][0]
 
-    def result_sort(self, name: str) -> str:
-        return self._by_name[name][1]
-
     def app(self, op: str, *args: Term) -> App:
         """Build a well-sorted application, checking arity and argument sorts."""
         if op not in self._by_name:

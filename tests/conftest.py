@@ -32,3 +32,8 @@ def z2_srs():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+@pytest.fixture(scope="session")
+def s3_srs():
+    return parse_srs((DATA / "s3.srs").read_text())

@@ -1,0 +1,76 @@
+"""The shared collapse core on small complexes given by tables."""
+
+import pytest
+
+from eqhom import collapse
+from eqhom.collapse import MatchingError, assemble_matrices, morse_differential
+from eqhom.rewrite import BudgetExceeded
+
+
+class Table:
+    """A complex given by its chains, split partners and boundaries; a
+    cell merges with every cell that splits to it."""
+
+    def __init__(self, chains, splits, boundaries):
+        self.chains, self.splits, self.boundaries = chains, splits, boundaries
+        self.caches = {}
+        self.system = self
+
+    def cache(self, kind):
+        return self.caches.setdefault(kind, {})
+
+    def classify(self, cell):
+        return collapse.classify(cell, self)
+
+    def is_chain(self, cell):
+        return cell in self.chains
+
+    def split(self, cell):
+        return self.splits.get(cell)
+
+    def merges(self, cell):
+        return [t for t, s in self.splits.items() if s == cell]
+
+    def boundary(self, cell, mode):
+        return dict(self.boundaries.get(cell, {}))
+
+    def one(self, cell, mode):
+        return 1
+
+    def mul(self, a, b, mode):
+        return a * b
+
+    def sign(self, coeff):
+        return collapse.unit_sign(coeff)
+
+
+def test_routes_through_a_matched_pair():
+    # r is redundant with partner p (sign -1), p collapsible onto r
+    cx = Table({"T", "c"}, {"r": "p"}, {"T": {"r": 1}, "p": {"r": -1, "c": 2}})
+    assert morse_differential("T", cx) == {"c": 2}
+    assert collapse.classify("p", cx) == collapse.CellClass("collapsible", "r", -1)
+
+
+def test_matching_failures_raise():
+    both = Table(set(), {"q": "p", "s": "q"}, {"p": {"q": 1}, "q": {"s": 1}})
+    with pytest.raises(MatchingError, match="both redundant and collapsible"):
+        collapse.classify("q", both)
+    non_unit = Table(set(), {"r": "p"}, {"p": {"r": 2}})
+    with pytest.raises(MatchingError, match="not a unit"):
+        collapse.classify("r", non_unit)
+    with pytest.raises(MatchingError, match="neither"):
+        collapse.classify("u", non_unit)
+
+
+def test_routing_cycle_exhausts_the_budget():
+    cycle = Table({"T"}, {"r": "p", "s": "q"},
+                  {"T": {"r": 1}, "p": {"r": 1, "s": 1}, "q": {"s": 1, "r": 1}})
+    with pytest.raises(BudgetExceeded, match="routing budget exhausted"):
+        morse_differential("T", cycle, budget=50)
+
+
+def test_assembly_refuses_a_target_off_the_chain_list():
+    chains = {0: ["a"], 1: ["e"]}
+    assert assemble_matrices(lambda c: {"a": 3}, chains, 1, 2)[1].entries == [[1]]
+    with pytest.raises(ValueError, match="not an enumerated chain"):
+        assemble_matrices(lambda c: {"b": 1}, chains, 1)

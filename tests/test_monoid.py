@@ -1,4 +1,5 @@
-from eqhom.homology import smith_normal_form
+from eqhom.chains import enumerate_chains
+from eqhom.homology import boundary_matrices, homology_group, smith_normal_form
 from eqhom.monoid import (
     Srs,
     SrsRule,
@@ -10,6 +11,7 @@ from eqhom.monoid import (
     word_boundary,
     word_morse_differential,
 )
+from eqhom.parser import parse_presentation
 
 A = ("a",)
 
@@ -67,6 +69,17 @@ def test_dd_zero_through_dim_five(z2_srs):
                     for tgt, c2 in word_morse_differential(mid, srs, "count").items():
                         acc[tgt] = acc.get(tgt, 0) + _ct(c1) * _ct(c2)
                 assert all(v == 0 for v in acc.values())
+
+
+def test_symbolic_differential_counts_to_count_mode(z2_srs, s3_srs):
+    # the counting map sends every monoid element to 1
+    for srs in (z2_srs, nat2(), s3_srs):
+        chains = enumerate_word_chains(srs, 4)
+        for n in range(1, 5):
+            for cell in chains[n]:
+                sym = word_morse_differential(cell, srs, "symbolic")
+                counted = {t: _ct(c) for t, c in sym.items() if _ct(c)}
+                assert counted == word_morse_differential(cell, srs, "count")
 
 
 def _ct(c):
@@ -156,8 +169,8 @@ def _reachable_cells(srs, max_dim):
     return seen
 
 
-def test_matching_is_a_partial_matching(z2_srs):
-    for srs, maxd in ((z2_srs, 5), (nat2(), 4)):
+def test_matching_is_a_partial_matching(z2_srs, s3_srs):
+    for srs, maxd in ((z2_srs, 5), (nat2(), 4), (s3_srs, 6)):
         for cell in _reachable_cells(srs, maxd):
             cls = classify_word_cell(cell, srs)
             if cls.kind == "critical":
@@ -178,3 +191,36 @@ def test_resolution_ranks_equal_chain_counts(z2_srs):
     mats = word_boundary_matrices(z2_srs, chains, 4)
     for n in range(1, 5):
         assert len(mats[n].entries) == len(chains[n])
+
+
+def test_s3_homology_is_known(s3_srs):
+    # the integral homology of the symmetric group S3
+    H = monoid_homology(s3_srs, 4)
+    expect = [(1, ()), (0, (2,)), (0, ()), (0, (6,)), (0, ())]
+    assert [(H[n].rank, H[n].torsion) for n in range(5)] == expect
+
+
+def _as_unary_trs(srs):
+    """The string system as a term system: letter ``a`` is ``a : X -> X``
+    and a word is its letters applied to ``x``, leftmost outermost."""
+
+    def term(w):
+        return "".join(f"{c}(" for c in w) + "x" + ")" * len(w)
+
+    lines = ["sorts X"] + [f"op {c} : X -> X" for c in srs.alphabet] + ["var x : X"]
+    lines += [f"rule {r.name} : {term(r.lhs)} -> {term(r.rhs)}" for r in srs.rules]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+def test_term_engine_agrees_with_word_engine(z2_srs, s3_srs):
+    # a second engine: chain counts differ (maximal-redex against leftmost
+    # chains), the homology must not
+    for srs in (z2_srs, nat2(), s3_srs):
+        trs = _as_unary_trs(srs)
+        chains = enumerate_chains(trs, 5)
+        counts = {n: len(c) for n, c in chains.items()}
+        mats = boundary_matrices(trs, chains, 5, 0)
+        words = monoid_homology(srs, 4)
+        for n in range(5):
+            got = homology_group(mats, n, 0, counts)
+            assert (got.rank, got.torsion) == (words[n].rank, words[n].torsion), (srs, n)
