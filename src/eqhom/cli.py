@@ -64,11 +64,11 @@ def cell_json(cell: Cell) -> dict:
 
 
 def _load_trs(path: str) -> Trs:
-    return parse_presentation(Path(path).read_text(encoding="utf-8"))
+    return parse_presentation(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _load_srs(path: str) -> Srs:
-    return parse_srs(Path(path).read_text(encoding="utf-8"))
+    return parse_srs(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _resolve_modulus(trs: Trs, coeff: str) -> int:

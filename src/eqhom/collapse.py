@@ -4,14 +4,16 @@ Mem. AMS 2009), shared by the term and the word engine.
 
 An engine supplies its complex through a small adapter (``Complex``):
 which cells are chains, the partner one dimension up that splits a
-cell, the candidate partners one dimension down that merge it, the
-signed boundary in each coefficient mode, and the ring operations of
-each mode.  Everything else lives here.
+cell, the partners one dimension down that merge it (faces of the cell
+that split back to it, so that the adapter can test the split with what
+it already knows about the cell), the signed boundary in each
+coefficient mode, and the ring operations of each mode.  Everything
+else lives here.
 
 Classification.  A chain (or a 0-cell) is critical.  Any other cell is
 redundant when it splits, that is when it is a face of its split partner
-one dimension up, and collapsible when exactly one merge candidate
-splits back to it.  Both at once, two merge targets, or neither is a
+one dimension up, and collapsible when it has exactly one merge
+partner.  Both at once, two merge partners, or neither is a
 ``MatchingError``.  The matched coefficient, read off the partner's
 counting boundary, must be plus or minus one.
 
@@ -19,10 +21,11 @@ Routing.  The collapsed differential of a critical cell is its boundary
 with every face rewritten until only critical cells remain: a critical
 face stays, a collapsible face vanishes, and a redundant face ``c`` with
 partner ``p`` and matched sign ``ε`` is replaced by ``-ε`` times the
-rest of the boundary of ``p``, routed in turn.  Termination holds for a
-certified system; a step budget turns a non-terminating matching into
-``BudgetExceeded``.  Classification and routing are memoised in the
-system's caches (``classify``, ``express_<mode>``, ``morse_<mode>``).
+rest of the boundary of ``p``, routed in turn, on an explicit stack.
+Termination holds for a certified system; a budget of one step per
+cell routed turns a non-terminating matching into ``BudgetExceeded``.
+Classification and routing are memoised in the system's caches
+(``classify``, ``express_<mode>``, ``morse_<mode>``).
 
 Coefficients are plain integers in the ``"count"`` mode and ring
 elements with ``+``, ``scale`` and ``is_zero`` in the ``"symbolic"``
@@ -73,7 +76,7 @@ class Complex(Protocol):
     def classify(self, cell) -> CellClass: ...  # the engine's public classify
     def is_chain(self, cell) -> bool: ...
     def split(self, cell): ...  # partner one dimension up, or None
-    def merges(self, cell) -> Iterable: ...  # candidate partners one dimension down
+    def merges(self, cell) -> Iterable: ...  # partners one dimension down that split back
     def boundary(self, cell, mode: str) -> Boundary: ...
     def one(self, cell, mode: str): ...
     def mul(self, a, b, mode: str): ...
@@ -119,7 +122,7 @@ def _classify(cell, cx: Complex) -> CellClass:
     if cx.is_chain(cell):
         return CellClass("critical")
     split = cx.split(cell)
-    found = [t for t in cx.merges(cell) if cx.split(t) == cell]
+    found = list(cx.merges(cell))
     if len(found) > 1:
         raise MatchingError(f"cell {cell!r} splits two targets: {found!r}")
     if split is not None and found:
@@ -133,28 +136,56 @@ def _classify(cell, cx: Complex) -> CellClass:
 
 
 def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
-    """The cell as a combination of critical cells (memoised, read-only)."""
+    """The cell as a combination of critical cells (memoised, read-only).
+
+    A post-order walk on an explicit stack, so that the routing depth is
+    bounded by the budget and not by Python's recursion limit.  A frame
+    is a redundant cell whose partner's faces are being routed in
+    boundary order: ``[cell, out, remaining faces, -ε, coefficient of the
+    face being expressed]``.
+    """
     cache = cx.system.cache("express_" + mode)
     hit = cache.get(cell)
     if hit is not None:
         return hit
-    counter[0] -= 1
-    if counter[0] < 0:
-        raise BudgetExceeded("routing budget exhausted; matching may not terminate")
-    cls = cx.classify(cell)
-    out: Boundary = {}
-    if cls.kind == "critical":
-        out[cell] = cx.one(cell, mode)
-    elif cls.kind == "redundant":
-        bd = cx.boundary(cls.partner, mode)
-        eps = cls.epsilon if mode == "count" else cx.sign(bd[cell])
-        for face, coeff in bd.items():
-            if face == cell:
+    stack: list[list] = []
+    done: Boundary | None = None  # a finished expression, owed to the top frame
+    while True:
+        if cell is not None:
+            counter[0] -= 1
+            if counter[0] < 0:
+                raise BudgetExceeded("routing budget exhausted; matching may not terminate")
+            cls = cx.classify(cell)
+            if cls.kind == "redundant":
+                bd = cx.boundary(cls.partner, mode)
+                eps = cls.epsilon if mode == "count" else cx.sign(bd[cell])
+                stack.append([cell, {}, iter(bd.items()), -eps, None])
+            else:
+                done = {cell: cx.one(cell, mode)} if cls.kind == "critical" else {}
+                cache[cell] = done
+                if not stack:
+                    return done
+            cell = None
+        frame = stack[-1]
+        top, out, faces, neg_eps, coeff = frame
+        if done is not None:
+            for crit, w in done.items():
+                add_term(out, crit, scale(cx.mul(coeff, w, mode), neg_eps))
+            done = None
+        for face, coeff in faces:
+            if face == top:
                 continue
-            for crit, w in _express(face, cx, mode, counter).items():
-                add_term(out, crit, scale(cx.mul(coeff, w, mode), -eps))
-    cache[cell] = out
-    return out
+            hit = cache.get(face)
+            if hit is None:
+                frame[4], cell = coeff, face
+                break
+            for crit, w in hit.items():
+                add_term(out, crit, scale(cx.mul(coeff, w, mode), neg_eps))
+        else:
+            stack.pop()
+            cache[top] = done = out
+            if not stack:
+                return out
 
 
 def morse_differential(cell, cx: Complex, mode: str = "count",

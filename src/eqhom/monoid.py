@@ -31,7 +31,6 @@ from .collapse import (
     MatchingError,
     add_term,
     assemble_matrices,
-    scale,
 )
 from .homology import HomologyGroup, homology_group
 from .rewrite import BudgetExceeded, CompletenessError
@@ -77,7 +76,7 @@ class Srs:
         return hash((self.alphabet, self.rules))
 
     def cache(self, kind: str) -> dict:
-        return self.caches.setdefault(kind, {})
+        return self.caches.get(kind) or self.caches.setdefault(kind, {})
 
 
 WordCell = tuple[Word, ...]
@@ -119,7 +118,12 @@ def reduce_word(w: Word, srs: Srs) -> Word:
 
 
 def is_irreducible_word(w: Word, srs: Srs) -> bool:
-    return find_redex(w, srs) is None
+    """Memoised per word in ``srs.cache("irreducible")``."""
+    cache = srs.cache("irreducible")
+    hit = cache.get(w)
+    if hit is None:
+        hit = cache[w] = find_redex(w, srs) is None
+    return hit
 
 
 @dataclass
@@ -257,10 +261,10 @@ def longest_word_chain_prefix(cell: WordCell, srs: Srs) -> int:
     return n
 
 
-def _split_word_cell(cell: WordCell, srs: Srs) -> WordCell | None:
-    """Split the entry after the chain prefix at its earliest reducible
-    point: the matched partner one dimension up, or None."""
-    i = longest_word_chain_prefix(cell, srs)
+def _split_word_cell(cell: WordCell, srs: Srs, i: int) -> WordCell | None:
+    """Split the entry after the chain prefix, of length ``i``, at its
+    earliest reducible point: the matched partner one dimension up, or
+    None."""
     if i >= len(cell):
         return None
     u = cell[i]
@@ -299,43 +303,55 @@ class WordSum(dict):
         return not self
 
 
-def _coeff_one(mode: str) -> WordCoeff:
-    return 1 if mode == "count" else WordSum({EMPTY: 1})
-
-
 class _Words:
     """The word complex of ``srs`` as ``eqhom.collapse`` sees it.  The
     kernels are looked up as module globals at call time."""
 
     def __init__(self, srs: Srs):
         self.system = srs
+        self._scanned: tuple[WordCell | None, int] = (None, 0)
+
+    def _prefix(self, cell: WordCell) -> int:
+        """The chain prefix of ``cell``, scanned once for the successive
+        ``is_chain``, ``split`` and ``merges`` of one classification."""
+        last, p = self._scanned
+        if last is not cell:
+            p = longest_word_chain_prefix(cell, self.system)
+            self._scanned = (cell, p)
+        return p
 
     def classify(self, cell: WordCell) -> CellClass:
         return classify_word_cell(cell, self.system)
 
     def is_chain(self, cell: WordCell) -> bool:
-        return is_word_chain(cell, self.system)
+        return self._prefix(cell) == len(cell)
 
     def split(self, cell: WordCell) -> WordCell | None:
-        return _split_word_cell(cell, self.system)
+        return _split_word_cell(cell, self.system, self._prefix(cell))
 
     def merges(self, cell: WordCell):
         """Faces concatenating entries j-1 and j, irreducibly, whose chain
-        prefix ends just before the concatenation."""
+        prefix ends just before the concatenation and that split back to
+        the cell.  Such a face keeps the cell's first j-1 entries, so its
+        prefix is j-1 exactly when j-1 is at most the cell's prefix and
+        the merged entry does not extend the chain."""
         srs = self.system
-        for j in range(1, len(cell)):
+        for j in range(1, min(self._prefix(cell) + 1, len(cell) - 1) + 1):
             merged = cell[j - 1] + cell[j]
             if not is_irreducible_word(merged, srs):
                 continue
+            extends = merged in chain_tails(cell[j - 2], srs) if j >= 2 else len(merged) == 1
+            if extends:
+                continue
             target = cell[:j - 1] + (merged,) + cell[j + 1:]
-            if longest_word_chain_prefix(target, srs) == j - 1:
+            if _split_word_cell(target, srs, j - 1) == cell:
                 yield target
 
     def boundary(self, cell: WordCell, mode: str) -> dict[WordCell, WordCoeff]:
         return word_boundary(cell, self.system, mode)
 
     def one(self, cell: WordCell, mode: str) -> WordCoeff:
-        return _coeff_one(mode)
+        return 1 if mode == "count" else WordSum({EMPTY: 1})
 
     def mul(self, a: WordCoeff, b: WordCoeff, mode: str) -> WordCoeff:
         if mode == "count":
@@ -357,15 +373,24 @@ def word_boundary(cell: WordCell, srs: Srs, mode: str = "count") -> dict[WordCel
     """Bar-resolution boundary with identity entries dropped: act by the
     first word, merge adjacent words, drop the last word."""
     n = len(cell)
-    one = _coeff_one(mode)
-    acc: dict[WordCell, WordCoeff] = {}
-    add_term(acc, cell[1:], 1 if mode == "count" else WordSum({reduce_word(cell[0], srs): 1}))
+    faces = [(cell[1:], 1)]
     for j in range(1, n):
         merged = reduce_word(cell[j - 1] + cell[j], srs)
-        if not merged:
-            continue  # identity entry, degenerate face
-        add_term(acc, cell[:j - 1] + (merged,) + cell[j + 1:], scale(one, -1 if j % 2 else 1))
-    add_term(acc, cell[:n - 1], scale(one, -1 if n % 2 else 1))
+        if merged:  # an identity entry is a degenerate face
+            faces.append((cell[:j - 1] + (merged,) + cell[j + 1:], -1 if j % 2 else 1))
+    faces.append((cell[:n - 1], -1 if n % 2 else 1))
+    acc: dict[WordCell, WordCoeff] = {}
+    if mode == "count":
+        for face, sign in faces:
+            k = acc.get(face, 0) + sign
+            if k:
+                acc[face] = k
+            else:
+                del acc[face]
+        return acc
+    act = reduce_word(cell[0], srs)
+    for i, (face, sign) in enumerate(faces):
+        add_term(acc, face, WordSum({act if i == 0 else EMPTY: sign}))
     return acc
 
 

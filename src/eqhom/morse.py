@@ -248,14 +248,15 @@ class _Terms:
         return _try_split(cell, self.system)
 
     def merges(self, cell: Cell):
-        """Faces composing entries j-1 and j whose chain prefix ends at j."""
+        """Faces composing entries j-1 and j whose chain prefix ends at j
+        and that split back to the cell."""
         trs, entries = self.system, cell.entries
         for j in range(1, cell.dim):
             merged = normal_form_morphism(compose_raw(entries[j - 1], entries[j]), trs)
             if is_partial_permutation(merged) or not is_canonical(merged):
                 continue
             target = Cell(cell.sort, entries[: j - 1] + (merged,) + entries[j + 1 :])
-            if chain_prefix_length(target, trs) == j:
+            if chain_prefix_length(target, trs) == j and _try_split(target, trs) == cell:
                 yield target
 
     def boundary(self, cell: Cell, mode: str) -> Boundary:

@@ -96,7 +96,7 @@ class Trs:
         return hash((self.signature.sorts, self.signature.ops, self.rules))
 
     def cache(self, kind: str) -> dict:
-        return self.caches.setdefault(kind, {})
+        return self.caches.get(kind) or self.caches.setdefault(kind, {})
 
 
 def rewrite_steps(t: Term, trs: Trs) -> list[tuple[Rule, Position, Term]]:

@@ -1,5 +1,7 @@
 """The shared collapse core on small complexes given by tables."""
 
+import sys
+
 import pytest
 
 from eqhom import collapse
@@ -67,6 +69,22 @@ def test_routing_cycle_exhausts_the_budget():
                   {"T": {"r": 1}, "p": {"r": 1, "s": 1}, "q": {"s": 1, "r": 1}})
     with pytest.raises(BudgetExceeded, match="routing budget exhausted"):
         morse_differential("T", cycle, budget=50)
+
+
+def test_deep_routing_does_not_recurse():
+    # T -> r0; r_i is redundant with partner p_i, whose other face is
+    # r_{i+1}, so each step of the routing line flips the sign
+    n = 5_000
+    assert n > sys.getrecursionlimit()
+    splits = {f"r{i}": f"p{i}" for i in range(n)}
+    boundaries = {f"p{i}": {f"r{i}": 1, f"r{i + 1}": 1} for i in range(n - 1)}
+    boundaries[f"p{n - 1}"] = {f"r{n - 1}": 1, "c": 3}
+    boundaries["T"] = {"r0": 1}
+    line = Table({"T", "c"}, splits, boundaries)
+    assert morse_differential("T", line) == {"c": 3 * (-1) ** n}
+    assert len(line.caches["express_count"]) == n + 1
+    with pytest.raises(BudgetExceeded, match="routing budget exhausted"):
+        morse_differential("T", Table({"T", "c"}, splits, boundaries), budget=n)
 
 
 def test_assembly_refuses_a_target_off_the_chain_list():

@@ -217,6 +217,19 @@ def test_cli_exit_codes(capsys, data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ("homology", "abelian_unit.lwv", "--max-dim", "2"),
+    ("monoid", "homology", "z2.srs", "--max-dim", "3"),
+])
+def test_cli_accepts_a_utf8_bom(capsys, data_dir, tmp_path, argv):
+    name = next(a for a in argv if a.endswith((".lwv", ".srs")))
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
+    plain = _run(capsys, *[str(data_dir / a) if a == name else a for a in argv])
+    assert plain[0] == 0
+    assert _run(capsys, *[str(marked) if a == name else a for a in argv]) == plain
+
+
+@pytest.mark.parametrize("argv", [
     ("chains", "abelian_unit.lwv", "--max-dim", "-1"),
     ("resolution", "abelian_unit.lwv", "--max-dim", "-1"),
     ("homology", "abelian_unit.lwv", "--max-dim", "-1"),

@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from eqhom.chains import enumerate_chains
 from eqhom.homology import (
@@ -16,6 +18,7 @@ from eqhom.homology import (
     smith_normal_form,
     validate_modulus,
 )
+from eqhom.monoid import enumerate_word_chains, word_boundary_matrices
 from eqhom.parser import parse_presentation
 from eqhom.rewrite import degree
 
@@ -41,6 +44,38 @@ def test_snf_against_minor_gcd_oracle():
             prod *= dk
             assert prod == _minor_gcd_exact(a, k)
         assert _minor_gcd_exact(a, rank + 1) == 0
+
+
+def _snf_by_sympy(matrix):
+    """Invariant factors above 1 and rank, from an independent SNF."""
+    d = sympy_smith_normal_form(Matrix(matrix), domain=ZZ)
+    diag = [abs(int(d[i, i])) for i in range(min(d.shape))]
+    return sorted(x for x in diag if x > 1), sum(1 for x in diag if x)
+
+
+def _snf_summary(matrix):
+    factors, rank = smith_normal_form(matrix)
+    return sorted(f for f in factors if f > 1), rank
+
+
+def test_snf_agrees_with_sympy_on_random_matrices():
+    rng = random.Random(23)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        zeros = rng.random()
+        a = [[0 if rng.random() < zeros else rng.randint(-9, 9) for _ in range(n)]
+             for _ in range(m)]
+        assert _snf_summary(a) == _snf_by_sympy(a), a
+
+
+def test_snf_agrees_with_sympy_on_s3_boundaries(s3_srs):
+    mats = word_boundary_matrices(s3_srs, enumerate_word_chains(s3_srs, 5), 5)
+    torsion = []
+    for n in range(1, 6):
+        entries = mats[n].entries
+        assert _snf_summary(entries) == _snf_by_sympy(entries), n
+        torsion += _snf_summary(entries)[0]
+    assert torsion  # S3 has torsion, so some factor is above 1
 
 
 def _minor_gcd_exact(matrix, k):

@@ -1,17 +1,25 @@
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from eqhom.chains import enumerate_chains
 from eqhom.homology import boundary_matrices, homology_group, smith_normal_form
 from eqhom.monoid import (
     Srs,
     SrsRule,
+    _split_word_cell,
+    _Words,
     check_complete_srs,
     classify_word_cell,
     enumerate_word_chains,
+    is_irreducible_word,
+    longest_word_chain_prefix,
     monoid_homology,
     reduce_word,
     word_boundary,
+    word_boundary_matrices,
     word_morse_differential,
 )
-from eqhom.parser import parse_presentation
+from eqhom.parser import parse_presentation, parse_srs
 
 A = ("a",)
 
@@ -185,8 +193,6 @@ def test_matching_is_a_partial_matching(z2_srs, s3_srs):
 
 
 def test_resolution_ranks_equal_chain_counts(z2_srs):
-    from eqhom.monoid import word_boundary_matrices
-
     chains = enumerate_word_chains(z2_srs, 4)
     mats = word_boundary_matrices(z2_srs, chains, 4)
     for n in range(1, 5):
@@ -224,3 +230,56 @@ def test_term_engine_agrees_with_word_engine(z2_srs, s3_srs):
         for n in range(5):
             got = homology_group(mats, n, 0, counts)
             assert (got.rank, got.torsion) == (words[n].rank, words[n].torsion), (srs, n)
+
+
+def _merges_by_rescan(cell, srs):
+    """The merge partners by definition: every irreducible merge face
+    whose chain prefix ends just before the merged entry and that splits
+    back to the cell, each face rescanned from scratch."""
+    for j in range(1, len(cell)):
+        merged = cell[j - 1] + cell[j]
+        if not is_irreducible_word(merged, srs):
+            continue
+        target = cell[:j - 1] + (merged,) + cell[j + 1:]
+        prefix = longest_word_chain_prefix(target, srs)
+        if prefix == j - 1 and _split_word_cell(target, srs, prefix) == cell:
+            yield target
+
+
+def test_merges_agree_with_the_rescan_definition(data_dir):
+    fresh = (parse_srs((data_dir / "z2.srs").read_text()), nat2(),
+             parse_srs((data_dir / "s3.srs").read_text()))
+    collapsible = 0
+    for srs in fresh:
+        word_boundary_matrices(srs, enumerate_word_chains(srs, 6), 6)
+        for cell in srs.caches["classify"]:
+            got = list(_Words(srs).merges(cell))
+            assert got == list(_merges_by_rescan(cell, srs)), cell
+            collapsible += bool(got)
+    assert collapsible > 400
+
+
+def _shortlex_oriented(pair):
+    # the larger side in length-then-letters order rewrites to the smaller,
+    # so every generated system terminates
+    small, large = sorted(pair, key=lambda w: (len(w), w))
+    return large, small
+
+
+_words = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
+_rule = st.tuples(_words, _words).filter(lambda p: p[0] != p[1]).map(_shortlex_oriented)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(_rule, min_size=1, max_size=3))
+def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
+    srs = Srs(("a", "b"), tuple(SrsRule(f"r{i}", l, r) for i, (l, r) in enumerate(sides)))
+    assume(check_complete_srs(srs).certified)
+    words = monoid_homology(srs, 3)
+    trs = _as_unary_trs(srs)
+    chains = enumerate_chains(trs, 4)
+    counts = {n: len(c) for n, c in chains.items()}
+    mats = boundary_matrices(trs, chains, 4, 0)
+    for n in range(4):
+        got = homology_group(mats, n, 0, counts)
+        assert (got.rank, got.torsion) == (words[n].rank, words[n].torsion), (sides, n)
