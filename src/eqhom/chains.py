@@ -111,8 +111,12 @@ def max_redex(t: Term, trs: Trs) -> RedexIndex | None:
 
     Preorder is lexicographic order on positions, so the first match
     scanning positions backwards and ranks downwards is the maximum of
-    ``redex_set``.
+    ``redex_set``.  Memoised per term in ``trs.cache("max_redex")``.
     """
+    return trs.memo("max_redex", t, lambda: _max_redex(t, trs))
+
+
+def _max_redex(t: Term, trs: Trs) -> RedexIndex | None:
     ranked = list(enumerate(trs.rules))[::-1]
     for p in reversed(positions(t)):
         sub = subterm_at(t, p)
@@ -149,8 +153,13 @@ def mgu_extension(T: Morphism, p: Position, rule: Rule, trs: Trs) -> Morphism | 
 
     Context variables not constrained by the unification stay as fresh
     distinct variables.  Returns the canonical morphism, or None when the
-    subterm is a variable or the unification fails.
+    subterm is a variable or the unification fails.  Memoised per
+    ``(T, p, rule)`` in ``trs.cache("mgu_extension")``.
     """
+    return trs.memo("mgu_extension", (T, p, rule), lambda: _mgu_extension(T, p, rule))
+
+
+def _mgu_extension(T: Morphism, p: Position, rule: Rule) -> Morphism | None:
     sub = subterm_at(T.term, p)
     if isinstance(sub, Var):
         return None

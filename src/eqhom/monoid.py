@@ -56,6 +56,7 @@ class Srs:
     rules: tuple[SrsRule, ...]
     step_budget: int = 10_000
     caches: dict = field(init=False, repr=False, default_factory=dict)
+    longest_lhs: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -67,6 +68,7 @@ class Srs:
             for c in r.lhs + r.rhs:
                 if c not in self.alphabet:
                     raise ValueError(f"rule {r.name}: letter {c!r} not declared")
+        object.__setattr__(self, "longest_lhs", max((len(r.lhs) for r in self.rules), default=0))
 
     def __eq__(self, other):
         return (isinstance(other, Srs) and self.alphabet == other.alphabet
@@ -87,9 +89,10 @@ def render_word(w: Word) -> str:
     return " ".join(w) if w else "ε"
 
 
-def find_redex(w: Word, srs: Srs) -> tuple[int, SrsRule] | None:
-    """Leftmost (then longest-rule-first by declaration order) redex."""
-    for i in range(len(w)):
+def find_redex(w: Word, srs: Srs, start: int = 0) -> tuple[int, SrsRule] | None:
+    """Leftmost (then first-declared-rule-first) redex starting at or
+    after ``start``."""
+    for i in range(start, len(w)):
         for rule in srs.rules:
             if w[i:i + len(rule.lhs)] == rule.lhs:
                 return i, rule
@@ -101,20 +104,25 @@ def reduce_word(w: Word, srs: Srs) -> Word:
     hit = cache.get(w)
     if hit is not None:
         return hit
-    start = w
+    given = w
+    # a rewrite at i leaves w[:i] redex-free, so the next leftmost redex
+    # starts no earlier than the last lhs that could reach into the new rhs
+    back = srs.longest_lhs - 1
+    start = 0
     for _ in range(srs.step_budget):
         hit = cache.get(w)
         if hit is not None:
-            cache[start] = hit
+            cache[given] = hit
             return hit
-        redex = find_redex(w, srs)
+        redex = find_redex(w, srs, start)
         if redex is None:
-            cache[start] = w
+            cache[given] = w
             cache[w] = w
             return w
         i, rule = redex
         w = w[:i] + rule.rhs + w[i + len(rule.lhs):]
-    raise BudgetExceeded(f"word reduction budget exhausted on {render_word(start)}")
+        start = max(0, i - back)
+    raise BudgetExceeded(f"word reduction budget exhausted on {render_word(given)}")
 
 
 def is_irreducible_word(w: Word, srs: Srs) -> bool:

@@ -76,7 +76,23 @@ def cell_domain(cell: Cell) -> Context:
     return ((canonical_name(1), cell.sort),)
 
 
-def _phi(entries: tuple[Morphism, ...]) -> tuple[tuple[Morphism, ...], Morphism | None] | None:
+def _merge(a: Morphism, b: Morphism, trs: Trs) -> Morphism:
+    """Normal form of the composite of adjacent entries ``a`` and ``b``,
+    memoised per pair in ``trs.cache("merge")``."""
+    return trs.memo("merge", (a, b), lambda: normal_form_morphism(compose_raw(a, b), trs))
+
+
+def _factor(m: Morphism, trs: Trs) -> tuple[Morphism, Morphism]:
+    """``m`` as (essential part, selection morphism), memoised per
+    morphism in ``trs.cache("factor")``."""
+    def factor():
+        ess, pp = canonicalize(m.context, m.terms)
+        return ess, pp.as_morphism()
+    return trs.memo("factor", m, factor)
+
+
+def _phi(entries: tuple[Morphism, ...],
+         trs: Trs) -> tuple[tuple[Morphism, ...], Morphism | None] | None:
     """Repair a face tuple into a cell, or kill it.
 
     Returns (cell entries, leftover selection morphism or None); None
@@ -90,8 +106,7 @@ def _phi(entries: tuple[Morphism, ...]) -> tuple[tuple[Morphism, ...], Morphism 
         bad = next((k for k, e in enumerate(work) if not is_canonical(e)), None)
         if bad is None:
             return tuple(work), None
-        ess, pp = canonicalize(work[bad].context, work[bad].terms)
-        pi = pp.as_morphism()
+        ess, pi = _factor(work[bad], trs)
         work[bad] = ess
         if bad + 1 < len(work):
             work[bad + 1] = compose_raw(pi, work[bad + 1])
@@ -151,7 +166,7 @@ def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
     # these faces live over the component's sort, not the cell's
     for i in range(1, len(second.terms) + 1):
         face = (_component(second, i),) + entries[2:]
-        repaired = _phi(face)
+        repaired = _phi(face, trs)
         if repaired is None:
             continue
         new_entries, leftover = repaired
@@ -166,9 +181,9 @@ def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
 
     # middle faces: compose adjacent entries and re-normalize
     for j in range(1, n):
-        merged = normal_form_morphism(compose_raw(entries[j - 1], entries[j]), trs)
+        merged = _merge(entries[j - 1], entries[j], trs)
         face = entries[: j - 1] + (merged,) + entries[j + 1 :]
-        repaired = _phi(face)
+        repaired = _phi(face, trs)
         if repaired is None:
             continue
         new_entries, leftover = repaired
@@ -252,7 +267,7 @@ class _Terms:
         and that split back to the cell."""
         trs, entries = self.system, cell.entries
         for j in range(1, cell.dim):
-            merged = normal_form_morphism(compose_raw(entries[j - 1], entries[j]), trs)
+            merged = _merge(entries[j - 1], entries[j], trs)
             if is_partial_permutation(merged) or not is_canonical(merged):
                 continue
             target = Cell(cell.sort, entries[: j - 1] + (merged,) + entries[j + 1 :])

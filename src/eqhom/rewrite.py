@@ -41,6 +41,8 @@ from .unify import match_term, unify_terms
 DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_JOIN_BUDGET = 1_000
 
+_MISSING = object()  # memo miss; None is a valid memoised result
+
 
 class BudgetExceeded(Exception):
     """A rewrite-step budget ran out (possible nontermination or a bug)."""
@@ -98,6 +100,15 @@ class Trs:
     def cache(self, kind: str) -> dict:
         return self.caches.get(kind) or self.caches.setdefault(kind, {})
 
+    def memo(self, kind: str, key, compute):
+        """``compute()``, memoised under ``key`` in ``self.cache(kind)``;
+        any value, None included, is a memoised result."""
+        cache = self.cache(kind)
+        hit = cache.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = cache[key] = compute()
+        return hit
+
 
 def rewrite_steps(t: Term, trs: Trs) -> list[tuple[Rule, Position, Term]]:
     """All one-step reducts of ``t`` with rule and position provenance."""
@@ -149,16 +160,21 @@ def normal_form(t: Term, trs: Trs) -> Term:
 
 
 def _innermost(u: Term, trs: Trs, budget: list[int]) -> Term:
-    if isinstance(u, Var):
-        return u
-    u = App(u.op, tuple(_innermost(a, trs, budget) for a in u.args), u.sort)
-    for rule in trs.rules:
-        sigma = match_term(rule.lhs, u)
-        if sigma is not None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded(f"step budget exhausted while reducing {render_term(u)}")
-            return _innermost(substitute(rule.rhs, sigma), trs, budget)
+    """Normalise the arguments, then rewrite at the root until no rule
+    applies there; a root rewrite loops instead of recursing, so the
+    recursion depth is the term depth, not the number of steps."""
+    while isinstance(u, App):
+        u = App(u.op, tuple(_innermost(a, trs, budget) for a in u.args), u.sort)
+        for rule in trs.rules:
+            sigma = match_term(rule.lhs, u)
+            if sigma is not None:
+                break
+        else:
+            return u
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BudgetExceeded(f"step budget exhausted while reducing {render_term(u)}")
+        u = substitute(rule.rhs, sigma)
     return u
 
 

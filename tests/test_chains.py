@@ -13,6 +13,7 @@ from eqhom.chains import (
     redex_set,
     valid_entry,
 )
+from eqhom.parser import parse_presentation
 from eqhom.rewrite import CompletenessError, Rule, Trs, random_term
 from eqhom.terms import Morphism, Signature, Var, substitute, variables
 
@@ -155,3 +156,50 @@ def test_max_redex_is_the_maximum_of_redex_set(ab_trs, group_trs):
             assert max_redex(t, trs) == (max(redexes) if redexes else None), t
             reducible += bool(redexes)
         assert 50 < reducible < 400
+
+
+def test_memoised_max_redex_on_group_composites(data_dir):
+    # every prefix composite of the group chains through dim 4, computed
+    # cold on a fresh system and then read back from its memo
+    trs = parse_presentation((data_dir / "group.lwv").read_text())
+    chains = enumerate_chains(trs, 4)
+    seen = 0
+    for cells in chains.values():
+        for cell in cells:
+            for k in range(1, cell.dim + 1):
+                t = composite(cell, trs, k).term
+                redexes = redex_set(t, trs)
+                expected = max(redexes) if redexes else None
+                assert max_redex(t, trs) == expected, t
+                assert trs.cache("max_redex")[t] == expected
+                assert max_redex(t, trs) == expected, t
+                seen += 1
+    assert seen > 500
+
+
+def _kernel_memos(trs):
+    """Fill the chain kernels' memos through dim 3 and return a copy."""
+    for cells in enumerate_chains(trs, 3).values():
+        assert all(is_chain(cell, trs) for cell in cells)
+    return {kind: dict(trs.cache(kind))
+            for kind in ("max_redex", "mgu_extension")}
+
+
+def test_rule_order_keeps_memos_apart(data_dir):
+    text = (data_dir / "group.lwv").read_text()
+    forward = parse_presentation(text)
+    backward = parse_presentation(text)
+    backward = Trs(backward.signature, backward.rules[::-1])
+    g = forward.signature
+    t = g.app("i", g.app("e"))  # only r05 applies
+    assert max_redex(t, forward) == ((), 4)
+    assert max_redex(t, backward) == ((), 5)
+    assert max_redex(t, forward) == ((), 4)
+
+    before = _kernel_memos(forward)
+    assert all(before.values())
+    _kernel_memos(backward)
+    assert _kernel_memos(forward) == before
+    for kind in before:
+        assert backward.cache(kind) is not forward.cache(kind)
+    assert backward.cache("max_redex")[t] == ((), 5)

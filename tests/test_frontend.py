@@ -216,6 +216,19 @@ def test_cli_exit_codes(capsys, data_dir, tmp_path):
     assert code == 1
 
 
+def test_cli_check_reports_a_rewrite_cycle(capsys, tmp_path):
+    # each rewrite at the root loops in the normaliser, so the default
+    # 10 000-step budget runs out without reaching the recursion limit
+    cycle = tmp_path / "cycle.lwv"
+    cycle.write_text(
+        "sorts X\nop f : X -> X\nop g : X -> X\nvar x : X\n"
+        "rule r1 : f(x) -> g(x)\nrule r2 : g(x) -> f(x)\n")
+    code, out, err = _run(capsys, "check", str(cycle))
+    assert code == 3 and not err
+    assert "termination probe (44 terms): FAILED (g(x))" in out
+    assert "complete (reduced + locally confluent + termination probed): NO" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("homology", "abelian_unit.lwv", "--max-dim", "2"),
     ("monoid", "homology", "z2.srs", "--max-dim", "3"),

@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -283,3 +285,36 @@ def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
     for n in range(4):
         got = homology_group(mats, n, 0, counts)
         assert (got.rank, got.torsion) == (words[n].rank, words[n].torsion), (sides, n)
+
+
+def test_check_complete_srs_stops_a_growing_word_within_budget():
+    # a -> b b a grows the word by two letters per step; the leftmost
+    # scan resumes next to the last rewrite, so the probe runs out of
+    # budget in linear rather than quadratic scanning time
+    srs = Srs(("a", "b"), (SrsRule("r1", ("a",), ("b", "b", "a")),))
+    rep = check_complete_srs(srs)
+    assert not rep.reduced
+    assert rep.reducedness_failures == ["rhs of r1 not in normal form"]
+    assert not rep.termination_probe_ok
+    assert not rep.certified
+
+
+def _reduce_from_scratch(w, srs):
+    # leftmost redex, rules in declaration order, rescanning from 0
+    while True:
+        for i in range(len(w)):
+            rule = next((r for r in srs.rules if w[i:i + len(r.lhs)] == r.lhs), None)
+            if rule is not None:
+                w = w[:i] + rule.rhs + w[i + len(rule.lhs):]
+                break
+        else:
+            return w
+
+
+def test_reduce_word_matches_a_from_scratch_reducer(z2_srs, s3_srs):
+    rng = random.Random(41)
+    for srs in (z2_srs, s3_srs, nat2()):
+        for _ in range(300):
+            w = tuple(rng.choices(srs.alphabet, k=rng.randint(0, 14)))
+            fresh = Srs(srs.alphabet, srs.rules)  # cold memo for each word
+            assert reduce_word(w, fresh) == _reduce_from_scratch(w, srs), w

@@ -1,11 +1,18 @@
+import sys
+import threading
+from collections import Counter
+
 from eqhom.chains import Cell, enumerate_chains
 from eqhom.coeff import ZERO as EL_ZERO, multiply, signed_monomial_count, vanishes
+from eqhom.homology import boundary_matrices
 from eqhom.morse import (
     chain_prefix_length,
     classify,
     morse_differential,
     normalized_boundary,
 )
+from eqhom.parser import parse_presentation
+from eqhom.rewrite import degree
 from eqhom.terms import Morphism, Var
 
 
@@ -205,3 +212,50 @@ def test_mode_coherence(ab_trs, group_trs):
                     c = count.get(tgt, 0)
                     s = signed_monomial_count(sym.get(tgt, EL_ZERO), d)
                     assert s == (c if d == 0 else c % d)
+
+
+def test_group_classification_counters_through_dim_four(data_dir):
+    # the call sequence of `eqhom homology group.lwv --max-dim 3` on a
+    # fresh system; the kernel memos must leave the matching untouched
+    trs = parse_presentation((data_dir / "group.lwv").read_text())
+    chains = enumerate_chains(trs, 4)
+    boundary_matrices(trs, chains, 4, degree(trs))
+    kinds = Counter(c.kind for c in trs.cache("classify").values())
+    routed = sum(len(v) for k, v in trs.caches.items() if k.startswith("express_"))
+    assert (kinds["critical"], kinds["redundant"], kinds["collapsible"], routed) \
+        == (53, 1007, 354, 1414)
+
+
+def test_shared_memos_under_threads(data_dir):
+    # more threads than cores fill one system's memos at once; lost
+    # updates are harmless because every memo value is idempotent
+    text = (data_dir / "group.lwv").read_text()
+    serial = parse_presentation(text)
+    chains = enumerate_chains(serial, 3)
+    cells = [c for n in (1, 2, 3) for c in chains[n]]
+    expected = [morse_differential(c, serial, "count") for c in cells]
+
+    shared = parse_presentation(text)
+    enumerate_chains(shared, 3)
+    results, errors = [None] * 4, []
+
+    def work(k):
+        try:
+            order = cells[k:] + cells[:k]
+            got = {c: morse_differential(c, shared, "count") for c in order}
+            results[k] = [got[c] for c in cells]
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert all(r == expected for r in results)
