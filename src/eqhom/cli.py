@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .chains import Cell, enumerate_chains
 from .coeff import RingoidElement
+from .collapse import MatchingError
 from .homology import (
     CoefficientError,
     boundary_matrices,
@@ -277,7 +278,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except CoefficientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except CompletenessError as exc:
+    except (CompletenessError, MatchingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -15,17 +15,24 @@ redundant when it splits, that is when it is a face of its split partner
 one dimension up, and collapsible when it has exactly one merge
 partner.  Both at once, two merge partners, or neither is a
 ``MatchingError``.  The matched coefficient, read off the partner's
-counting boundary, must be plus or minus one.
+counting boundary, must be plus or minus one.  ``classify`` makes all of
+these checks, and ``verify_matching`` adds that the matched pairs form
+an involution; neither is on the routing path.
 
-Routing.  The collapsed differential of a critical cell is its boundary
-with every face rewritten until only critical cells remain: a critical
-face stays, a collapsible face vanishes, and a redundant face ``c`` with
-partner ``p`` and matched sign ``ε`` is replaced by ``-ε`` times the
-rest of the boundary of ``p``, routed in turn, on an explicit stack.
-Termination holds for a certified system; a budget of one step per
-cell routed turns a non-terminating matching into ``BudgetExceeded``.
-Classification and routing are memoised in the system's caches
-(``classify``, ``express_<mode>``, ``morse_<mode>``).
+Routing.  The router trusts the matching of a certified system, which
+is a Morse matching (Sköldberg; Jöllenbeck & Welker), and tells the
+kinds apart from ``is_chain`` and ``split`` alone.  The collapsed
+differential of a critical cell is its boundary with every face
+rewritten until only critical cells remain: a critical face stays, a
+face that does not split vanishes, and a face ``c`` that splits to ``p``
+is replaced by ``-ε`` times the rest of the boundary of ``p``, routed in
+turn, on an explicit stack; ``ε``, the coefficient of ``c`` in the
+boundary of ``p``, must still be a unit.  Termination holds for a
+certified system; a budget of one step per cell routed turns a
+non-terminating matching into ``BudgetExceeded``.  Routing is memoised
+in the system's caches (``express_<mode>``, ``morse_<mode>``); the
+``classify`` cache is filled only by ``classify`` and
+``verify_matching``.
 
 Coefficients are plain integers in the ``"count"`` mode and ring
 elements with ``+``, ``scale`` and ``is_zero`` in the ``"symbolic"``
@@ -73,7 +80,6 @@ class Complex(Protocol):
 
     system: Any  # owns the memo tables: ``system.cache(kind) -> dict``
 
-    def classify(self, cell) -> CellClass: ...  # the engine's public classify
     def is_chain(self, cell) -> bool: ...
     def split(self, cell): ...  # partner one dimension up, or None
     def merges(self, cell) -> Iterable: ...  # partners one dimension down that split back
@@ -135,6 +141,24 @@ def _classify(cell, cx: Complex) -> CellClass:
     raise MatchingError(f"cell {cell!r} is neither critical, redundant nor collapsible")
 
 
+_FLIP = {"redundant": "collapsible", "collapsible": "redundant"}
+
+
+def verify_matching(cells: Iterable, cx: Complex) -> None:
+    """Check the matching on ``cells``: each classifies (``classify``),
+    and each matched cell's partner has the other kind, points back and
+    has the same sign.  Raises ``MatchingError`` on the first failure."""
+    for cell in cells:
+        cls = classify(cell, cx)
+        if cls.kind == "critical":
+            continue
+        back = classify(cls.partner, cx)
+        if (back.kind, back.partner, back.epsilon) != (_FLIP[cls.kind], cell, cls.epsilon):
+            raise MatchingError(
+                f"{cls.kind} cell {cell!r} and its partner {cls.partner!r} "
+                f"are not matched to each other: {back!r}")
+
+
 def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
     """The cell as a combination of critical cells (memoised, read-only).
 
@@ -155,13 +179,14 @@ def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
             counter[0] -= 1
             if counter[0] < 0:
                 raise BudgetExceeded("routing budget exhausted; matching may not terminate")
-            cls = cx.classify(cell)
-            if cls.kind == "redundant":
-                bd = cx.boundary(cls.partner, mode)
-                eps = cls.epsilon if mode == "count" else cx.sign(bd[cell])
+            chain = cx.is_chain(cell)
+            partner = None if chain else cx.split(cell)
+            if partner is not None:
+                bd = cx.boundary(partner, mode)
+                eps = unit_sign(bd.get(cell)) if mode == "count" else cx.sign(bd[cell])
                 stack.append([cell, {}, iter(bd.items()), -eps, None])
             else:
-                done = {cell: cx.one(cell, mode)} if cls.kind == "critical" else {}
+                done = {cell: cx.one(cell, mode)} if chain else {}
                 cache[cell] = done
                 if not stack:
                     return done

@@ -250,10 +250,6 @@ def enumerate_word_chains(srs: Srs, max_dim: int) -> dict[int, list[WordCell]]:
     return chains
 
 
-def is_word_chain(cell: WordCell, srs: Srs) -> bool:
-    return longest_word_chain_prefix(cell, srs) == len(cell)
-
-
 def longest_word_chain_prefix(cell: WordCell, srs: Srs) -> int:
     n = 0
     for k, w in enumerate(cell, 1):
@@ -327,9 +323,6 @@ class _Words:
             p = longest_word_chain_prefix(cell, self.system)
             self._scanned = (cell, p)
         return p
-
-    def classify(self, cell: WordCell) -> CellClass:
-        return classify_word_cell(cell, self.system)
 
     def is_chain(self, cell: WordCell) -> bool:
         return self._prefix(cell) == len(cell)

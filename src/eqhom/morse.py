@@ -91,29 +91,31 @@ def _factor(m: Morphism, trs: Trs) -> tuple[Morphism, Morphism]:
     return trs.memo("factor", m, factor)
 
 
-def _phi(entries: tuple[Morphism, ...],
+def _phi(entries: tuple[Morphism, ...], k: int,
          trs: Trs) -> tuple[tuple[Morphism, ...], Morphism | None] | None:
     """Repair a face tuple into a cell, or kill it.
 
+    Only entry ``k`` may be invalid; the others come from a cell.  The
+    repair factors it into its essential part and pushes the leftover
+    selection into the next entry, which becomes the suspect in turn.
     Returns (cell entries, leftover selection morphism or None); None
-    altogether when some entry is a selection of variables (identities
+    altogether when an entry is a selection of variables (identities
     included), which makes the face vanish.
     """
     work = list(entries)
     while True:
-        if any(is_partial_permutation(e) for e in work):
+        if is_partial_permutation(work[k]):
             return None
-        bad = next((k for k, e in enumerate(work) if not is_canonical(e)), None)
-        if bad is None:
+        if is_canonical(work[k]):
             return tuple(work), None
-        ess, pi = _factor(work[bad], trs)
-        work[bad] = ess
-        if bad + 1 < len(work):
-            work[bad + 1] = compose_raw(pi, work[bad + 1])
-        else:
-            if is_partial_permutation(ess):
-                return None
+        ess, pi = _factor(work[k], trs)
+        if is_partial_permutation(ess):
+            return None
+        work[k] = ess
+        if k + 1 == len(work):
             return tuple(work), pi
+        work[k + 1] = compose_raw(pi, work[k + 1])
+        k += 1
 
 
 def _component(m: Morphism, i: int) -> Morphism:
@@ -166,7 +168,7 @@ def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
     # these faces live over the component's sort, not the cell's
     for i in range(1, len(second.terms) + 1):
         face = (_component(second, i),) + entries[2:]
-        repaired = _phi(face, trs)
+        repaired = _phi(face, 0, trs)
         if repaired is None:
             continue
         new_entries, leftover = repaired
@@ -183,7 +185,7 @@ def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
     for j in range(1, n):
         merged = _merge(entries[j - 1], entries[j], trs)
         face = entries[: j - 1] + (merged,) + entries[j + 1 :]
-        repaired = _phi(face, trs)
+        repaired = _phi(face, j - 1, trs)
         if repaired is None:
             continue
         new_entries, leftover = repaired
@@ -252,9 +254,6 @@ class _Terms:
 
     def __init__(self, trs: Trs):
         self.system = trs
-
-    def classify(self, cell: Cell) -> CellClass:
-        return classify(cell, self.system)
 
     def is_chain(self, cell: Cell) -> bool:
         return is_chain(cell, self.system)

@@ -21,9 +21,6 @@ class Table:
     def cache(self, kind):
         return self.caches.setdefault(kind, {})
 
-    def classify(self, cell):
-        return collapse.classify(cell, self)
-
     def is_chain(self, cell):
         return cell in self.chains
 
@@ -62,6 +59,30 @@ def test_matching_failures_raise():
         collapse.classify("r", non_unit)
     with pytest.raises(MatchingError, match="neither"):
         collapse.classify("u", non_unit)
+
+
+@pytest.mark.parametrize("splits, boundaries, message", [
+    # q and s both split to p
+    ({"q": "p", "s": "p"}, {"p": {"q": 1, "s": 1}}, "splits two targets"),
+    # q splits to p and is split to by s
+    ({"q": "p", "s": "q"}, {"p": {"q": 1}, "q": {"s": 1}}, "both redundant and collapsible"),
+    # u is no chain, splits nothing and is split to by nothing
+    ({"r": "p"}, {"p": {"r": 1}, "u": {}}, "neither"),
+    # r's split partner has it with coefficient 2
+    ({"r": "p"}, {"p": {"r": 2}}, "not a unit"),
+    # r splits to the chain T, which does not point back
+    ({"r": "T"}, {"T": {"r": 1}}, "not matched to each other"),
+])
+def test_verify_matching_refuses_each_failure(splits, boundaries, message):
+    cx = Table({"T"}, splits, boundaries)
+    with pytest.raises(MatchingError, match=message):
+        collapse.verify_matching(sorted(set(splits) | set(boundaries)), cx)
+
+
+def test_verify_matching_accepts_a_matched_pair():
+    cx = Table({"T", "c"}, {"r": "p"}, {"T": {"r": 1}, "p": {"r": -1, "c": 2}})
+    collapse.verify_matching(["T", "c", "r", "p"], cx)
+    assert cx.caches["classify"]["r"] == collapse.CellClass("redundant", "p", -1)
 
 
 def test_routing_cycle_exhausts_the_budget():

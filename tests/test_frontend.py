@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eqhom import monoid
 from eqhom.cli import cell_json, cli_dispatch, emit_json
 from eqhom.chains import enumerate_chains
 from eqhom.homology import inequality_report
@@ -214,6 +215,21 @@ def test_cli_exit_codes(capsys, data_dir, tmp_path):
 
     code, _, _ = _run(capsys, "bogus-command")
     assert code == 1
+
+
+def test_cli_reports_a_matching_failure_in_one_line(capsys, data_dir, monkeypatch):
+    # doubled boundaries give the router a matched coefficient of 2
+    original = monoid.word_boundary
+
+    def doubled(cell, srs, mode="count"):
+        return {face: 2 * c for face, c in original(cell, srs, mode).items()}
+
+    monkeypatch.setattr(monoid, "word_boundary", doubled)
+    code, _, err = _run(capsys, "monoid", "homology", str(data_dir / "s3.srs"),
+                        "--max-dim", "3")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: matched coefficient") and "not a unit" in err
 
 
 def test_cli_check_reports_a_rewrite_cycle(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eqhom import collapse
 from eqhom.chains import enumerate_chains
 from eqhom.homology import boundary_matrices, homology_group, smith_normal_form
 from eqhom.monoid import (
@@ -179,19 +180,29 @@ def _reachable_cells(srs, max_dim):
     return seen
 
 
+def is_word_chain(cell, srs):
+    return longest_word_chain_prefix(cell, srs) == len(cell)
+
+
 def test_matching_is_a_partial_matching(z2_srs, s3_srs):
     for srs, maxd in ((z2_srs, 5), (nat2(), 4), (s3_srs, 6)):
         for cell in _reachable_cells(srs, maxd):
             cls = classify_word_cell(cell, srs)
             if cls.kind == "critical":
-                from eqhom.monoid import is_word_chain
-
                 assert is_word_chain(cell, srs)
                 continue
             back = classify_word_cell(cls.partner, srs)
             assert back.partner == cell
             assert {cls.kind, back.kind} == {"redundant", "collapsible"}
             assert cls.epsilon in (1, -1)
+
+
+def test_every_routed_cell_of_s3_is_matched(data_dir):
+    srs = parse_srs((data_dir / "s3.srs").read_text())
+    word_boundary_matrices(srs, enumerate_word_chains(srs, 6), 6)
+    routed = srs.cache("express_count")
+    collapse.verify_matching(routed, _Words(srs))
+    assert set(routed) <= set(srs.cache("classify"))
 
 
 def test_resolution_ranks_equal_chain_counts(z2_srs):
@@ -254,7 +265,7 @@ def test_merges_agree_with_the_rescan_definition(data_dir):
     collapsible = 0
     for srs in fresh:
         word_boundary_matrices(srs, enumerate_word_chains(srs, 6), 6)
-        for cell in srs.caches["classify"]:
+        for cell in srs.caches["express_count"]:
             got = list(_Words(srs).merges(cell))
             assert got == list(_merges_by_rescan(cell, srs)), cell
             collapsible += bool(got)
@@ -278,6 +289,7 @@ def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
     srs = Srs(("a", "b"), tuple(SrsRule(f"r{i}", l, r) for i, (l, r) in enumerate(sides)))
     assume(check_complete_srs(srs).certified)
     words = monoid_homology(srs, 3)
+    collapse.verify_matching(srs.cache("express_count"), _Words(srs))
     trs = _as_unary_trs(srs)
     chains = enumerate_chains(trs, 4)
     counts = {n: len(c) for n, c in chains.items()}

@@ -2,10 +2,12 @@ import sys
 import threading
 from collections import Counter
 
+from eqhom import collapse
 from eqhom.chains import Cell, enumerate_chains
 from eqhom.coeff import ZERO as EL_ZERO, multiply, signed_monomial_count, vanishes
 from eqhom.homology import boundary_matrices
 from eqhom.morse import (
+    _Terms,
     chain_prefix_length,
     classify,
     morse_differential,
@@ -220,7 +222,9 @@ def test_group_classification_counters_through_dim_four(data_dir):
     trs = parse_presentation((data_dir / "group.lwv").read_text())
     chains = enumerate_chains(trs, 4)
     boundary_matrices(trs, chains, 4, degree(trs))
-    kinds = Counter(c.kind for c in trs.cache("classify").values())
+    routed_cells = trs.cache("express_count")
+    collapse.verify_matching(routed_cells, _Terms(trs))
+    kinds = Counter(classify(c, trs).kind for c in routed_cells)
     routed = sum(len(v) for k, v in trs.caches.items() if k.startswith("express_"))
     assert (kinds["critical"], kinds["redundant"], kinds["collapsible"], routed) \
         == (53, 1007, 354, 1414)
