@@ -33,7 +33,6 @@ from .terms import (
     Morphism,
     Position,
     Term,
-    TermError,
     Var,
     compose_chain,
     compose_raw,
@@ -184,29 +183,6 @@ def sigma_cell_entry(m: Morphism, trs: Trs) -> str | None:
     return None
 
 
-def chain_step(T: Morphism, entry: Morphism, trs: Trs) -> bool:
-    """Does ``entry`` extend the chain whose raw composite so far is ``T``?
-
-    The composite with ``entry`` must have a strictly larger maximal redex
-    (p, l), located at a non-variable position of ``T`` itself, and
-    ``entry`` must be exactly the most general unifier component of
-    ``T`` at ``p`` against ``l``.
-    """
-    base = max_redex(T.term, trs)
-    comp = compose_raw(T, entry)
-    top = max_redex(comp.term, trs)
-    if top is None or not redex_less(base, top):
-        return False
-    p, rank = top
-    try:
-        sub = subterm_at(T.term, p)
-    except TermError:
-        return False
-    if isinstance(sub, Var):
-        return False
-    return mgu_extension(T, p, trs.rules[rank], trs) == entry
-
-
 def longest_chain_prefix(cell: Cell, trs: Trs) -> int:
     """Number of leading entries that form a chain (0..dim)."""
     cache = trs.cache("prefix")
@@ -218,7 +194,7 @@ def longest_chain_prefix(cell: Cell, trs: Trs) -> int:
         if k == 1:
             ok = sigma_cell_entry(entry, trs) is not None
         else:
-            ok = chain_step(composite(cell, trs, k - 1), entry, trs)
+            ok = entry in chain_extensions(composite(cell, trs, k - 1), trs)
         if not ok:
             break
         n = k
@@ -238,7 +214,16 @@ def is_chain(cell: Cell, trs: Trs) -> bool:
 
 
 def chain_extensions(T: Morphism, trs: Trs) -> list[Morphism]:
-    """All valid entries extending the chain with raw composite ``T``."""
+    """All valid entries extending the chain with raw composite ``T``:
+    the composite with the entry has a strictly larger maximal redex
+    (p, l), at a non-variable position of ``T`` itself, and the entry is
+    the most general unifier of ``T`` at ``p`` against ``l``.  Memoised
+    per ``T`` in ``trs.cache("extensions")``; the returned list is
+    shared, not to be mutated."""
+    return trs.memo("extensions", T, lambda: _chain_extensions(T, trs))
+
+
+def _chain_extensions(T: Morphism, trs: Trs) -> list[Morphism]:
     base = max_redex(T.term, trs)
     out = []
     for p in positions(T.term):

@@ -4,20 +4,19 @@ Mem. AMS 2009), shared by the term and the word engine.
 
 An engine supplies its complex through a small adapter (``Complex``):
 which cells are chains, the partner one dimension up that splits a
-cell, the partners one dimension down that merge it (faces of the cell
-that split back to it, so that the adapter can test the split with what
-it already knows about the cell), the signed boundary in each
-coefficient mode, and the ring operations of each mode.  Everything
-else lives here.
+cell, the signed boundary in each coefficient mode, and the ring
+operations of each mode.  ``split`` alone defines the matching;
+everything else lives here.
 
 Classification.  A chain (or a 0-cell) is critical.  Any other cell is
 redundant when it splits, that is when it is a face of its split partner
-one dimension up, and collapsible when it has exactly one merge
-partner.  Both at once, two merge partners, or neither is a
-``MatchingError``.  The matched coefficient, read off the partner's
-counting boundary, must be plus or minus one.  ``classify`` makes all of
-these checks, and ``verify_matching`` adds that the matched pairs form
-an involution; neither is on the routing path.
+one dimension up, and collapsible when exactly one face of its counting
+boundary splits back to it.  Both at once, two such faces, or neither
+is a ``MatchingError``.  The matched coefficient, read off the counting
+boundary of the upper cell of the pair, must be plus or minus one.
+``classify`` makes all of these checks, and ``verify_matching`` adds
+that the matched pairs form an involution; neither is on the routing
+path.
 
 Routing.  The router trusts the matching of a certified system, which
 is a Morse matching (Sköldberg; Jöllenbeck & Welker), and tells the
@@ -82,7 +81,6 @@ class Complex(Protocol):
 
     def is_chain(self, cell) -> bool: ...
     def split(self, cell): ...  # partner one dimension up, or None
-    def merges(self, cell) -> Iterable: ...  # partners one dimension down that split back
     def boundary(self, cell, mode: str) -> Boundary: ...
     def one(self, cell, mode: str): ...
     def mul(self, a, b, mode: str): ...
@@ -128,7 +126,8 @@ def _classify(cell, cx: Complex) -> CellClass:
     if cx.is_chain(cell):
         return CellClass("critical")
     split = cx.split(cell)
-    found = list(cx.merges(cell))
+    bd = cx.boundary(cell, "count")
+    found = [face for face in bd if cx.split(face) == cell]
     if len(found) > 1:
         raise MatchingError(f"cell {cell!r} splits two targets: {found!r}")
     if split is not None and found:
@@ -136,8 +135,7 @@ def _classify(cell, cx: Complex) -> CellClass:
     if split is not None:
         return CellClass("redundant", split, unit_sign(cx.boundary(split, "count").get(cell)))
     if found:
-        merge = found[0]
-        return CellClass("collapsible", merge, unit_sign(cx.boundary(cell, "count").get(merge)))
+        return CellClass("collapsible", found[0], unit_sign(bd[found[0]]))
     raise MatchingError(f"cell {cell!r} is neither critical, redundant nor collapsible")
 
 

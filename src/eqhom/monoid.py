@@ -7,11 +7,10 @@ every consecutive concatenation first becomes reducible exactly at its
 right end.  The boundary is that of the normalized bar resolution: act
 by the first word, merge adjacent words, drop the last word.  A
 non-chain cell splits the entry after its longest chain prefix at the
-earliest reducible point; it merges two adjacent entries whose
-concatenation is irreducible when that face splits back to it.  The
-collapse along this matching (``eqhom.collapse``) has one free
-generator per chain, and the integral homology of its trivial
-coefficients is the monoid's homology.
+earliest reducible point; the cells with a face that splits back to
+them are the collapsible ones.  The collapse along this matching
+(``eqhom.collapse``) has one free generator per chain, and the integral
+homology of its trivial coefficients is the monoid's homology.
 
 Coefficients are elements of the monoid ring, stored as formal sums over
 irreducible words; the counting mode maps every monoid element to 1.
@@ -155,6 +154,8 @@ def check_complete_srs(srs: Srs) -> SrsReport:
             failures.append(f"lhs of {r.name} reducible by another rule")
         if not is_irreducible_word(r.rhs, srs):
             failures.append(f"rhs of {r.name} not in normal form")
+    if failures:  # the probes are not run: not established
+        return SrsReport(False, failures, False, [], False)
     unjoinable = []
     probe_ok = True
     try:
@@ -173,7 +174,7 @@ def check_complete_srs(srs: Srs) -> SrsReport:
                 reduce_word(w, srs)
         except BudgetExceeded:
             probe_ok = False
-    return SrsReport(not failures, failures, not unjoinable, unjoinable, probe_ok)
+    return SrsReport(True, [], not unjoinable, unjoinable, probe_ok)
 
 
 def _word_critical_pairs(srs: Srs):
@@ -317,7 +318,7 @@ class _Words:
 
     def _prefix(self, cell: WordCell) -> int:
         """The chain prefix of ``cell``, scanned once for the successive
-        ``is_chain``, ``split`` and ``merges`` of one classification."""
+        ``is_chain`` and ``split`` of one routing step."""
         last, p = self._scanned
         if last is not cell:
             p = longest_word_chain_prefix(cell, self.system)
@@ -329,24 +330,6 @@ class _Words:
 
     def split(self, cell: WordCell) -> WordCell | None:
         return _split_word_cell(cell, self.system, self._prefix(cell))
-
-    def merges(self, cell: WordCell):
-        """Faces concatenating entries j-1 and j, irreducibly, whose chain
-        prefix ends just before the concatenation and that split back to
-        the cell.  Such a face keeps the cell's first j-1 entries, so its
-        prefix is j-1 exactly when j-1 is at most the cell's prefix and
-        the merged entry does not extend the chain."""
-        srs = self.system
-        for j in range(1, min(self._prefix(cell) + 1, len(cell) - 1) + 1):
-            merged = cell[j - 1] + cell[j]
-            if not is_irreducible_word(merged, srs):
-                continue
-            extends = merged in chain_tails(cell[j - 2], srs) if j >= 2 else len(merged) == 1
-            if extends:
-                continue
-            target = cell[:j - 1] + (merged,) + cell[j + 1:]
-            if _split_word_cell(target, srs, j - 1) == cell:
-                yield target
 
     def boundary(self, cell: WordCell, mode: str) -> dict[WordCell, WordCoeff]:
         return word_boundary(cell, self.system, mode)

@@ -1,5 +1,5 @@
 """The term engine's complex: the normalized boundary of a cell, and the
-split and merge partners that define its matching.  The collapse itself
+split partner that defines its matching.  The collapse itself
 (classification, routing, the collapsed differential) is
 ``eqhom.collapse``; this module adapts the term complex to it.
 
@@ -14,9 +14,9 @@ essential part, pushing the leftover selection rightward until it either
 dies, is absorbed, or falls off the end as a restriction coefficient.
 
 A non-chain cell splits at the entry after its chain prefix, along the
-maximal redex of the composite through that entry; it merges with a
-face obtained by composing two adjacent entries when that face splits
-back to it.
+maximal redex of the composite through that entry; this split alone
+defines the matching, whose collapsible cells are those with a face
+that splits back to them.
 
 Two coefficient modes are supported: ``"symbolic"`` tracks ringoid
 elements, ``"count"`` tracks their signed monomial counts (the tensoring
@@ -260,18 +260,6 @@ class _Terms:
 
     def split(self, cell: Cell) -> Cell | None:
         return _try_split(cell, self.system)
-
-    def merges(self, cell: Cell):
-        """Faces composing entries j-1 and j whose chain prefix ends at j
-        and that split back to the cell."""
-        trs, entries = self.system, cell.entries
-        for j in range(1, cell.dim):
-            merged = _merge(entries[j - 1], entries[j], trs)
-            if is_partial_permutation(merged) or not is_canonical(merged):
-                continue
-            target = Cell(cell.sort, entries[: j - 1] + (merged,) + entries[j + 1 :])
-            if chain_prefix_length(target, trs) == j and _try_split(target, trs) == cell:
-                yield target
 
     def boundary(self, cell: Cell, mode: str) -> Boundary:
         return normalized_boundary(cell, self.system, mode)

@@ -145,18 +145,9 @@ def normal_form(t: Term, trs: Trs) -> Term:
     hit = cache.get(t)
     if hit is not None:
         return hit
-    budget = [trs.step_budget]
-
-    def go(u: Term) -> Term:
-        done = cache.get(u)
-        if done is not None:
-            return done
-        result = _innermost(u, trs, budget)
-        cache[u] = result
-        cache[result] = result
-        return result
-
-    return go(t)
+    result = _innermost(t, trs, [trs.step_budget])
+    cache[t] = cache[result] = result
+    return result
 
 
 def _innermost(u: Term, trs: Trs, budget: list[int]) -> Term:

@@ -206,6 +206,30 @@ def canonical_name(i: int) -> str:
     return f"x{i}"
 
 
+def _checked_variables(context: Context, terms: tuple[Term, ...]) -> dict[str, str]:
+    """The variables of ``terms`` with their sorts, in first-occurrence
+    order, depth-first and left to right, each checked against
+    ``context``; the first offending variable is reported as a
+    ``TermError``."""
+    sorts = dict(context)
+    if len(sorts) != len(context):
+        raise TermError("duplicate context variable")
+    order: dict[str, str] = {}
+    stack = list(reversed(terms))
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            sort = sorts.get(u.name)
+            if sort != u.sort:
+                if sort is None:
+                    raise TermError(f"term variable {u.name!r} missing from context")
+                raise TermError(f"context sort clash for {u.name!r}")
+            order[u.name] = sort
+        else:
+            stack.extend(reversed(u.args))
+    return order
+
+
 @dataclass(frozen=True, slots=True)
 class Morphism:
     """A sorting context together with a tuple of terms over it."""
@@ -214,21 +238,7 @@ class Morphism:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
-        sorts = dict(self.context)
-        if len(sorts) != len(self.context):
-            raise TermError("duplicate context variable")
-        # depth-first, left to right: the first offending variable is reported
-        stack = list(reversed(self.terms))
-        while stack:
-            u = stack.pop()
-            if isinstance(u, Var):
-                sort = sorts.get(u.name)
-                if sort != u.sort:
-                    if sort is None:
-                        raise TermError(f"term variable {u.name!r} missing from context")
-                    raise TermError(f"context sort clash for {u.name!r}")
-            else:
-                stack.extend(reversed(u.args))
+        _checked_variables(self.context, self.terms)
 
     @property
     def domain_sorts(self) -> tuple[str, ...]:
@@ -319,24 +329,9 @@ def canonicalize(context: Context, terms: tuple[Term, ...]) -> tuple[Morphism, P
     the input up to renaming; canonical input returns itself with the
     identity permutation.
     """
-    sorts = dict(context)
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def scan(u: Term):
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen.add(u.name)
-                order.append(u.name)
-        else:
-            for a in u.args:
-                scan(a)
-
-    probe = Morphism(context, terms)  # validates variable coverage
-    for t in probe.terms:
-        scan(t)
+    order = _checked_variables(context, terms)
     renaming = {old: canonical_name(i) for i, old in enumerate(order, 1)}
-    new_context = tuple((renaming[old], sorts[old]) for old in order)
+    new_context = tuple((renaming[old], sort) for old, sort in order.items())
     new_terms = tuple(rename_vars(t, renaming) for t in terms)
     index_of = {name: i for i, (name, _) in enumerate(context, 1)}
     selected = tuple(index_of[old] for old in order)

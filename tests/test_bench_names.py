@@ -20,7 +20,7 @@ def test_traced_kernel_names_resolve(monkeypatch):
 # (``classify`` is filled only by the public ``classify`` and
 # ``verify_matching``, never by routing)
 GROUP_HOMOLOGY_CACHE_KINDS = {
-    "certify", "nf", "composite", "prefix", "max_redex",
+    "certify", "nf", "composite", "prefix", "extensions", "max_redex",
     "mgu_extension", "merge", "factor", "boundary_count",
     "express_count", "morse_count",
 }

@@ -8,13 +8,15 @@ from eqhom.chains import (
     composite,
     enumerate_chains,
     is_chain,
+    longest_chain_prefix,
     max_redex,
     redex_less,
     redex_set,
     valid_entry,
 )
+from eqhom.homology import boundary_matrices
 from eqhom.parser import parse_presentation
-from eqhom.rewrite import CompletenessError, Rule, Trs, random_term
+from eqhom.rewrite import CompletenessError, Rule, Trs, degree, random_term
 from eqhom.terms import Morphism, Signature, Var, substitute, variables
 
 SIG = Signature(("X",), (("plus", ("X", "X"), "X"), ("zero", (), "X")))
@@ -111,6 +113,20 @@ def test_chain_prefixes_are_chains(ab_trs, group_trs):
                     assert is_chain(Cell(cell.sort, cell.entries[:k]), trs)
                 if dim:
                     assert chain_prefix_length(cell, trs) == dim
+
+
+def test_routed_prefixes_are_the_longest_enumerated_chains(data_dir):
+    # every cell that routing meets through d_4 of group theory: its chain
+    # prefix is the longest leading part that enumeration lists as a chain
+    trs = parse_presentation((data_dir / "group.lwv").read_text())
+    chains = enumerate_chains(trs, 4)
+    boundary_matrices(trs, chains, 4, degree(trs))
+    routed = trs.cache("express_count")
+    assert len(routed) == 1414
+    for cell in routed:
+        expected = max(k for k in range(cell.dim + 1)
+                       if Cell(cell.sort, cell.entries[:k]) in chains[k])
+        assert longest_chain_prefix(cell, trs) == expected, cell
 
 
 def test_max_redex_monotone_under_composition(ab_trs, group_trs):

@@ -10,8 +10,7 @@ from eqhom.rewrite import BudgetExceeded
 
 
 class Table:
-    """A complex given by its chains, split partners and boundaries; a
-    cell merges with every cell that splits to it."""
+    """A complex given by its chains, split partners and boundaries."""
 
     def __init__(self, chains, splits, boundaries):
         self.chains, self.splits, self.boundaries = chains, splits, boundaries
@@ -26,9 +25,6 @@ class Table:
 
     def split(self, cell):
         return self.splits.get(cell)
-
-    def merges(self, cell):
-        return [t for t, s in self.splits.items() if s == cell]
 
     def boundary(self, cell, mode):
         return dict(self.boundaries.get(cell, {}))

@@ -281,18 +281,23 @@ def test_morphism_validation_messages(group_trs):
         expected = _morphism_error_reference(tuple(ctx), m.terms)
         if expected is None:
             Morphism(tuple(ctx), m.terms)
+            canonicalize(tuple(ctx), m.terms)
             continue
-        with pytest.raises(TermError) as info:
-            Morphism(tuple(ctx), m.terms)
-        assert str(info.value) == expected
+        for build in (Morphism, canonicalize):
+            with pytest.raises(TermError) as info:
+                build(tuple(ctx), m.terms)
+            assert str(info.value) == expected
         raised += 1
     assert raised > 200
-    with pytest.raises(TermError, match="^term variable 'y' missing from context$"):
-        Morphism((("x", "X"),), (plus(x("x"), plus(x("y"), x("z"))),))
-    with pytest.raises(TermError, match="^context sort clash for 'x'$"):
-        Morphism((("x", "G"),), (x("x"),))
-    with pytest.raises(TermError, match="^duplicate context variable$"):
-        Morphism((("x", "X"), ("x", "X")), (x("x"),))
+    for build in (Morphism, canonicalize):
+        with pytest.raises(TermError, match="^term variable 'y' missing from context$"):
+            build((("x", "X"),), (plus(x("x"), plus(x("y"), x("z"))),))
+        with pytest.raises(TermError, match="^context sort clash for 'x'$"):
+            build((("x", "G"),), (x("x"),))
+        with pytest.raises(TermError, match="^context sort clash for 'x'$"):
+            build((("x", "X"),), (x("x"), Var("x", "G")))
+        with pytest.raises(TermError, match="^duplicate context variable$"):
+            build((("x", "X"), ("x", "X")), (x("x"),))
 
 
 def test_hash_eq_contract():
