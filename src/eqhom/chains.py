@@ -92,25 +92,12 @@ def composite(cell: Cell, trs: Trs, upto: int | None = None) -> Morphism:
     return hit
 
 
-def redex_set(t: Term, trs: Trs) -> set[RedexIndex]:
-    """All (position, rule rank) pairs where a rule instance occurs."""
-    out = set()
-    for p in positions(t):
-        sub = subterm_at(t, p)
-        if isinstance(sub, Var):
-            continue
-        for rank, rule in enumerate(trs.rules):
-            if match_term(rule.lhs, sub) is not None:
-                out.add((p, rank))
-    return out
-
-
 def max_redex(t: Term, trs: Trs) -> RedexIndex | None:
     """Greatest redex index of ``t``; None iff ``t`` is irreducible.
 
     Preorder is lexicographic order on positions, so the first match
     scanning positions backwards and ranks downwards is the maximum of
-    ``redex_set``.  Memoised per term in ``trs.cache("max_redex")``.
+    all redex indices.  Memoised per term in ``trs.cache("max_redex")``.
     """
     return trs.memo("max_redex", t, lambda: _max_redex(t, trs))
 

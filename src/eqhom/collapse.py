@@ -4,19 +4,19 @@ Mem. AMS 2009), shared by the term and the word engine.
 
 An engine supplies its complex through a small adapter (``Complex``):
 which cells are chains, the partner one dimension up that splits a
-cell, the signed boundary in each coefficient mode, and the ring
-operations of each mode.  ``split`` alone defines the matching;
-everything else lives here.
+cell, the signed boundary, and the ring of its coefficients.  ``split``
+alone defines the matching; everything else lives here, generic in the
+ring as Sköldberg's collapse is.
 
 Classification.  A chain (or a 0-cell) is critical.  Any other cell is
 redundant when it splits, that is when it is a face of its split partner
-one dimension up, and collapsible when exactly one face of its counting
-boundary splits back to it.  Both at once, two such faces, or neither
-is a ``MatchingError``.  The matched coefficient, read off the counting
-boundary of the upper cell of the pair, must be plus or minus one.
-``classify`` makes all of these checks, and ``verify_matching`` adds
-that the matched pairs form an involution; neither is on the routing
-path.
+one dimension up, and collapsible when exactly one face of its boundary
+splits back to it.  Both at once, two such faces, or neither is a
+``MatchingError``.  The matched coefficient, read off the boundary of
+the upper cell of the pair, must be a unit (``ring.unit``); the engines
+classify over the counting ring.  ``classify`` makes all of these
+checks, and ``verify_matching`` adds that the matched pairs form an
+involution; neither is on the routing path.
 
 Routing.  The router trusts the matching of a certified system, which
 is a Morse matching (Sköldberg; Jöllenbeck & Welker), and tells the
@@ -29,15 +29,15 @@ turn, on an explicit stack; ``ε``, the coefficient of ``c`` in the
 boundary of ``p``, must still be a unit.  Termination holds for a
 certified system; a budget of one step per cell routed turns a
 non-terminating matching into ``BudgetExceeded``.  Routing is memoised
-in the system's caches (``express_<mode>``, ``morse_<mode>``); the
-``classify`` cache is filled only by ``classify`` and
-``verify_matching``.
+in the system's caches (``express_<name>``, ``morse_<name>`` after the
+ring's ``name``); the ``classify`` cache is filled only by ``classify``
+and ``verify_matching``.
 
-Coefficients are plain integers in the ``"count"`` mode and ring
-elements with ``+``, ``scale`` and ``is_zero`` in the ``"symbolic"``
-mode; sums never keep a zero coefficient.  Counting differentials of
-the chains assemble into integer matrices, rows indexed by the chains of
-a dimension, columns by the chains one dimension down.
+Coefficients live in a ring object, ``Integers`` (shared) or an
+engine's symbolic ring, which ``ring_of`` picks once for a public
+``mode`` string; they add with ``+``, and sums keep no zero.  Counting
+differentials of the chains assemble into integer matrices, rows indexed
+by the chains of a dimension, columns by the chains one dimension down.
 """
 
 from __future__ import annotations
@@ -74,43 +74,63 @@ class BoundaryMatrix:
     modulus: int
 
 
+class Integers:
+    """The counting ring.  ``one`` (a critical cell's coefficient in its own
+    expression) and ``element`` (a restriction or a monoid element) count
+    1; ``unit`` is a unit's sign or a ``MatchingError``."""
+
+    name = "count"
+
+    def __init__(self, system=None):
+        self.system = system
+
+    def one(self, cell_or_generator) -> int:
+        return 1
+
+    element = one
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b
+
+    scale = mul  # by an integer: the product
+
+    def is_zero(self, c: int) -> bool:
+        return c == 0
+
+    def unit(self, c) -> int:
+        if c not in (1, -1):
+            raise MatchingError(f"matched coefficient {c!r} is not a unit")
+        return c
+
+
+def ring_of(mode: str, rings: dict, system):
+    """The ring of coefficient ``mode`` among an engine's ``rings``."""
+    if mode not in rings:
+        raise ValueError(f"unknown coefficient mode {mode!r}: expected 'count' or 'symbolic'")
+    return rings[mode](system)
+
+
 class Complex(Protocol):
     """What an engine supplies about its complex over ``system``."""
 
     system: Any  # owns the memo tables: ``system.cache(kind) -> dict``
+    ring: Any  # the ring of ``boundary``'s coefficients, e.g. ``Integers``
 
     def is_chain(self, cell) -> bool: ...
     def split(self, cell): ...  # partner one dimension up, or None
-    def boundary(self, cell, mode: str) -> Boundary: ...
-    def one(self, cell, mode: str): ...
-    def mul(self, a, b, mode: str): ...
-    def sign(self, coeff) -> int: ...  # ±1 of a unit symbolic coefficient
+    def boundary(self, cell) -> Boundary: ...
 
 
-def is_zero(c) -> bool:
-    return c == 0 if isinstance(c, int) else c.is_zero
-
-
-def scale(c, k: int):
-    return c * k if isinstance(c, int) else c.scale(k)
-
-
-def add_term(acc: Boundary, cell, coeff) -> None:
+def add_term(acc: Boundary, cell, coeff, ring) -> None:
     """``acc[cell] += coeff``, dropping the cell when the sum is zero."""
     if cell in acc:
         coeff = acc[cell] + coeff
-        if is_zero(coeff):
+        if ring.is_zero(coeff):
             del acc[cell]
             return
         acc[cell] = coeff
-    elif not is_zero(coeff):
+    elif not ring.is_zero(coeff):
         acc[cell] = coeff
-
-
-def unit_sign(coeff) -> int:
-    if coeff not in (1, -1):
-        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
-    return coeff
 
 
 def classify(cell, cx: Complex) -> CellClass:
@@ -126,16 +146,16 @@ def _classify(cell, cx: Complex) -> CellClass:
     if cx.is_chain(cell):
         return CellClass("critical")
     split = cx.split(cell)
-    bd = cx.boundary(cell, "count")
+    bd = cx.boundary(cell)
     found = [face for face in bd if cx.split(face) == cell]
     if len(found) > 1:
         raise MatchingError(f"cell {cell!r} splits two targets: {found!r}")
     if split is not None and found:
         raise MatchingError(f"cell {cell!r} is both redundant and collapsible")
     if split is not None:
-        return CellClass("redundant", split, unit_sign(cx.boundary(split, "count").get(cell)))
+        return CellClass("redundant", split, cx.ring.unit(cx.boundary(split).get(cell)))
     if found:
-        return CellClass("collapsible", found[0], unit_sign(bd[found[0]]))
+        return CellClass("collapsible", found[0], cx.ring.unit(bd[found[0]]))
     raise MatchingError(f"cell {cell!r} is neither critical, redundant nor collapsible")
 
 
@@ -157,7 +177,7 @@ def verify_matching(cells: Iterable, cx: Complex) -> None:
                 f"are not matched to each other: {back!r}")
 
 
-def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
+def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
     """The cell as a combination of critical cells (memoised, read-only).
 
     A post-order walk on an explicit stack, so that the routing depth is
@@ -166,7 +186,8 @@ def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
     boundary order: ``[cell, out, remaining faces, -ε, coefficient of the
     face being expressed]``.
     """
-    cache = cx.system.cache("express_" + mode)
+    ring = cx.ring
+    cache = cx.system.cache("express_" + ring.name)
     hit = cache.get(cell)
     if hit is not None:
         return hit
@@ -180,12 +201,10 @@ def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
             chain = cx.is_chain(cell)
             partner = None if chain else cx.split(cell)
             if partner is not None:
-                bd = cx.boundary(partner, mode)
-                eps = unit_sign(bd.get(cell)) if mode == "count" else cx.sign(bd[cell])
-                stack.append([cell, {}, iter(bd.items()), -eps, None])
+                bd = cx.boundary(partner)
+                stack.append([cell, {}, iter(bd.items()), -ring.unit(bd.get(cell)), None])
             else:
-                done = {cell: cx.one(cell, mode)} if chain else {}
-                cache[cell] = done
+                done = cache[cell] = {cell: ring.one(cell)} if chain else {}
                 if not stack:
                     return done
             cell = None
@@ -193,7 +212,7 @@ def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
         top, out, faces, neg_eps, coeff = frame
         if done is not None:
             for crit, w in done.items():
-                add_term(out, crit, scale(cx.mul(coeff, w, mode), neg_eps))
+                add_term(out, crit, ring.scale(ring.mul(coeff, w), neg_eps), ring)
             done = None
         for face, coeff in faces:
             if face == top:
@@ -203,7 +222,7 @@ def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
                 frame[4], cell = coeff, face
                 break
             for crit, w in hit.items():
-                add_term(out, crit, scale(cx.mul(coeff, w, mode), neg_eps))
+                add_term(out, crit, ring.scale(ring.mul(coeff, w), neg_eps), ring)
         else:
             stack.pop()
             cache[top] = done = out
@@ -211,17 +230,17 @@ def _express(cell, cx: Complex, mode: str, counter: list[int]) -> Boundary:
                 return out
 
 
-def morse_differential(cell, cx: Complex, mode: str = "count",
-                       budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
+def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
-    cache = cx.system.cache("morse_" + mode)
+    ring = cx.ring
+    cache = cx.system.cache("morse_" + ring.name)
     hit = cache.get(cell)
     if hit is None:
         counter = [budget]
         hit = {}
-        for face, coeff in cx.boundary(cell, mode).items():
-            for crit, w in _express(face, cx, mode, counter).items():
-                add_term(hit, crit, cx.mul(coeff, w, mode))
+        for face, coeff in cx.boundary(cell).items():
+            for crit, w in _express(face, cx, counter).items():
+                add_term(hit, crit, ring.mul(coeff, w), ring)
         cache[cell] = hit
     return dict(hit)
 

@@ -12,8 +12,10 @@ them are the collapsible ones.  The collapse along this matching
 (``eqhom.collapse``) has one free generator per chain, and the integral
 homology of its trivial coefficients is the monoid's homology.
 
-Coefficients are elements of the monoid ring, stored as formal sums over
-irreducible words; the counting mode maps every monoid element to 1.
+Coefficients come from a ring (``eqhom.collapse``): mode ``"symbolic"``
+is the monoid ring of formal sums over irreducible words, and ``"count"``
+maps every monoid element to 1.  The first face acts by the first word
+through the ring's ``element``, so the boundary has one code path.
 """
 
 from __future__ import annotations
@@ -157,23 +159,18 @@ def check_complete_srs(srs: Srs) -> SrsReport:
     if failures:  # the probes are not run: not established
         return SrsReport(False, failures, False, [], False)
     unjoinable = []
-    probe_ok = True
     try:
         for a, b in _word_critical_pairs(srs):
             if reduce_word(a, srs) != reduce_word(b, srs):
                 unjoinable.append((a, b))
+        for r in srs.rules:
+            reduce_word(r.rhs, srs)
+            reduce_word(r.lhs, srs)
+        for a in srs.alphabet:  # small generic sample
+            reduce_word((a,) * 4, srs)
+        probe_ok = True
     except BudgetExceeded:
         probe_ok = False
-    if probe_ok:
-        try:
-            for r in srs.rules:
-                reduce_word(r.rhs, srs)
-                reduce_word(r.lhs, srs)
-            for a in srs.alphabet:  # small generic sample
-                w: Word = (a,) * 4
-                reduce_word(w, srs)
-        except BudgetExceeded:
-            probe_ok = False
     return SrsReport(True, [], not unjoinable, unjoinable, probe_ok)
 
 
@@ -184,7 +181,6 @@ def _word_critical_pairs(srs: Srs):
             # boundary overlaps: a proper suffix of l1 is a proper prefix of l2
             for k in range(1, min(len(l1), len(l2))):
                 if l1[-k:] == l2[:k]:
-                    word = l1 + l2[k:]
                     left = r1.rhs + l2[k:]
                     right = l1[:-k] + r2.rhs
                     yield left, right
@@ -252,18 +248,12 @@ def enumerate_word_chains(srs: Srs, max_dim: int) -> dict[int, list[WordCell]]:
 
 
 def longest_word_chain_prefix(cell: WordCell, srs: Srs) -> int:
-    n = 0
-    for k, w in enumerate(cell, 1):
+    for k, w in enumerate(cell):
         if not w or not is_irreducible_word(w, srs):
-            break
-        if k == 1:
-            ok = len(w) == 1
-        else:
-            ok = w in chain_tails(cell[k - 2], srs)
-        if not ok:
-            break
-        n = k
-    return n
+            return k
+        if not (len(w) == 1 if k == 0 else w in chain_tails(cell[k - 1], srs)):
+            return k
+    return len(cell)
 
 
 def _split_word_cell(cell: WordCell, srs: Srs, i: int) -> WordCell | None:
@@ -300,20 +290,48 @@ class WordSum(dict):
     def __add__(self, other: dict) -> "WordSum":
         return WordSum.collect(chain(self.items(), other.items()))
 
-    def scale(self, k: int) -> "WordSum":
-        return WordSum.collect((w, v * k) for w, v in self.items())
 
-    @property
-    def is_zero(self) -> bool:
-        return not self
+class _MonoidRing:
+    """The monoid ring of ``srs``: the product concatenates and reduces
+    (``reduce_word``, looked up as a module global at call time)."""
 
-
-class _Words:
-    """The word complex of ``srs`` as ``eqhom.collapse`` sees it.  The
-    kernels are looked up as module globals at call time."""
+    name = "symbolic"
 
     def __init__(self, srs: Srs):
         self.system = srs
+
+    def one(self, cell: WordCell) -> WordSum:
+        return WordSum({EMPTY: 1})
+
+    def element(self, w: Word) -> WordSum:
+        return WordSum({reduce_word(w, self.system): 1})
+
+    def mul(self, a: WordSum, b: WordSum) -> WordSum:
+        return WordSum.collect((reduce_word(wa + wb, self.system), ka * kb)
+                               for wa, ka in a.items() for wb, kb in b.items())
+
+    def scale(self, c: WordSum, k: int) -> WordSum:
+        return WordSum.collect((w, v * k) for w, v in c.items())
+
+    def is_zero(self, c: WordSum) -> bool:
+        return not c
+
+    def unit(self, c: WordSum | None) -> int:
+        if c not in ({EMPTY: 1}, {EMPTY: -1}):
+            raise MatchingError(f"matched coefficient {c!r} is not a unit")
+        return c[EMPTY]
+
+
+_RINGS = {"count": collapse.Integers, "symbolic": _MonoidRing}
+
+
+class _Words:
+    """The word complex of ``srs`` over the ring of ``mode``, as
+    ``eqhom.collapse`` sees it; kernels are module globals at call time."""
+
+    def __init__(self, srs: Srs, mode: str = "count"):
+        self.system = srs
+        self.ring = collapse.ring_of(mode, _RINGS, srs)
         self._scanned: tuple[WordCell | None, int] = (None, 0)
 
     def _prefix(self, cell: WordCell) -> int:
@@ -331,22 +349,8 @@ class _Words:
     def split(self, cell: WordCell) -> WordCell | None:
         return _split_word_cell(cell, self.system, self._prefix(cell))
 
-    def boundary(self, cell: WordCell, mode: str) -> dict[WordCell, WordCoeff]:
-        return word_boundary(cell, self.system, mode)
-
-    def one(self, cell: WordCell, mode: str) -> WordCoeff:
-        return 1 if mode == "count" else WordSum({EMPTY: 1})
-
-    def mul(self, a: WordCoeff, b: WordCoeff, mode: str) -> WordCoeff:
-        if mode == "count":
-            return a * b
-        return WordSum.collect((reduce_word(wa + wb, self.system), ka * kb)
-                               for wa, ka in a.items() for wb, kb in b.items())
-
-    def sign(self, coeff: WordSum) -> int:
-        if len(coeff) == 1 and coeff.get(EMPTY) in (1, -1):
-            return coeff[EMPTY]
-        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
+    def boundary(self, cell: WordCell) -> dict[WordCell, WordCoeff]:
+        return word_boundary(cell, self.system, self.ring.name)
 
 
 def classify_word_cell(cell: WordCell, srs: Srs) -> CellClass:
@@ -356,31 +360,24 @@ def classify_word_cell(cell: WordCell, srs: Srs) -> CellClass:
 def word_boundary(cell: WordCell, srs: Srs, mode: str = "count") -> dict[WordCell, WordCoeff]:
     """Bar-resolution boundary with identity entries dropped: act by the
     first word, merge adjacent words, drop the last word."""
+    ring = collapse.ring_of(mode, _RINGS, srs)
     n = len(cell)
-    faces = [(cell[1:], 1)]
+    if n < 1:
+        raise ValueError("boundary needs dimension at least 1")
+    one = ring.one(cell)
+    signed = (one, ring.scale(one, -1))  # face j has sign (-1)^j
+    acc: dict[WordCell, WordCoeff] = {cell[1:]: ring.element(cell[0])}
     for j in range(1, n):
         merged = reduce_word(cell[j - 1] + cell[j], srs)
         if merged:  # an identity entry is a degenerate face
-            faces.append((cell[:j - 1] + (merged,) + cell[j + 1:], -1 if j % 2 else 1))
-    faces.append((cell[:n - 1], -1 if n % 2 else 1))
-    acc: dict[WordCell, WordCoeff] = {}
-    if mode == "count":
-        for face, sign in faces:
-            k = acc.get(face, 0) + sign
-            if k:
-                acc[face] = k
-            else:
-                del acc[face]
-        return acc
-    act = reduce_word(cell[0], srs)
-    for i, (face, sign) in enumerate(faces):
-        add_term(acc, face, WordSum({act if i == 0 else EMPTY: sign}))
+            add_term(acc, cell[:j - 1] + (merged,) + cell[j + 1:], signed[j % 2], ring)
+    add_term(acc, cell[:n - 1], signed[n % 2], ring)
     return acc
 
 
 def word_morse_differential(cell: WordCell, srs: Srs, mode: str = "count",
                             budget: int = DEFAULT_ROUTE_BUDGET) -> dict[WordCell, WordCoeff]:
-    return collapse.morse_differential(cell, _Words(srs), mode, budget)
+    return collapse.morse_differential(cell, _Words(srs, mode), budget)
 
 
 def word_boundary_matrices(srs: Srs, chains: dict[int, list[WordCell]],

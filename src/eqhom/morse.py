@@ -4,11 +4,11 @@ split partner that defines its matching.  The collapse itself
 ``eqhom.collapse``; this module adapts the term complex to it.
 
 The boundary of a cell is a signed sum of faces: face 0 differentiates
-the head entry (one summand per component of the second entry, with a
-derivative coefficient), the middle faces compose adjacent entries and
-re-normalize, and the last face drops the tail entry and emits its
-restriction as a coefficient.  Faces that are not valid cells are
-repaired: a face containing a variable-selection entry dies, and
+the head entry (one summand per component of the second entry, or per
+variable of a lone head, with a derivative coefficient), the middle
+faces compose adjacent entries and re-normalize, and the last face drops
+the tail entry and emits its restriction as a coefficient.  Faces that
+are not valid cells are repaired: a face containing a variable-selection entry dies, and
 otherwise the leftmost non-canonical entry is factored into its
 essential part, pushing the leftover selection rightward until it either
 dies, is absorbed, or falls off the end as a restriction coefficient.
@@ -18,9 +18,11 @@ maximal redex of the composite through that entry; this split alone
 defines the matching, whose collapsible cells are those with a face
 that splits back to them.
 
-Two coefficient modes are supported: ``"symbolic"`` tracks ringoid
-elements, ``"count"`` tracks their signed monomial counts (the tensoring
-used for homology matrices).
+Coefficients come from a ring (``eqhom.collapse``) with two face hooks,
+so the boundary has one code path: mode ``"symbolic"`` is the presented
+ringoid, where ``derivatives`` expands ∂_i(head) along the rest of the
+cell and ``element`` is the restriction α*; mode ``"count"`` counts each
+monomial 1, so ∂_i(head) counts the occurrences of x_i.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .collapse import DEFAULT_ROUTE_BUDGET, CellClass, MatchingError, add_term
 from .rewrite import Trs, normal_form_morphism, op_morphism
 from .terms import (
     App,
-    Context,
     Morphism,
     TermError,
     Var,
@@ -68,12 +69,6 @@ from .unify import match_tuple
 
 Coeff = Union[int, RingoidElement]
 Boundary = dict[Cell, Coeff]
-
-
-def cell_domain(cell: Cell) -> Context:
-    if cell.entries:
-        return cell.entries[-1].context
-    return ((canonical_name(1), cell.sort),)
 
 
 def _merge(a: Morphism, b: Morphism, trs: Trs) -> Morphism:
@@ -118,94 +113,56 @@ def _phi(entries: tuple[Morphism, ...], k: int,
         k += 1
 
 
-def _component(m: Morphism, i: int) -> Morphism:
-    """The ``i``-th component (1-based) over the full context."""
-    return Morphism(m.context, (m.terms[i - 1],))
-
-
 def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     """Signed boundary of a cell over cells one dimension down."""
-    cache = trs.cache("boundary_" + mode)
+    ring = collapse.ring_of(mode, _RINGS, trs)
+    cache = trs.cache("boundary_" + ring.name)
     hit = cache.get(cell)
-    if hit is not None:
-        return dict(hit)
-    out = _normalized_boundary(cell, trs, mode)
-    cache[cell] = dict(out)
-    return out
+    if hit is None:
+        hit = cache[cell] = _normalized_boundary(cell, trs, ring)
+    return dict(hit)
 
 
-def _normalized_boundary(cell: Cell, trs: Trs, mode: str) -> Boundary:
+def _normalized_boundary(cell: Cell, trs: Trs, ring) -> Boundary:
     n = cell.dim
     if n < 1:
         raise ValueError("boundary needs dimension at least 1")
     entries = cell.entries
+    head, tail = entries[0], entries[1:]
     acc: Boundary = {}
 
-    if n == 1:
-        head = entries[0]
-        for i, (name, sort) in enumerate(head.context, 1):
-            target = Cell(sort, ())
-            if mode == "count":
-                coeff: Coeff = var_count(head.term, name)
-            else:
-                coeff = multiply(
-                    expand_derivative(i, head, identity(head.context), trs),
-                    star(projection(head.context, i), trs),
-                    trs,
-                )
-            add_term(acc, target, coeff)
-        codomain = Cell(cell.sort, ())
-        if mode == "count":
-            add_term(acc, codomain, -1)
-        else:
-            add_term(acc, codomain, star(head, trs).scale(-1))
-        return acc
+    def add(face: Cell, coeff: Coeff, leftover: Morphism | None) -> None:
+        if leftover is not None:
+            coeff = ring.mul(coeff, ring.element(leftover))
+        add_term(acc, face, coeff, ring)
 
-    head, second = entries[0], entries[1]
-    rest = compose_chain(entries[2:]) if n > 2 else None
-
-    # face 0: differentiate the head across the second entry's components;
-    # these faces live over the component's sort, not the cell's
-    for i in range(1, len(second.terms) + 1):
-        face = (_component(second, i),) + entries[2:]
-        repaired = _phi(face, 0, trs)
-        if repaired is None:
-            continue
-        new_entries, leftover = repaired
-        if mode == "count":
-            coeff = var_count(head.term, head.context[i - 1][0])
+    # face 0: differentiate the head across the next entry's components
+    # (its variables, as 0-cells, at n = 1); these faces live over the
+    # component's sort, not the cell's.  The derivatives are set up at the
+    # first face that survives the repair, so a cell whose face-0 summands
+    # all die composes no subscript.
+    derivative = None
+    for i, (_, sort) in enumerate(head.context, 1):
+        if tail:
+            component = Morphism(tail[0].context, (tail[0].terms[i - 1],))
+            repaired = _phi((component,) + tail[1:], 0, trs)
         else:
-            subscript = compose_raw(second, rest) if rest is not None else second
-            coeff = expand_derivative(i, head, subscript, trs)
-            if leftover is not None:
-                coeff = multiply(coeff, star(leftover, trs), trs)
-        add_term(acc, Cell(second.terms[i - 1].sort, new_entries), coeff)
+            repaired = (), projection(head.context, i)
+        if repaired is not None:
+            derivative = derivative or ring.derivatives(head, tail)
+            add(Cell(sort, repaired[0]), derivative(i), repaired[1])
 
     # middle faces: compose adjacent entries and re-normalize
     for j in range(1, n):
         merged = _merge(entries[j - 1], entries[j], trs)
-        face = entries[: j - 1] + (merged,) + entries[j + 1 :]
-        repaired = _phi(face, j - 1, trs)
-        if repaired is None:
-            continue
-        new_entries, leftover = repaired
-        sign = -1 if j % 2 else 1
-        if mode == "count":
-            coeff = sign
-        else:
-            coeff = identity_element(cell_domain(cell)).scale(sign)
-            if leftover is not None:
-                coeff = multiply(coeff, star(leftover, trs), trs)
-        add_term(acc, Cell(cell.sort, new_entries), coeff)
+        repaired = _phi(entries[: j - 1] + (merged,) + entries[j + 1 :], j - 1, trs)
+        if repaired is not None:
+            sign = -1 if j % 2 else 1
+            add(Cell(cell.sort, repaired[0]), ring.scale(ring.one(cell), sign), repaired[1])
 
     # last face: drop the tail entry, emit its restriction
-    sign = -1 if n % 2 else 1
-    target = Cell(cell.sort, entries[: n - 1])
-    if mode == "count":
-        coeff = sign
-    else:
-        coeff = star(entries[n - 1], trs).scale(sign)
-    add_term(acc, target, coeff)
+    add_term(acc, Cell(cell.sort, entries[:-1]),
+             ring.scale(ring.element(entries[-1]), -1 if n % 2 else 1), ring)
     return acc
 
 
@@ -248,12 +205,65 @@ def _try_split(cell: Cell, trs: Trs) -> Cell | None:
     return Cell(cell.sort, entries[: L - 1] + (u, w) + entries[L:])
 
 
-class _Terms:
-    """The term complex of ``trs`` as ``eqhom.collapse`` sees it.  The
-    kernels are looked up as module globals at call time."""
+class _Counts(collapse.Integers):
+    """Counting coefficients of the term complex: ∂_i(f) counts the
+    occurrences of the i-th variable of ``f``."""
+
+    def derivatives(self, head: Morphism, tail: tuple[Morphism, ...]):
+        return lambda i: var_count(head.term, head.context[i - 1][0])
+
+
+class _Ringoid:
+    """The presented ringoid of ``trs`` (``eqhom.coeff``).  The kernels are
+    looked up as module globals at call time."""
+
+    name = "symbolic"
 
     def __init__(self, trs: Trs):
         self.system = trs
+
+    def one(self, cell: Cell) -> RingoidElement:
+        """The identity on the cell's domain: its last entry's context."""
+        entries = cell.entries
+        return identity_element(entries[-1].context if entries
+                                else ((canonical_name(1), cell.sort),))
+
+    def element(self, alpha: Morphism) -> RingoidElement:
+        return star(alpha, self.system)
+
+    def derivatives(self, head: Morphism, tail: tuple[Morphism, ...]):
+        """i ↦ ∂_i(head) restricted along the composite of ``tail`` (the
+        identity when it is empty)."""
+        subscript = compose_chain(tail) if tail else identity(head.context)
+        return lambda i: expand_derivative(i, head, subscript, self.system)
+
+    def mul(self, a: RingoidElement, b: RingoidElement) -> RingoidElement:
+        return multiply(a, b, self.system)
+
+    def scale(self, c: RingoidElement, k: int) -> RingoidElement:
+        return c.scale(k)
+
+    def is_zero(self, c: RingoidElement) -> bool:
+        return c.is_zero
+
+    def unit(self, c: RingoidElement | None) -> int:
+        if c is not None and len(c.terms) == 1:
+            mono, k = c.terms[0]
+            if not mono.factors and is_identity(mono.tail) and k in (1, -1):
+                return k
+        raise MatchingError(f"matched coefficient {c!r} is not a unit")
+
+
+_RINGS = {"count": _Counts, "symbolic": _Ringoid}
+
+
+class _Terms:
+    """The term complex of ``trs`` over the ring of ``mode``, as
+    ``eqhom.collapse`` sees it; kernels are module globals at call time."""
+
+    def __init__(self, trs: Trs, mode: str = "count"):
+        self.system = trs
+        self.ring = collapse.ring_of(mode, _RINGS, trs)
 
     def is_chain(self, cell: Cell) -> bool:
         return is_chain(cell, self.system)
@@ -261,33 +271,17 @@ class _Terms:
     def split(self, cell: Cell) -> Cell | None:
         return _try_split(cell, self.system)
 
-    def boundary(self, cell: Cell, mode: str) -> Boundary:
-        return normalized_boundary(cell, self.system, mode)
-
-    def one(self, cell: Cell, mode: str) -> Coeff:
-        return 1 if mode == "count" else identity_element(cell_domain(cell))
-
-    def mul(self, a: Coeff, b: Coeff, mode: str) -> Coeff:
-        return a * b if mode == "count" else multiply(a, b, self.system)
-
-    def sign(self, coeff: RingoidElement) -> int:
-        if len(coeff.terms) == 1:
-            mono, c = coeff.terms[0]
-            if not mono.factors and is_identity(mono.tail) and c in (1, -1):
-                return c
-        raise MatchingError(f"matched coefficient {coeff!r} is not a unit")
+    def boundary(self, cell: Cell) -> Boundary:
+        return normalized_boundary(cell, self.system, self.ring.name)
 
 
 def classify(cell: Cell, trs: Trs) -> CellClass:
-    """Critical, redundant-with-partner or collapsible-with-partner.
-
-    The matched sign is read off the partner's boundary; it must be +1 or
-    -1, and no cell may qualify both ways.
-    """
+    """Critical, redundant-with-partner or collapsible-with-partner, with
+    the sign read off the counting boundary (``eqhom.collapse.classify``)."""
     return collapse.classify(cell, _Terms(trs))
 
 
 def morse_differential(cell: Cell, trs: Trs, mode: str = "count",
                        budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
-    return collapse.morse_differential(cell, _Terms(trs), mode, budget)
+    return collapse.morse_differential(cell, _Terms(trs, mode), budget)

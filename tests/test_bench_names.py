@@ -3,6 +3,8 @@ that drops or renames one must fail here, not in the traced run."""
 
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -14,31 +16,47 @@ def test_traced_kernel_names_resolve(monkeypatch):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
-# every memo kind a group homology run creates (README, "Library"); the
+# every memo kind each traced workload creates (README, "Library"); the
 # traced run reads ``nf``, ``prefix`` and ``classify`` by name and sums
-# every ``express_*`` kind, so a new memo must not take one of those names
+# every ``express_*`` kind, so a new memo must not take one of those
+# names, and a renamed ``*_symbolic`` or word-engine kind must fail here
 # (``classify`` is filled only by the public ``classify`` and
 # ``verify_matching``, never by routing)
-GROUP_HOMOLOGY_CACHE_KINDS = {
+TERM_CACHE_KINDS = {
     "certify", "nf", "composite", "prefix", "extensions", "max_redex",
-    "mgu_extension", "merge", "factor", "boundary_count",
-    "express_count", "morse_count",
+    "mgu_extension", "merge", "factor",
 }
+GROUP_HOMOLOGY_CACHE_KINDS = TERM_CACHE_KINDS | {
+    "boundary_count", "express_count", "morse_count"}
+GROUP_RESOLUTION_CACHE_KINDS = TERM_CACHE_KINDS | {
+    "boundary_symbolic", "express_symbolic", "morse_symbolic"}
+S3_MONOID_CACHE_KINDS = {
+    "certify", "nf", "irreducible", "tails", "express_count", "morse_count"}
 
 
-def test_group_run_creates_the_documented_cache_kinds(monkeypatch):
+@pytest.mark.parametrize("workload, pipeline, data, max_dim, kinds, routed", [
+    pytest.param("group-count", "homology_pipeline", "group.lwv", 2,
+                 GROUP_HOMOLOGY_CACHE_KINDS, "express_count", id="group-count"),
+    pytest.param("group-symbolic", "resolution_pipeline", "group.lwv", 3,
+                 GROUP_RESOLUTION_CACHE_KINDS, "express_symbolic", id="group-symbolic"),
+    pytest.param("s3-word", "monoid_pipeline", "s3.srs", 4,
+                 S3_MONOID_CACHE_KINDS, None, id="s3-word"),
+])
+def test_traced_run_creates_the_documented_cache_kinds(
+        monkeypatch, workload, pipeline, data, max_dim, kinds, routed):
     monkeypatch.syspath_prepend(str(BENCH))
     import traced
 
-    text = (BENCH / "data" / "group.lwv").read_text(encoding="utf-8")
+    text = (BENCH / "data" / data).read_text(encoding="utf-8")
     tr = traced.Tracer()
     tr.install()
     try:
-        _, trs, chains, matrices = traced.homology_pipeline(tr, text, 2)
+        _, system, chains, matrices = getattr(traced, pipeline)(tr, text, max_dim)
     finally:
         tr.uninstall()
-    assert set(trs.caches) == GROUP_HOMOLOGY_CACHE_KINDS
-    metrics = traced.layer_metrics(tr, "group-count", trs, chains, matrices)
-    assert metrics["rewrite.nf_cache"] == len(trs.cache("nf"))
-    assert metrics["chains.prefix_cache"] == len(trs.cache("prefix"))
-    assert metrics["morse.routed"] == len(trs.cache("express_count"))
+    assert set(system.caches) == kinds
+    if routed is not None:  # the term engine's memo counters
+        metrics = traced.layer_metrics(tr, workload, system, chains, matrices)
+        assert metrics["rewrite.nf_cache"] == len(system.cache("nf"))
+        assert metrics["chains.prefix_cache"] == len(system.cache("prefix"))
+        assert metrics["morse.routed"] == len(system.cache(routed))

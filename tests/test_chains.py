@@ -11,16 +11,38 @@ from eqhom.chains import (
     longest_chain_prefix,
     max_redex,
     redex_less,
-    redex_set,
     valid_entry,
 )
 from eqhom.homology import boundary_matrices
 from eqhom.parser import parse_presentation
 from eqhom.rewrite import CompletenessError, Rule, Trs, degree, random_term
-from eqhom.terms import Morphism, Signature, Var, substitute, variables
+from eqhom.terms import (
+    Morphism,
+    Signature,
+    Var,
+    positions,
+    substitute,
+    subterm_at,
+    variables,
+)
+from eqhom.unify import match_term
 
 SIG = Signature(("X",), (("plus", ("X", "X"), "X"), ("zero", (), "X")))
 ZERO = SIG.app("zero")
+
+
+def redex_set(t, trs):
+    """The reference for ``max_redex``: all (position, rule rank) pairs
+    where a rule instance occurs."""
+    out = set()
+    for p in positions(t):
+        sub = subterm_at(t, p)
+        if isinstance(sub, Var):
+            continue
+        for rank, rule in enumerate(trs.rules):
+            if match_term(rule.lhs, sub) is not None:
+                out.add((p, rank))
+    return out
 
 
 def x(name="x"):

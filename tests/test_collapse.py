@@ -10,12 +10,13 @@ from eqhom.rewrite import BudgetExceeded
 
 
 class Table:
-    """A complex given by its chains, split partners and boundaries."""
+    """A complex given by its chains, split partners and integer boundaries."""
 
     def __init__(self, chains, splits, boundaries):
         self.chains, self.splits, self.boundaries = chains, splits, boundaries
         self.caches = {}
         self.system = self
+        self.ring = collapse.Integers(self)
 
     def cache(self, kind):
         return self.caches.setdefault(kind, {})
@@ -26,17 +27,8 @@ class Table:
     def split(self, cell):
         return self.splits.get(cell)
 
-    def boundary(self, cell, mode):
+    def boundary(self, cell):
         return dict(self.boundaries.get(cell, {}))
-
-    def one(self, cell, mode):
-        return 1
-
-    def mul(self, a, b, mode):
-        return a * b
-
-    def sign(self, coeff):
-        return collapse.unit_sign(coeff)
 
 
 def test_routes_through_a_matched_pair():

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eqhom import collapse
+from eqhom import collapse, monoid
 from eqhom.chains import enumerate_chains
 from eqhom.homology import boundary_matrices, homology_group, smith_normal_form
 from eqhom.monoid import (
@@ -25,7 +27,7 @@ from eqhom.monoid import (
     word_morse_differential,
 )
 from eqhom.parser import parse_presentation, parse_srs
-from eqhom.rewrite import CompletenessError
+from eqhom.rewrite import BudgetExceeded, CompletenessError
 
 A = ("a",)
 
@@ -83,6 +85,54 @@ def test_dd_zero_through_dim_five(z2_srs):
                     for tgt, c2 in word_morse_differential(mid, srs, "count").items():
                         acc[tgt] = acc.get(tgt, 0) + _ct(c1) * _ct(c2)
                 assert all(v == 0 for v in acc.values())
+
+
+def test_symbolic_dd_zero_through_dim_five(z2_srs, s3_srs):
+    # d∘d = 0 over the monoid ring; coefficients multiply independently of
+    # the ring under test: concatenate, then reduce from scratch.  Routing
+    # on a a -> a, a b a -> a multiplies elements that do not commute, so
+    # that system also pins the order of the ring's product.
+    absorbing = Srs(("a", "b"), (SrsRule("r1", ("a", "a"), ("a",)),
+                                 SrsRule("r2", ("a", "b", "a"), ("a",))))
+    products = 0
+    for srs in (z2_srs, nat2(), s3_srs, absorbing):
+        chains = enumerate_word_chains(srs, 5)
+        for n in range(2, 6):
+            for cell in chains[n]:
+                acc = Counter()
+                for mid, c1 in word_morse_differential(cell, srs, "symbolic").items():
+                    for tgt, c2 in word_morse_differential(mid, srs, "symbolic").items():
+                        for (w1, k1), (w2, k2) in product(c1.items(), c2.items()):
+                            acc[tgt, _reduce_from_scratch(w1 + w2, srs)] += k1 * k2
+                            products += 1
+                assert not any(acc.values()), cell
+    assert products > 400
+
+
+def test_an_unknown_mode_is_refused_before_any_memo(data_dir):
+    srs = parse_srs((data_dir / "z2.srs").read_text())
+    kinds = set(srs.caches)
+    for call in (word_morse_differential, word_boundary):
+        with pytest.raises(ValueError, match="'cnt'.*'count' or 'symbolic'"):
+            call((A, A), srs, "cnt")
+    assert set(srs.caches) == kinds
+
+
+@pytest.mark.parametrize("mode", ["count", "symbolic"])
+def test_a_missing_matched_coefficient_is_a_matching_error(data_dir, monkeypatch, mode):
+    # every split partner loses its faces, so the router finds no matched
+    # coefficient; both rings refuse it as a non-unit
+    srs = parse_srs((data_dir / "s3.srs").read_text())
+    chains = enumerate_word_chains(srs, 3)
+    original = monoid.word_boundary
+
+    def chains_only(cell, srs, mode="count"):
+        return original(cell, srs, mode) if is_word_chain(cell, srs) else {}
+
+    monkeypatch.setattr(monoid, "word_boundary", chains_only)
+    with pytest.raises(collapse.MatchingError, match="coefficient None is not a unit"):
+        for cell in chains[2] + chains[3]:
+            word_morse_differential(cell, srs, mode)
 
 
 def test_symbolic_differential_counts_to_count_mode(z2_srs, s3_srs):
@@ -303,16 +353,25 @@ def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
         assert (got.rank, got.torsion) == (words[n].rank, words[n].torsion), (sides, n)
 
 
-def test_check_complete_srs_stops_a_growing_word_within_budget():
-    # a -> b b a grows the word by two letters per step; the leftmost
-    # scan resumes next to the last rewrite, so the probe runs out of
-    # budget in linear rather than quadratic scanning time
-    srs = Srs(("a", "b"), (SrsRule("r1", ("a",), ("b", "b", "a")),))
-    rep = check_complete_srs(srs)
-    assert not rep.reduced
-    assert rep.reducedness_failures == ["rhs of r1 not in normal form"]
-    assert not rep.termination_probe_ok
-    assert not rep.certified
+def test_reduce_word_stops_a_growing_word_within_budget(monkeypatch):
+    # a -> b b a rewrites a forever, two letters longer each step:
+    # reduce_word gives up after its step budget with BudgetExceeded and
+    # memoises nothing, and each leftmost scan resumes at the last rewrite
+    # (position 0, then 0, 2, 4, ...) rather than rescanning the word
+    budget = 500
+    srs = Srs(("a", "b"), (SrsRule("r1", ("a",), ("b", "b", "a")),), budget)
+    starts = []
+    real_find_redex = monoid.find_redex
+
+    def find_redex(w, srs, start=0):
+        starts.append(start)
+        return real_find_redex(w, srs, start)
+
+    monkeypatch.setattr(monoid, "find_redex", find_redex)
+    with pytest.raises(BudgetExceeded, match="word reduction budget exhausted on a$"):
+        reduce_word(("a",), srs)
+    assert starts == [0] + [2 * k for k in range(budget - 1)]
+    assert srs.cache("nf") == {}
 
 
 def test_check_complete_srs_skips_the_probes_once_reducedness_fails():
@@ -320,6 +379,7 @@ def test_check_complete_srs_skips_the_probes_once_reducedness_fails():
     # failed reducedness check reports them as not established instead
     srs = Srs(("a", "b"), (SrsRule("r1", ("a",), ("b", "b", "a")),))
     rep = check_complete_srs(srs)
+    assert rep.reducedness_failures == ["rhs of r1 not in normal form"]
     assert (rep.reduced, rep.locally_confluent, rep.unjoinable,
             rep.termination_probe_ok) == (False, False, [], False)
     assert srs.cache("nf") == {}

@@ -2,10 +2,13 @@ import sys
 import threading
 from collections import Counter
 
+import pytest
+
 from eqhom import collapse
 from eqhom.chains import Cell, enumerate_chains
 from eqhom.coeff import ZERO as EL_ZERO, multiply, signed_monomial_count, vanishes
 from eqhom.homology import boundary_matrices
+from eqhom.monoid import enumerate_word_chains, word_boundary, word_boundary_matrices
 from eqhom.morse import (
     _Terms,
     chain_prefix_length,
@@ -13,7 +16,7 @@ from eqhom.morse import (
     morse_differential,
     normalized_boundary,
 )
-from eqhom.parser import parse_presentation
+from eqhom.parser import parse_presentation, parse_srs
 from eqhom.rewrite import degree
 from eqhom.terms import Morphism, Var
 
@@ -73,6 +76,20 @@ def test_boundary_of_operations(ab_trs):
     assert normalized_boundary(plus_cell(ab_trs), ab_trs, "count") == {point: 1}
     zero_cell = Cell("X", (Morphism((), (sig.app("zero"),)),))
     assert normalized_boundary(zero_cell, ab_trs, "count") == {point: -1}
+
+
+def test_boundary_counts_each_occurrence_of_a_variable(ab_trs):
+    # ∂_1 of plus(x1, x1) has one monomial per occurrence of x1, so face 0
+    # counts 2, in a lone head and in front of a second entry alike
+    sig = ab_trs.signature
+    double = Morphism((("x1", "X"),), (sig.app("plus", xv("x1"), xv("x1")),))
+    zero = Morphism((), (sig.app("zero"),))
+    for cell, expected in ((Cell("X", (double,)), {Cell("X", ()): 2 - 1}),
+                           (Cell("X", (double, zero)),
+                            {Cell("X", (zero,)): 2 - 1, Cell("X", (double,)): 1})):
+        assert normalized_boundary(cell, ab_trs, "count") == expected
+        sym = normalized_boundary(cell, ab_trs, "symbolic")
+        assert {f: signed_monomial_count(e, 0) for f, e in sym.items()} == expected
 
 
 def test_boundary_of_unit_two_chain(ab_trs):
@@ -203,7 +220,8 @@ def test_matching_certification(ab_trs, group_trs):
                 assert cls.partner.dim == cell.dim - 1
 
 
-def test_mode_coherence(ab_trs, group_trs):
+def test_mode_coherence(ab_trs, group_trs, data_dir):
+    # the differentials of the chains
     for trs, maxd, d in ((ab_trs, 4, 0), (group_trs, 3, 2)):
         chains = enumerate_chains(trs, maxd)
         for n in range(1, maxd + 1):
@@ -214,6 +232,29 @@ def test_mode_coherence(ab_trs, group_trs):
                     c = count.get(tgt, 0)
                     s = signed_monomial_count(sym.get(tgt, EL_ZERO), d)
                     assert s == (c if d == 0 else c % d)
+    # the boundaries, face by face, of every cell routed through d_4,
+    # where the two coefficient rings share one face loop; over Z
+    routed = 0
+    for name in ("abelian_unit.lwv", "group.lwv"):
+        trs = parse_presentation((data_dir / name).read_text())
+        boundary_matrices(trs, enumerate_chains(trs, 4), 4, degree(trs))
+        for cell in trs.cache("express_count"):
+            if cell.dim == 0:
+                continue
+            count = normalized_boundary(cell, trs, "count")
+            sym = normalized_boundary(cell, trs, "symbolic")
+            counted = {f: signed_monomial_count(e, 0) for f, e in sym.items()}
+            assert {f: c for f, c in counted.items() if c} == count, cell
+            routed += 1
+    srs = parse_srs((data_dir / "s3.srs").read_text())
+    word_boundary_matrices(srs, enumerate_word_chains(srs, 6), 6)
+    for cell in srs.cache("express_count"):
+        if cell:
+            sym = word_boundary(cell, srs, "symbolic")
+            counted = {f: sum(e.values()) for f, e in sym.items()}
+            assert {f: c for f, c in counted.items() if c} == word_boundary(cell, srs, "count")
+            routed += 1
+    assert routed > 2_000
 
 
 def test_group_classification_counters_through_dim_four(data_dir):
@@ -263,3 +304,13 @@ def test_shared_memos_under_threads(data_dir):
         sys.setswitchinterval(interval)
     assert not errors
     assert all(r == expected for r in results)
+
+
+def test_an_unknown_mode_is_refused_before_any_memo(data_dir):
+    trs = parse_presentation((data_dir / "abelian_unit.lwv").read_text())
+    cell = enumerate_chains(trs, 2)[2][0]
+    kinds = set(trs.caches)
+    for call in (morse_differential, normalized_boundary):
+        with pytest.raises(ValueError, match="'Count'.*'count' or 'symbolic'"):
+            call(cell, trs, "Count")
+    assert set(trs.caches) == kinds
