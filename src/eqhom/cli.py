@@ -261,7 +261,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; remap the latter
         return 0 if exc.code == 0 else 1
-    for flag in ("max_dim", "dim"):
+    for flag in ("max_dim", "dim", "cp_budget", "term_budget"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             print(f"error: --{flag.replace('_', '-')} must be at least 0, got {value}",

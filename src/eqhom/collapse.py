@@ -28,10 +28,10 @@ is replaced by ``-ε`` times the rest of the boundary of ``p``, routed in
 turn, on an explicit stack; ``ε``, the coefficient of ``c`` in the
 boundary of ``p``, must still be a unit.  Termination holds for a
 certified system; a budget of one step per cell routed turns a
-non-terminating matching into ``BudgetExceeded``.  Routing is memoised
-in the system's caches (``express_<name>``, ``morse_<name>`` after the
-ring's ``name``); the ``classify`` cache is filled only by ``classify``
-and ``verify_matching``.
+non-terminating matching into ``BudgetExceeded``.  Routing memoises the
+expression of each routed cell in the system's cache ``express_<name>``
+after the ring's ``name``; the ``classify`` cache is filled only by
+``classify`` and ``verify_matching``.
 
 Coefficients live in a ring object, ``Integers`` (shared) or an
 engine's symbolic ring, which ``ring_of`` picks once for a public
@@ -233,16 +233,12 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
 def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
     ring = cx.ring
-    cache = cx.system.cache("morse_" + ring.name)
-    hit = cache.get(cell)
-    if hit is None:
-        counter = [budget]
-        hit = {}
-        for face, coeff in cx.boundary(cell).items():
-            for crit, w in _express(face, cx, counter).items():
-                add_term(hit, crit, ring.mul(coeff, w), ring)
-        cache[cell] = hit
-    return dict(hit)
+    counter = [budget]
+    out: Boundary = {}
+    for face, coeff in cx.boundary(cell).items():
+        for crit, w in _express(face, cx, counter).items():
+            add_term(out, crit, ring.mul(coeff, w), ring)
+    return out
 
 
 def assemble_matrices(differential: Callable[[Any], Boundary], chains: dict[int, list],

@@ -51,13 +51,13 @@ class SrsRule:
             raise ValueError(f"rule {self.name}: empty left-hand side")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Srs:
     alphabet: tuple[str, ...]
     rules: tuple[SrsRule, ...]
-    step_budget: int = 10_000
-    caches: dict = field(init=False, repr=False, default_factory=dict)
-    longest_lhs: int = field(init=False, repr=False, default=0)
+    step_budget: int = field(default=10_000, compare=False)
+    caches: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    longest_lhs: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -70,13 +70,6 @@ class Srs:
                 if c not in self.alphabet:
                     raise ValueError(f"rule {r.name}: letter {c!r} not declared")
         object.__setattr__(self, "longest_lhs", max((len(r.lhs) for r in self.rules), default=0))
-
-    def __eq__(self, other):
-        return (isinstance(other, Srs) and self.alphabet == other.alphabet
-                and self.rules == other.rules)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.rules))
 
     def cache(self, kind: str) -> dict:
         return self.caches.get(kind) or self.caches.setdefault(kind, {})

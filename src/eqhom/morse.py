@@ -116,14 +116,6 @@ def _phi(entries: tuple[Morphism, ...], k: int,
 def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     """Signed boundary of a cell over cells one dimension down."""
     ring = collapse.ring_of(mode, _RINGS, trs)
-    cache = trs.cache("boundary_" + ring.name)
-    hit = cache.get(cell)
-    if hit is None:
-        hit = cache[cell] = _normalized_boundary(cell, trs, ring)
-    return dict(hit)
-
-
-def _normalized_boundary(cell: Cell, trs: Trs, ring) -> Boundary:
     n = cell.dim
     if n < 1:
         raise ValueError("boundary needs dimension at least 1")

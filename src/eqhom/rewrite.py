@@ -27,6 +27,7 @@ from .terms import (
     Term,
     TermError,
     Var,
+    canonical_name,
     positions,
     render_term,
     rename_vars,
@@ -72,30 +73,18 @@ class Rule:
         return f"{self.name}: {render_term(self.lhs)} -> {render_term(self.rhs)}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Trs:
     signature: Signature
     rules: tuple[Rule, ...]
     step_budget: int = DEFAULT_STEP_BUDGET
     join_budget: int = DEFAULT_JOIN_BUDGET
-    caches: dict = field(init=False, repr=False, default_factory=dict)
+    caches: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
             raise TermError("duplicate rule names")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Trs)
-            and self.signature == other.signature
-            and self.rules == other.rules
-            and self.step_budget == other.step_budget
-            and self.join_budget == other.join_budget
-        )
-
-    def __hash__(self):
-        return hash((self.signature.sorts, self.signature.ops, self.rules))
 
     def cache(self, kind: str) -> dict:
         return self.caches.get(kind) or self.caches.setdefault(kind, {})
@@ -392,7 +381,7 @@ def degree(trs: Trs) -> int:
 def op_morphism(sig: Signature, name: str) -> Morphism:
     """The canonical morphism applying one operation to fresh variables."""
     arg_sorts = sig.arg_sorts(name)
-    ctx = tuple((f"x{i}", s) for i, s in enumerate(arg_sorts, 1))
+    ctx = tuple((canonical_name(i), s) for i, s in enumerate(arg_sorts, 1))
     term = sig.app(name, *(Var(n, s) for n, s in ctx))
     return Morphism(ctx, (term,))
 

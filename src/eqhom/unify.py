@@ -17,21 +17,17 @@ from dataclasses import dataclass
 from .terms import (
     App,
     Morphism,
-    Position,
     Term,
     Var,
     canonical_morphism,
-    positions,
     rename_vars,
     substitute,
-    subterm_at,
     variables,
 )
 
 __all__ = [
     "Subst",
     "Unifier",
-    "generalized_subterm_occurrences",
     "match_term",
     "match_tuple",
     "mgu",
@@ -174,16 +170,3 @@ def mgu(t: Term, s: Term) -> Unifier | None:
     left = Morphism(unified.context, tuple(rename_vars(u, renaming) for u in left_raw))
     right = Morphism(unified.context, tuple(rename_vars(u, renaming) for u in right_raw))
     return Unifier(left=left, right=right, unified=unified)
-
-
-def generalized_subterm_occurrences(tp: Term, t: Term) -> list[tuple[Position, Subst]]:
-    """All positions of ``t`` where an instance of ``tp`` occurs."""
-    out = []
-    for p in positions(t):
-        sub = subterm_at(t, p)
-        if sub.sort != tp.sort:
-            continue
-        sigma = match_term(tp, sub)
-        if sigma is not None:
-            out.append((p, sigma))
-    return out

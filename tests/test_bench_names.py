@@ -26,24 +26,21 @@ TERM_CACHE_KINDS = {
     "certify", "nf", "composite", "prefix", "extensions", "max_redex",
     "mgu_extension", "merge", "factor",
 }
-GROUP_HOMOLOGY_CACHE_KINDS = TERM_CACHE_KINDS | {
-    "boundary_count", "express_count", "morse_count"}
-GROUP_RESOLUTION_CACHE_KINDS = TERM_CACHE_KINDS | {
-    "boundary_symbolic", "express_symbolic", "morse_symbolic"}
-S3_MONOID_CACHE_KINDS = {
-    "certify", "nf", "irreducible", "tails", "express_count", "morse_count"}
+GROUP_HOMOLOGY_CACHE_KINDS = TERM_CACHE_KINDS | {"express_count"}
+GROUP_RESOLUTION_CACHE_KINDS = TERM_CACHE_KINDS | {"express_symbolic"}
+S3_MONOID_CACHE_KINDS = {"certify", "nf", "irreducible", "tails", "express_count"}
 
-
-@pytest.mark.parametrize("workload, pipeline, data, max_dim, kinds, routed", [
+TRACED_RUNS = [
     pytest.param("group-count", "homology_pipeline", "group.lwv", 2,
                  GROUP_HOMOLOGY_CACHE_KINDS, "express_count", id="group-count"),
     pytest.param("group-symbolic", "resolution_pipeline", "group.lwv", 3,
                  GROUP_RESOLUTION_CACHE_KINDS, "express_symbolic", id="group-symbolic"),
     pytest.param("s3-word", "monoid_pipeline", "s3.srs", 4,
                  S3_MONOID_CACHE_KINDS, None, id="s3-word"),
-])
-def test_traced_run_creates_the_documented_cache_kinds(
-        monkeypatch, workload, pipeline, data, max_dim, kinds, routed):
+]
+
+
+def _traced_run(monkeypatch, pipeline, data, max_dim):
     monkeypatch.syspath_prepend(str(BENCH))
     import traced
 
@@ -54,9 +51,48 @@ def test_traced_run_creates_the_documented_cache_kinds(
         _, system, chains, matrices = getattr(traced, pipeline)(tr, text, max_dim)
     finally:
         tr.uninstall()
+    return traced, tr, system, chains, matrices
+
+
+@pytest.mark.parametrize("workload, pipeline, data, max_dim, kinds, routed", TRACED_RUNS)
+def test_traced_run_creates_the_documented_cache_kinds(
+        monkeypatch, workload, pipeline, data, max_dim, kinds, routed):
+    traced, tr, system, chains, matrices = _traced_run(monkeypatch, pipeline, data, max_dim)
     assert set(system.caches) == kinds
     if routed is not None:  # the term engine's memo counters
         metrics = traced.layer_metrics(tr, workload, system, chains, matrices)
         assert metrics["rewrite.nf_cache"] == len(system.cache("nf"))
         assert metrics["chains.prefix_cache"] == len(system.cache("prefix"))
         assert metrics["morse.routed"] == len(system.cache(routed))
+
+
+class _CountingMemo(dict):
+    """A memo table that counts the lookups (``get``, the only way the
+    engines read a memo) that find their key."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        if key in self:
+            self.hits += 1
+            return self[key]
+        return default
+
+
+def _counting_cache(system, kind):
+    return system.caches.get(kind) or system.caches.setdefault(kind, _CountingMemo())
+
+
+@pytest.mark.parametrize("pipeline, data, max_dim", [
+    pytest.param(*run.values[1:4], id=run.id) for run in TRACED_RUNS])
+def test_every_memo_kind_is_read_back(monkeypatch, pipeline, data, max_dim):
+    """A memo that is written and never read costs memory and time for
+    nothing: every kind a traced run creates must be hit at least once."""
+    from eqhom.monoid import Srs
+    from eqhom.rewrite import Trs
+
+    monkeypatch.setattr(Trs, "cache", _counting_cache)
+    monkeypatch.setattr(Srs, "cache", _counting_cache)
+    system = _traced_run(monkeypatch, pipeline, data, max_dim)[2]
+    assert system.caches
+    assert sorted(kind for kind, memo in system.caches.items() if memo.hits == 0) == []

@@ -265,6 +265,8 @@ def test_cli_accepts_a_utf8_bom(capsys, data_dir, tmp_path, argv):
     ("inequality", "group.lwv", "--dim", "-1"),
     ("monoid", "homology", "z2.srs", "--max-dim", "-2"),
     ("monoid", "chains", "z2.srs", "--max-dim", "-1"),
+    ("check", "group.lwv", "--cp-budget", "-3"),
+    ("check", "group.lwv", "--term-budget", "-1"),
 ])
 def test_cli_rejects_negative_dimensions(capsys, data_dir, argv):
     argv = [str(data_dir / a) if a.endswith((".lwv", ".srs")) else a for a in argv]

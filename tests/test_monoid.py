@@ -195,6 +195,82 @@ def test_z2_homology_matches_bar_oracle(z2_srs):
         assert (got[n].rank, got[n].torsion) == oracle == expect[n]
 
 
+def _permutation_table():
+    """S3 as the permutations of {1, 2, 3}, multiplied by composition."""
+    from itertools import permutations
+
+    perms = list(permutations((1, 2, 3)))
+    return perms, {(p, q): tuple(q[i - 1] for i in p) for p in perms for q in perms}
+
+
+def test_s3_homology_matches_bar_oracle_on_permutations(s3_srs):
+    perms, mult = _permutation_table()
+    cells, mats = _bar_complex_oracle(perms, mult, (1, 2, 3), 3)
+    got = monoid_homology(s3_srs, 3)
+    assert [(got[n].rank, got[n].torsion) for n in range(4)] == [
+        _oracle_homology(cells, mats, n) for n in range(4)]
+
+
+def test_idempotent_monoid_homology_matches_bar_oracle():
+    # {1, a} with a a = a: not a group, so no group homology table applies
+    srs = Srs(("a",), (SrsRule("idem", ("a", "a"), ("a",)),))
+    mult = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"}
+    cells, mats = _bar_complex_oracle(["1", "a"], mult, "1", 4)
+    got = monoid_homology(srs, 4)
+    expect = [(1, ())] + [(0, ())] * 4
+    assert [(got[n].rank, got[n].torsion) for n in range(5)] == expect
+    assert [_oracle_homology(cells, mats, n) for n in range(5)] == expect
+
+
+def _shortlex_system(a, b):
+    """The monoid generated by the maps ``a`` and ``b`` of {0, .., k-1}, a
+    word applying its letters left to right, with its reduced complete
+    system over shortlex order: each element's normal form is its
+    shortlex-least word, and each rule rewrites a word whose proper
+    factors are all normal forms to the normal form of its element."""
+    def then(e, f):
+        return tuple(f[i] for i in e)
+
+    maps = {"a": a, "b": b}
+    identity = tuple(range(len(a)))
+    word_of = {identity: ()}
+    level = [identity]
+    while level:  # breadth first, letters in order: shortlex
+        nxt = []
+        for e in level:
+            for x in "ab":
+                f = then(e, maps[x])
+                if f not in word_of:
+                    word_of[f] = word_of[e] + (x,)
+                    nxt.append(f)
+        level = nxt
+    normal = set(word_of.values())
+    rules = []
+    for e, w in sorted(word_of.items(), key=lambda kv: (len(kv[1]), kv[1])):
+        for x in "ab":
+            lhs, rhs = w + (x,), word_of[then(e, maps[x])]
+            if lhs != rhs and lhs[1:] in normal:
+                rules.append(SrsRule(f"r{len(rules)}", lhs, rhs))
+    mult = {(e, f): then(e, f) for e in word_of for f in word_of}
+    return Srs(("a", "b"), tuple(rules)), list(word_of), mult, identity
+
+
+_maps = st.integers(2, 4).flatmap(lambda k: st.tuples(
+    *[st.tuples(*[st.integers(0, k - 1)] * k)] * 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_maps)
+def test_homology_matches_bar_oracle_on_random_finite_monoids(maps):
+    srs, elements, mult, identity = _shortlex_system(*maps)
+    assume(len(elements) <= 8)
+    assert check_complete_srs(srs).certified
+    got = monoid_homology(srs, 2)
+    cells, mats = _bar_complex_oracle(elements, mult, identity, 2)
+    for n in range(3):
+        assert (got[n].rank, got[n].torsion) == _oracle_homology(cells, mats, n), (srs, n)
+
+
 def test_free_monoid_homology_vanishes_above_one():
     free = Srs(("a",), ())
     chains = enumerate_word_chains(free, 4)

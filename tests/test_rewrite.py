@@ -179,7 +179,7 @@ def test_confluence_consequence_random(ab_trs, group_trs):
 
 
 def test_rewrite_steps_agree_with_generalized_subterms(ab_trs):
-    from eqhom.unify import generalized_subterm_occurrences
+    from test_unify import generalized_subterm_occurrences
 
     rng = random.Random(31)
     for _ in range(60):
@@ -199,3 +199,25 @@ def test_budget_exceeded_signals():
     with pytest.raises(BudgetExceeded):
         normal_form(sig.app("f", sig.app("c")), trs)
     assert is_irreducible(sig.app("c"), trs)
+
+
+def test_system_equality_ignores_caches_but_not_term_budgets(ab_trs, group_trs, z2_srs):
+    from eqhom.monoid import Srs
+
+    sig, rules = ab_trs.signature, ab_trs.rules
+    used, fresh = Trs(sig, rules), Trs(sig, rules)
+    normal_form(plus(ZERO, ZERO), used)
+    assert used.caches and not fresh.caches
+    assert used == fresh and hash(used) == hash(fresh)
+    assert fresh != group_trs
+    assert Trs(sig, rules[::-1]) != fresh  # rule order matters
+    assert Trs(sig, rules, step_budget=fresh.step_budget + 1) != fresh
+    assert Trs(sig, rules, join_budget=fresh.join_budget + 1) != fresh
+
+    used, fresh = Srs(z2_srs.alphabet, z2_srs.rules), Srs(z2_srs.alphabet, z2_srs.rules)
+    used.cache("nf")
+    assert used.caches and not fresh.caches
+    assert used == fresh and hash(used) == hash(fresh)
+    budgeted = Srs(z2_srs.alphabet, z2_srs.rules, step_budget=fresh.step_budget + 1)
+    assert budgeted == fresh and hash(budgeted) == hash(fresh)  # equal up to the budget
+    assert Srs(z2_srs.alphabet, ()) != fresh

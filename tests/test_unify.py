@@ -5,13 +5,29 @@ from eqhom.terms import (
     Signature,
     Var,
     canonical_morphism,
+    positions,
     substitute,
+    subterm_at,
     variables,
 )
-from eqhom.unify import generalized_subterm_occurrences, match_term, mgu
+from eqhom.unify import match_term, mgu
 
 SIG = Signature(("X",), (("plus", ("X", "X"), "X"), ("zero", (), "X")))
 ZERO = SIG.app("zero")
+
+
+def generalized_subterm_occurrences(tp, t):
+    """All positions of ``t`` where an instance of ``tp`` occurs, with the
+    matching substitution: a reference for the rewrite engine's redex
+    search."""
+    out = []
+    for p in positions(t):
+        sub = subterm_at(t, p)
+        if sub.sort == tp.sort:
+            sigma = match_term(tp, sub)
+            if sigma is not None:
+                out.append((p, sigma))
+    return out
 
 
 def x(name):
