@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .chains import Cell, enumerate_chains
-from .coeff import RingoidElement
 from .collapse import MatchingError
 from .homology import (
     CoefficientError,
@@ -124,9 +123,7 @@ def _cmd_chains(args) -> int:
 
 
 def _render_coeff(coeff) -> str:
-    if isinstance(coeff, RingoidElement):
-        return repr(coeff)
-    return f"{coeff:+d}"
+    return f"{coeff:+d}" if isinstance(coeff, int) else repr(coeff)
 
 
 def _cmd_resolution(args) -> int:

@@ -1,8 +1,10 @@
 """Arithmetic in the presented coefficient ringoid.
 
 Coefficients of the collapsed resolution are integer combinations of
-monomials.  A monomial is a composable list of generator derivatives,
-written left to right with the rightmost factor acting first::
+monomials, ``RingoidElement``s: ``collapse.FormalSum``s over the
+monomials, put in a canonical order only to be printed.  A monomial is a
+composable list of generator derivatives, written left to right with the
+rightmost factor acting first::
 
     d_{i1}(f1)_{s1} ... d_{ik}(fk)_{sk} a*
 
@@ -29,12 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .collapse import FormalSum
 from .rewrite import Trs, normal_form
 from .terms import (
     Context,
     Morphism,
     Term,
     Var,
+    canonical_context,
     compose_raw,
     identity,
     is_identity,
@@ -56,7 +60,7 @@ class Monomial:
 
 def normalize_positional(m: Morphism, trs: Trs) -> Morphism:
     """Normal-form components, context renamed x1..xn by position."""
-    return positional(Morphism(m.context, tuple(normal_form(t, trs) for t in m.terms)))
+    return positional(m.context, tuple(normal_form(t, trs) for t in m.terms))
 
 
 def _mono_key(m: Monomial) -> tuple:
@@ -66,57 +70,35 @@ def _mono_key(m: Monomial) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class RingoidElement:
-    """Integer combination of monomials, canonically ordered, no zeros."""
+class RingoidElement(FormalSum):
+    """Integer combination of monomials, ``{monomial: nonzero int}``."""
 
-    terms: tuple[tuple[Monomial, int], ...]
-
-    @staticmethod
-    def from_counter(counter: dict[Monomial, int]) -> "RingoidElement":
-        items = [(m, c) for m, c in counter.items() if c != 0]
-        items.sort(key=lambda mc: _mono_key(mc[0]))
-        return RingoidElement(tuple(items))
+    __slots__ = ()
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "RingoidElement") -> "RingoidElement":
-        counter: dict[Monomial, int] = dict(self.terms)
-        for m, c in other.terms:
-            counter[m] = counter.get(m, 0) + c
-        return RingoidElement.from_counter(counter)
-
-    def scale(self, k: int) -> "RingoidElement":
-        if k == 0:
-            return ZERO
-        return RingoidElement(tuple((m, c * k) for m, c in self.terms))
-
-    def __neg__(self) -> "RingoidElement":
-        return self.scale(-1)
+    def terms(self) -> tuple[tuple[Monomial, int], ...]:
+        """The (monomial, coefficient) pairs in canonical order."""
+        return tuple(sorted(self.items(), key=lambda mc: _mono_key(mc[0])))
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
         bits = []
         for m, c in self.terms:
             sign = "-" if c < 0 else ("+" if bits else "")
             mag = "" if abs(c) == 1 else f"{abs(c)}·"
             bits.append(f"{sign}{mag}{render_monomial(m)}")
-        return "".join(bits)
+        return "".join(bits) or "0"
 
 
-ZERO = RingoidElement(())
+ZERO = RingoidElement()
 
 
 def identity_element(context: Context) -> RingoidElement:
-    return RingoidElement(((Monomial((), identity(context)), 1),))
+    return RingoidElement({Monomial((), identity(context)): 1})
 
 
 def star(alpha: Morphism, trs: Trs) -> RingoidElement:
     """The restriction generator along ``alpha`` as an element."""
-    return RingoidElement(((Monomial((), normalize_positional(alpha, trs)), 1),))
+    return RingoidElement({Monomial((), normalize_positional(alpha, trs)): 1})
 
 
 def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> RingoidElement:
@@ -131,7 +113,7 @@ def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> Ri
     if subscript.codomain_sorts != tm.domain_sorts:
         raise ValueError("subscript does not land in the term's context")
     target = tm.context[i - 1][0]
-    tail = identity(positional(subscript).context)
+    tail = identity(canonical_context(subscript.domain_sorts))
 
     def rec(t: Term) -> list[tuple[Factor, ...]]:
         if isinstance(t, Var):
@@ -144,11 +126,7 @@ def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> Ri
             out.extend((head,) + rest for rest in rec(arg))
         return out
 
-    counter: dict[Monomial, int] = {}
-    for factors in rec(tm.term):
-        mono = Monomial(factors, tail)
-        counter[mono] = counter.get(mono, 0) + 1
-    return RingoidElement.from_counter(counter)
+    return RingoidElement.collect((Monomial(factors, tail), 1) for factors in rec(tm.term))
 
 
 def multiply(a: RingoidElement, b: RingoidElement, trs: Trs) -> RingoidElement:
@@ -158,33 +136,30 @@ def multiply(a: RingoidElement, b: RingoidElement, trs: Trs) -> RingoidElement:
     through ``b``'s factors by composing it into their subscripts, and
     the tails compose in the theory.
     """
-    counter: dict[Monomial, int] = {}
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
-            moved = tuple(
-                (op, idx, normalize_positional(compose_raw(sub, ma.tail), trs))
-                for op, idx, sub in mb.factors
-            )
-            tail = normalize_positional(compose_raw(mb.tail, ma.tail), trs)
-            mono = Monomial(ma.factors + moved, tail)
-            counter[mono] = counter.get(mono, 0) + ca * cb
-    return RingoidElement.from_counter(counter)
+    def product(ma: Monomial, mb: Monomial) -> Monomial:
+        moved = tuple(
+            (op, idx, normalize_positional(compose_raw(sub, ma.tail), trs))
+            for op, idx, sub in mb.factors
+        )
+        return Monomial(ma.factors + moved,
+                        normalize_positional(compose_raw(mb.tail, ma.tail), trs))
+
+    return RingoidElement.collect((product(ma, mb), ca * cb)
+                                  for ma, ca in a.items() for mb, cb in b.items())
 
 
 def signed_monomial_count(a: RingoidElement, d: int) -> int:
     """Image of the element under the counting module: every monomial
     maps to 1, reduced modulo ``d`` (exact integer when ``d`` is 0)."""
-    total = sum(c for _, c in a.terms)
+    total = sum(a.values())
     if d == 0:
         return total
     return total % d
 
 
-def tail_counts(a: RingoidElement) -> dict[Morphism, int]:
-    out: dict[Morphism, int] = {}
-    for m, c in a.terms:
-        out[m.tail] = out.get(m.tail, 0) + c
-    return out
+def tail_counts(a: RingoidElement) -> FormalSum:
+    """The signed monomial count of each tail with a nonzero count."""
+    return FormalSum.collect((m.tail, c) for m, c in a.items())
 
 
 def vanishes(a: RingoidElement, d: int) -> bool:

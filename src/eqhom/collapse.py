@@ -34,8 +34,10 @@ after the ring's ``name``; the ``classify`` cache is filled only by
 ``classify`` and ``verify_matching``.
 
 Coefficients live in a ring object, ``Integers`` (shared) or an
-engine's symbolic ring, which ``ring_of`` picks once for a public
-``mode`` string; they add with ``+``, and sums keep no zero.  Counting
+engine's ``FormalSums``, which ``ring_of`` picks once for a public
+``mode`` string.  A ring supplies ``one``, ``element``, ``mul`` and
+``unit``; coefficients, ints or ``FormalSum``s, add with ``+``, scale
+with ``* k``, are zero exactly when falsy, and sums keep no zero.  Counting
 differentials of the chains assemble into integer matrices, rows indexed
 by the chains of a dimension, columns by the chains one dimension down.
 """
@@ -92,15 +94,40 @@ class Integers:
     def mul(self, a: int, b: int) -> int:
         return a * b
 
-    scale = mul  # by an integer: the product
-
-    def is_zero(self, c: int) -> bool:
-        return c == 0
-
     def unit(self, c) -> int:
         if c not in (1, -1):
             raise MatchingError(f"matched coefficient {c!r} is not a unit")
         return c
+
+
+class FormalSum(dict):
+    """``{basis element: nonzero int}``, an element of a free abelian group
+    such as a monoid ring or a presented ringoid; never mutated once built."""
+
+    __slots__ = ()
+
+    @classmethod
+    def collect(cls, pairs: Iterable[tuple[Hashable, int]]) -> "FormalSum":
+        """The sum of ``pairs``, duplicates merged and zeros dropped."""
+        out: dict = {}
+        for b, k in pairs:
+            out[b] = out.get(b, 0) + k
+        return cls({b: k for b, k in out.items() if k})
+
+    def __add__(self, other: dict) -> "FormalSum":
+        return self.collect((*self.items(), *other.items()))
+
+    def __mul__(self, k: int) -> "FormalSum":
+        return type(self)({b: c * k for b, c in self.items()} if k else ())
+
+
+class FormalSums:
+    """A symbolic ring of ``system``, its coefficients ``FormalSum``s."""
+
+    name = "symbolic"
+
+    def __init__(self, system):
+        self.system = system
 
 
 def ring_of(mode: str, rings: dict, system):
@@ -121,16 +148,14 @@ class Complex(Protocol):
     def boundary(self, cell) -> Boundary: ...
 
 
-def add_term(acc: Boundary, cell, coeff, ring) -> None:
+def add_term(acc: Boundary, cell, coeff) -> None:
     """``acc[cell] += coeff``, dropping the cell when the sum is zero."""
     if cell in acc:
         coeff = acc[cell] + coeff
-        if ring.is_zero(coeff):
-            del acc[cell]
-            return
+    if coeff:
         acc[cell] = coeff
-    elif not ring.is_zero(coeff):
-        acc[cell] = coeff
+    else:
+        acc.pop(cell, None)
 
 
 def classify(cell, cx: Complex) -> CellClass:
@@ -212,7 +237,7 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
         top, out, faces, neg_eps, coeff = frame
         if done is not None:
             for crit, w in done.items():
-                add_term(out, crit, ring.scale(ring.mul(coeff, w), neg_eps), ring)
+                add_term(out, crit, ring.mul(coeff, w) * neg_eps)
             done = None
         for face, coeff in faces:
             if face == top:
@@ -222,7 +247,7 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
                 frame[4], cell = coeff, face
                 break
             for crit, w in hit.items():
-                add_term(out, crit, ring.scale(ring.mul(coeff, w), neg_eps), ring)
+                add_term(out, crit, ring.mul(coeff, w) * neg_eps)
         else:
             stack.pop()
             cache[top] = done = out
@@ -237,7 +262,7 @@ def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) ->
     out: Boundary = {}
     for face, coeff in cx.boundary(cell).items():
         for crit, w in _express(face, cx, counter).items():
-            add_term(out, crit, ring.mul(coeff, w), ring)
+            add_term(out, crit, ring.mul(coeff, w))
     return out
 
 

@@ -13,7 +13,7 @@ them are the collapsible ones.  The collapse along this matching
 homology of its trivial coefficients is the monoid's homology.
 
 Coefficients come from a ring (``eqhom.collapse``): mode ``"symbolic"``
-is the monoid ring of formal sums over irreducible words, and ``"count"``
+is the monoid ring, ``FormalSum``s over irreducible words, and ``"count"``
 maps every monoid element to 1.  The first face acts by the first word
 through the ring's ``element``, so the boundary has one code path.
 """
@@ -21,14 +21,14 @@ through the ring's ``element``, so the boundary has one code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Union
+from typing import Union
 
 from . import collapse
 from .collapse import (
     DEFAULT_ROUTE_BUDGET,
     BoundaryMatrix,
     CellClass,
+    FormalSum,
     MatchingError,
     add_term,
     assemble_matrices,
@@ -76,7 +76,7 @@ class Srs:
 
 
 WordCell = tuple[Word, ...]
-WordCoeff = Union[int, "WordSum"]  # count, or a monoid-ring element
+WordCoeff = Union[int, FormalSum]  # count, or a monoid-ring element
 
 
 def render_word(w: Word) -> str:
@@ -269,47 +269,21 @@ def _split_word_cell(cell: WordCell, srs: Srs, i: int) -> WordCell | None:
     return None
 
 
-class WordSum(dict):
-    """A formal sum ``{word: int}`` over irreducible words, no zero entries:
-    an element of the monoid ring."""
-
-    @staticmethod
-    def collect(pairs: Iterable[tuple[Word, int]]) -> "WordSum":
-        out: dict[Word, int] = {}
-        for w, k in pairs:
-            out[w] = out.get(w, 0) + k
-        return WordSum({w: k for w, k in out.items() if k})
-
-    def __add__(self, other: dict) -> "WordSum":
-        return WordSum.collect(chain(self.items(), other.items()))
-
-
-class _MonoidRing:
+class _MonoidRing(collapse.FormalSums):
     """The monoid ring of ``srs``: the product concatenates and reduces
     (``reduce_word``, looked up as a module global at call time)."""
 
-    name = "symbolic"
+    def one(self, cell: WordCell) -> FormalSum:
+        return FormalSum({EMPTY: 1})
 
-    def __init__(self, srs: Srs):
-        self.system = srs
+    def element(self, w: Word) -> FormalSum:
+        return FormalSum({reduce_word(w, self.system): 1})
 
-    def one(self, cell: WordCell) -> WordSum:
-        return WordSum({EMPTY: 1})
+    def mul(self, a: FormalSum, b: FormalSum) -> FormalSum:
+        return FormalSum.collect((reduce_word(wa + wb, self.system), ka * kb)
+                                 for wa, ka in a.items() for wb, kb in b.items())
 
-    def element(self, w: Word) -> WordSum:
-        return WordSum({reduce_word(w, self.system): 1})
-
-    def mul(self, a: WordSum, b: WordSum) -> WordSum:
-        return WordSum.collect((reduce_word(wa + wb, self.system), ka * kb)
-                               for wa, ka in a.items() for wb, kb in b.items())
-
-    def scale(self, c: WordSum, k: int) -> WordSum:
-        return WordSum.collect((w, v * k) for w, v in c.items())
-
-    def is_zero(self, c: WordSum) -> bool:
-        return not c
-
-    def unit(self, c: WordSum | None) -> int:
+    def unit(self, c: FormalSum | None) -> int:
         if c not in ({EMPTY: 1}, {EMPTY: -1}):
             raise MatchingError(f"matched coefficient {c!r} is not a unit")
         return c[EMPTY]
@@ -358,13 +332,13 @@ def word_boundary(cell: WordCell, srs: Srs, mode: str = "count") -> dict[WordCel
     if n < 1:
         raise ValueError("boundary needs dimension at least 1")
     one = ring.one(cell)
-    signed = (one, ring.scale(one, -1))  # face j has sign (-1)^j
+    signed = (one, one * -1)  # face j has sign (-1)^j
     acc: dict[WordCell, WordCoeff] = {cell[1:]: ring.element(cell[0])}
     for j in range(1, n):
         merged = reduce_word(cell[j - 1] + cell[j], srs)
         if merged:  # an identity entry is a degenerate face
-            add_term(acc, cell[:j - 1] + (merged,) + cell[j + 1:], signed[j % 2], ring)
-    add_term(acc, cell[:n - 1], signed[n % 2], ring)
+            add_term(acc, cell[:j - 1] + (merged,) + cell[j + 1:], signed[j % 2])
+    add_term(acc, cell[:n - 1], signed[n % 2])
     return acc
 
 

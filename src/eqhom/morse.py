@@ -53,7 +53,7 @@ from .terms import (
     Morphism,
     TermError,
     Var,
-    canonical_name,
+    canonical_context,
     canonicalize,
     compose_chain,
     compose_raw,
@@ -126,7 +126,7 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     def add(face: Cell, coeff: Coeff, leftover: Morphism | None) -> None:
         if leftover is not None:
             coeff = ring.mul(coeff, ring.element(leftover))
-        add_term(acc, face, coeff, ring)
+        add_term(acc, face, coeff)
 
     # face 0: differentiate the head across the next entry's components
     # (its variables, as 0-cells, at n = 1); these faces live over the
@@ -150,11 +150,10 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
         repaired = _phi(entries[: j - 1] + (merged,) + entries[j + 1 :], j - 1, trs)
         if repaired is not None:
             sign = -1 if j % 2 else 1
-            add(Cell(cell.sort, repaired[0]), ring.scale(ring.one(cell), sign), repaired[1])
+            add(Cell(cell.sort, repaired[0]), ring.one(cell) * sign, repaired[1])
 
     # last face: drop the tail entry, emit its restriction
-    add_term(acc, Cell(cell.sort, entries[:-1]),
-             ring.scale(ring.element(entries[-1]), -1 if n % 2 else 1), ring)
+    add_term(acc, Cell(cell.sort, entries[:-1]), ring.element(entries[-1]) * (-1) ** n)
     return acc
 
 
@@ -205,20 +204,15 @@ class _Counts(collapse.Integers):
         return lambda i: var_count(head.term, head.context[i - 1][0])
 
 
-class _Ringoid:
+class _Ringoid(collapse.FormalSums):
     """The presented ringoid of ``trs`` (``eqhom.coeff``).  The kernels are
     looked up as module globals at call time."""
-
-    name = "symbolic"
-
-    def __init__(self, trs: Trs):
-        self.system = trs
 
     def one(self, cell: Cell) -> RingoidElement:
         """The identity on the cell's domain: its last entry's context."""
         entries = cell.entries
         return identity_element(entries[-1].context if entries
-                                else ((canonical_name(1), cell.sort),))
+                                else canonical_context((cell.sort,)))
 
     def element(self, alpha: Morphism) -> RingoidElement:
         return star(alpha, self.system)
@@ -232,15 +226,9 @@ class _Ringoid:
     def mul(self, a: RingoidElement, b: RingoidElement) -> RingoidElement:
         return multiply(a, b, self.system)
 
-    def scale(self, c: RingoidElement, k: int) -> RingoidElement:
-        return c.scale(k)
-
-    def is_zero(self, c: RingoidElement) -> bool:
-        return c.is_zero
-
     def unit(self, c: RingoidElement | None) -> int:
-        if c is not None and len(c.terms) == 1:
-            mono, k = c.terms[0]
+        if c is not None and len(c) == 1:
+            ((mono, k),) = c.items()
             if not mono.factors and is_identity(mono.tail) and k in (1, -1):
                 return k
         raise MatchingError(f"matched coefficient {c!r} is not a unit")

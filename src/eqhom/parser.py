@@ -106,6 +106,14 @@ class _TermParser:
         return t
 
 
+def _declare(seen: dict[str, int], name: str, lineno: int, what: str) -> None:
+    """Record ``name`` as declared at ``lineno``, refusing a second declaration."""
+    if name in seen:
+        raise ParseError("duplicate-name",
+                         f"{what} {name!r} already declared at line {seen[name]}", lineno)
+    seen[name] = lineno
+
+
 def _strip(line: str) -> str:
     if "#" in line:
         line = line[: line.index("#")]
@@ -118,6 +126,7 @@ def parse_presentation(text: str) -> Trs:
     ops: list[tuple[str, tuple[str, ...], str]] = []
     vars_: dict[str, str] = {}
     rule_specs: list[tuple[str, str, int]] = []
+    rule_lines: dict[str, int] = {}
     order: list[str] | None = None
     budgets = {"steps": DEFAULT_STEP_BUDGET, "join": DEFAULT_JOIN_BUDGET}
 
@@ -155,6 +164,7 @@ def parse_presentation(text: str) -> Trs:
             m = re.fullmatch(r"(\w+)\s*:\s*(.+)", rest)
             if not m:
                 raise ParseError("syntax-error", f"bad rule {rest!r}", lineno)
+            _declare(rule_lines, m.group(1), lineno, "rule")
             rule_specs.append((m.group(1), m.group(2), lineno))
         elif head == "order":
             order = rest.split()
@@ -228,7 +238,8 @@ def print_presentation(trs: Trs) -> str:
 
 def parse_srs(text: str) -> Srs:
     """Parse a ``.srs`` string rewriting presentation."""
-    letters: list[str] = []
+    letters: dict[str, int] = {}  # each name with the line declaring it
+    rule_lines: dict[str, int] = {}
     rules: list[SrsRule] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip(raw)
@@ -240,12 +251,14 @@ def parse_srs(text: str) -> Srs:
             names = rest.split()
             if not names:
                 raise ParseError("syntax-error", "letters needs at least one name", lineno)
-            letters.extend(names)
+            for letter in names:
+                _declare(letters, letter, lineno, "letter")
         elif head == "rule":
             m = re.fullmatch(r"(\w+)\s*:\s*(.*)", rest)
             if not m:
                 raise ParseError("syntax-error", f"bad rule {rest!r}", lineno)
             name, body = m.group(1), m.group(2)
+            _declare(rule_lines, name, lineno, "rule")
             arrow = body.find("->")
             if arrow < 0:
                 raise ParseError("syntax-error", "rule needs ->", lineno)

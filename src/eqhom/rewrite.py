@@ -27,7 +27,7 @@ from .terms import (
     Term,
     TermError,
     Var,
-    canonical_name,
+    canonical_context,
     positions,
     render_term,
     rename_vars,
@@ -380,8 +380,7 @@ def degree(trs: Trs) -> int:
 
 def op_morphism(sig: Signature, name: str) -> Morphism:
     """The canonical morphism applying one operation to fresh variables."""
-    arg_sorts = sig.arg_sorts(name)
-    ctx = tuple((canonical_name(i), s) for i, s in enumerate(arg_sorts, 1))
+    ctx = canonical_context(sig.arg_sorts(name))
     term = sig.app(name, *(Var(n, s) for n, s in ctx))
     return Morphism(ctx, (term,))
 

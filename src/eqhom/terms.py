@@ -206,6 +206,11 @@ def canonical_name(i: int) -> str:
     return f"x{i}"
 
 
+def canonical_context(sorts: Iterable[str]) -> Context:
+    """The context ``x1, x2, ...`` over ``sorts``."""
+    return tuple((canonical_name(i), s) for i, s in enumerate(sorts, 1))
+
+
 def _checked_variables(context: Context, terms: tuple[Term, ...]) -> dict[str, str]:
     """The variables of ``terms`` with their sorts, in first-occurrence
     order, depth-first and left to right, each checked against
@@ -338,20 +343,10 @@ def canonicalize(context: Context, terms: tuple[Term, ...]) -> tuple[Morphism, P
     return Morphism(new_context, new_terms), PartialPermutation(selected, context)
 
 
-def canonical_morphism(m: Morphism) -> Morphism:
-    return canonicalize(m.context, m.terms)[0]
-
-
 def essential_from_terms(terms: tuple[Term, ...]) -> Morphism:
     """Canonical morphism whose context is exactly the variables occurring."""
-    ctx = []
-    seen = set()
-    for t in terms:
-        for v in variables(t):
-            if v.name not in seen:
-                seen.add(v.name)
-                ctx.append((v.name, v.sort))
-    return canonical_morphism(Morphism(tuple(ctx), terms))
+    ctx = {v.name: v.sort for t in terms for v in variables(t)}
+    return canonicalize(tuple(ctx.items()), terms)[0]
 
 
 def is_canonical(m: Morphism) -> bool:
@@ -387,16 +382,16 @@ def is_identity(m: Morphism) -> bool:
     return m.terms == tuple(Var(n, s) for n, s in m.context)
 
 
-def positional(m: Morphism) -> Morphism:
-    """Rename context variables to ``x1..xn`` by slot position.
+def positional(context: Context, terms: tuple[Term, ...]) -> Morphism:
+    """``terms`` over ``context``, its variables renamed ``x1..xn`` by slot position.
 
     Unlike ``canonicalize`` this keeps every context slot, used or not, so
     it is the normal form for subscript and tail morphisms whose domain is
     a fixed object rather than a variable set.
     """
-    renaming = {name: canonical_name(i) for i, (name, _) in enumerate(m.context, 1)}
-    ctx = tuple((renaming[n], s) for n, s in m.context)
-    return Morphism(ctx, tuple(rename_vars(t, renaming) for t in m.terms))
+    renaming = {name: canonical_name(i) for i, (name, _) in enumerate(context, 1)}
+    ctx = tuple((renaming[n], s) for n, s in context)
+    return Morphism(ctx, tuple(rename_vars(t, renaming) for t in terms))
 
 
 def render_morphism(m: Morphism) -> str:

@@ -19,7 +19,7 @@ from .terms import (
     Morphism,
     Term,
     Var,
-    canonical_morphism,
+    essential_from_terms,
     rename_vars,
     substitute,
     variables,
@@ -161,9 +161,7 @@ def mgu(t: Term, s: Term) -> Unifier | None:
 
     # One canonical renaming, fixed by the unified term, applied everywhere.
     raw_vars = variables(unified_raw)
-    unified = canonical_morphism(
-        Morphism(tuple((v.name, v.sort) for v in raw_vars), (unified_raw,))
-    )
+    unified = essential_from_terms((unified_raw,))
     renaming = {old.name: new for old, (new, _) in zip(raw_vars, unified.context)}
     # The substitutions are morphisms from the unified domain into each
     # term's context, so their tuple slots follow the original contexts.

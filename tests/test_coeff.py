@@ -151,3 +151,24 @@ def test_tail_counts_group_by_tail(ab_trs):
     elem = a + b + a
     counts = tail_counts(elem)
     assert sorted(counts.values()) == [1, 2]
+
+
+def test_elements_are_formal_sums_independent_of_insertion_order(ab_trs):
+    sig = ab_trs.signature
+    two = expand_derivative(
+        1, term_morphism(ab_trs, sig.app("plus", xv("x"), xv("x"))),
+        identity((("x1", X),)), ab_trs)
+    zero = star(Morphism((), (sig.app("zero"),)), ab_trs)
+    (m1, _), (m2, _) = two.terms
+    ((m3, _),) = zero.terms
+    pairs = [(m1, 2), (m2, -1), (m3, 1), (m1, 1)]
+    forward = RingoidElement.collect(pairs)
+    backward = RingoidElement.collect(reversed(pairs))
+    assert list(forward) != list(backward)  # the dicts differ in order only
+    assert forward == backward and repr(forward) == repr(backward)
+    assert forward.terms == backward.terms and dict(forward.terms) == {m1: 3, m2: -1, m3: 1}
+    cancelled = forward + RingoidElement({m2: 1})
+    assert m2 not in cancelled and cancelled == {m1: 3, m3: 1}
+    assert isinstance(cancelled, RingoidElement)
+    assert forward * 0 == EL_ZERO and not forward * 0 and repr(forward * 0) == "0"
+    assert forward * -2 == {m1: -6, m2: 2, m3: -2}

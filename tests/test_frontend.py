@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -274,3 +275,49 @@ def test_cli_rejects_negative_dimensions(capsys, data_dir, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, text, duplicate, line", [
+    ("letters.srs", "letters a a\nrule r : a a ->\n", "letter 'a'", 1),
+    ("rules.srs", "letters a\nrule r : a a ->\nrule r : a a a ->\n", "rule 'r'", 3),
+    ("rules.lwv", "sorts X\nop e : -> X\nop f : X -> X\nvar x : X\n"
+                  "rule r : f(e) -> e\n\nrule r : f(f(x)) -> x\n", "rule 'r'", 7),
+], ids=["srs-letters", "srs-rules", "lwv-rules"])
+def test_cli_reports_a_duplicate_name_in_one_line(capsys, tmp_path, name, text, duplicate, line):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = ["monoid", "homology"] if name.endswith(".srs") else ["homology"]
+    code, out, err = _run(capsys, *argv, str(path), "--max-dim", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: duplicate-name at line ") and err.count("\n") == 1
+    assert f"at line {line}:" in err and duplicate in err
+
+
+# sha256 of stdout: any change to the printed chains, differentials or
+# groups shows here
+PINNED_STDOUT = [
+    (("homology", "group.lwv", "--max-dim", "3"),
+     "357cb48e1370071b43467199afc2128173d2a9a5577106cff94cc49fafea21b2"),
+    (("homology", "group.lwv", "--max-dim", "3", "--json"),
+     "a4f3c22e27faf17351f63448df6f96467ac3accea5695ec5b0d373e60595271e"),
+    (("resolution", "group.lwv", "--max-dim", "4", "--mode", "symbolic"),
+     "c2418170c9034951153dc4e397c5151c20323151969c30121580099a5b83b181"),
+    (("resolution", "group.lwv", "--max-dim", "4", "--mode", "count"),
+     "4de180e87f7e9b762d6dce42decc66c3eddaa651ff576cc43ac331db60495db7"),
+    (("resolution", "abelian_unit.lwv", "--max-dim", "4", "--mode", "symbolic"),
+     "fa6c75c62dec7a50e91b489d6bde5433310faec7beb57f494a1cf598bcafebe4"),
+    (("chains", "group.lwv", "--max-dim", "5"),
+     "df8b45e752545f74dc4934b02b970e7c46a594e0f2dc8a8eb7ebb0163b1ed7e4"),
+    (("monoid", "homology", "s3.srs", "--max-dim", "8"),
+     "a61506b024788d86b13375e65fd942f659c051f3dc30ce807cbb1ea521fb8372"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in PINNED_STDOUT])
+def test_cli_stdout_matches_its_pinned_digest(capsys, data_dir, argv, digest):
+    argv = [str(data_dir / a) if a.endswith((".lwv", ".srs")) else a for a in argv]
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -222,6 +222,21 @@ def test_idempotent_monoid_homology_matches_bar_oracle():
     assert [_oracle_homology(cells, mats, n) for n in range(5)] == expect
 
 
+def test_bar_complex_snf_agrees_with_sympy():
+    # an SNF from a different implementation, on the uncollapsed bar
+    # complex: S3 through d_4 (625 x 125) and {1, a} with a a = a through d_5
+    from test_homology import _snf_by_sympy, _snf_summary
+
+    perms, mult = _permutation_table()
+    _, s3 = _bar_complex_oracle(perms, mult, (1, 2, 3), 3)
+    idem = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"}
+    _, idempotent = _bar_complex_oracle(["1", "a"], idem, "1", 4)
+    assert len(s3[4]) == 625 and len(s3[4][0]) == 125
+    for mats in (s3, idempotent):
+        for n, entries in sorted(mats.items()):
+            assert _snf_summary(entries) == _snf_by_sympy(entries), n
+
+
 def _shortlex_system(a, b):
     """The monoid generated by the maps ``a`` and ``b`` of {0, .., k-1}, a
     word applying its letters left to right, with its reduced complete

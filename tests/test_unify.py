@@ -4,13 +4,18 @@ from eqhom.terms import (
     Morphism,
     Signature,
     Var,
-    canonical_morphism,
+    canonicalize,
     positions,
     substitute,
     subterm_at,
     variables,
 )
 from eqhom.unify import match_term, mgu
+
+
+def canonical_morphism(m):
+    return canonicalize(m.context, m.terms)[0]
+
 
 SIG = Signature(("X",), (("plus", ("X", "X"), "X"), ("zero", (), "X")))
 ZERO = SIG.app("zero")
