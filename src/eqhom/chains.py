@@ -172,31 +172,17 @@ def sigma_cell_entry(m: Morphism, trs: Trs) -> str | None:
 
 def longest_chain_prefix(cell: Cell, trs: Trs) -> int:
     """Number of leading entries that form a chain (0..dim)."""
-    cache = trs.cache("prefix")
-    hit = cache.get(cell)
-    if hit is not None:
-        return hit
-    n = 0
-    for k, entry in enumerate(cell.entries, 1):
-        if k == 1:
+    for k, entry in enumerate(cell.entries):
+        if k == 0:
             ok = sigma_cell_entry(entry, trs) is not None
         else:
-            ok = entry in chain_extensions(composite(cell, trs, k - 1), trs)
+            ok = entry in chain_extensions(composite(cell, trs, k), trs)
         if not ok:
-            break
-        n = k
-    cache[cell] = n
-    return n
-
-
-def chain_prefix_length(cell: Cell, trs: Trs) -> int:
-    """Largest L in 1..dim such that the first L-1 entries are a chain."""
-    return min(longest_chain_prefix(cell, trs) + 1, cell.dim)
+            return k
+    return cell.dim
 
 
 def is_chain(cell: Cell, trs: Trs) -> bool:
-    if cell.dim == 0:
-        return True
     return longest_chain_prefix(cell, trs) == cell.dim
 
 

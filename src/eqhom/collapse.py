@@ -3,10 +3,11 @@ along a matching (Sköldberg, Trans. AMS 2006; Jöllenbeck & Welker,
 Mem. AMS 2009), shared by the term and the word engine.
 
 An engine supplies its complex through a small adapter (``Complex``):
-which cells are chains, the partner one dimension up that splits a
-cell, the signed boundary, and the ring of its coefficients.  ``split``
-alone defines the matching; everything else lives here, generic in the
-ring as Sköldberg's collapse is.
+``match``, which tells from one scan of a cell whether it is a chain
+and, when it is not, the partner one dimension up that splits it; the
+signed boundary; and the ring of its coefficients.  The split alone
+defines the matching; everything else lives here, generic in the ring
+as Sköldberg's collapse is.
 
 Classification.  A chain (or a 0-cell) is critical.  Any other cell is
 redundant when it splits, that is when it is a face of its split partner
@@ -20,7 +21,7 @@ involution; neither is on the routing path.
 
 Routing.  The router trusts the matching of a certified system, which
 is a Morse matching (Sköldberg; Jöllenbeck & Welker), and tells the
-kinds apart from ``is_chain`` and ``split`` alone.  The collapsed
+kinds apart from one ``match`` per routed cell.  The collapsed
 differential of a critical cell is its boundary with every face
 rewritten until only critical cells remain: a critical face stays, a
 face that does not split vanishes, and a face ``c`` that splits to ``p``
@@ -143,8 +144,7 @@ class Complex(Protocol):
     system: Any  # owns the memo tables: ``system.cache(kind) -> dict``
     ring: Any  # the ring of ``boundary``'s coefficients, e.g. ``Integers``
 
-    def is_chain(self, cell) -> bool: ...
-    def split(self, cell): ...  # partner one dimension up, or None
+    def match(self, cell) -> tuple[bool, Any]: ...  # (chain?, split partner or None)
     def boundary(self, cell) -> Boundary: ...
 
 
@@ -168,11 +168,11 @@ def classify(cell, cx: Complex) -> CellClass:
 
 
 def _classify(cell, cx: Complex) -> CellClass:
-    if cx.is_chain(cell):
+    chain, split = cx.match(cell)
+    if chain:
         return CellClass("critical")
-    split = cx.split(cell)
     bd = cx.boundary(cell)
-    found = [face for face in bd if cx.split(face) == cell]
+    found = [face for face in bd if cx.match(face)[1] == cell]
     if len(found) > 1:
         raise MatchingError(f"cell {cell!r} splits two targets: {found!r}")
     if split is not None and found:
@@ -223,8 +223,7 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
             counter[0] -= 1
             if counter[0] < 0:
                 raise BudgetExceeded("routing budget exhausted; matching may not terminate")
-            chain = cx.is_chain(cell)
-            partner = None if chain else cx.split(cell)
+            chain, partner = cx.match(cell)
             if partner is not None:
                 bd = cx.boundary(partner)
                 stack.append([cell, {}, iter(bd.items()), -ring.unit(bd.get(cell)), None])

@@ -8,7 +8,9 @@ right end.  The boundary is that of the normalized bar resolution: act
 by the first word, merge adjacent words, drop the last word.  A
 non-chain cell splits the entry after its longest chain prefix at the
 earliest reducible point; the cells with a face that splits back to
-them are the collapsible ones.  The collapse along this matching
+them are the collapsible ones.  The adapter's ``match`` scans the chain
+prefix once per cell and hands it to the split; like every adapter, it
+keeps no state between calls.  The collapse along this matching
 (``eqhom.collapse``) has one free generator per chain, and the integral
 homology of its trivial coefficients is the monoid's homology.
 
@@ -217,9 +219,10 @@ def _chain_tails(last: Word, srs: Srs) -> list[Word]:
         for k in range(1, len(l)):
             if len(last) >= k and last[-k:] == l[:k]:
                 v = l[k:]
-                w = last + v
-                if (is_irreducible_word(v, srs)
-                        and all(is_irreducible_word(w[:j], srs) for j in range(len(w)))):
+                # a word containing a redex is reducible, so every proper
+                # prefix of last + v is irreducible iff the longest one is
+                # (tested unmemoised: chain_tails itself is memoised)
+                if is_irreducible_word(v, srs) and find_redex(last + v[:-1], srs) is None:
                     out.add(v)
     return sorted(out)
 
@@ -241,31 +244,28 @@ def enumerate_word_chains(srs: Srs, max_dim: int) -> dict[int, list[WordCell]]:
 
 
 def longest_word_chain_prefix(cell: WordCell, srs: Srs) -> int:
+    """Number of leading entries that form a chain: a letter, then tails
+    (nonempty and irreducible by construction)."""
     for k, w in enumerate(cell):
-        if not w or not is_irreducible_word(w, srs):
-            return k
-        if not (len(w) == 1 if k == 0 else w in chain_tails(cell[k - 1], srs)):
+        if not (w in chain_tails(cell[k - 1], srs) if k
+                else len(w) == 1 and is_irreducible_word(w, srs)):
             return k
     return len(cell)
 
 
 def _split_word_cell(cell: WordCell, srs: Srs, i: int) -> WordCell | None:
-    """Split the entry after the chain prefix, of length ``i``, at its
-    earliest reducible point: the matched partner one dimension up, or
-    None."""
-    if i >= len(cell):
-        return None
+    """Split the entry after the chain prefix, of length ``i`` < dim, at
+    its earliest reducible point: the matched partner one dimension up,
+    or None.  Every proper prefix of the first reducible ``prev + head``
+    is irreducible: ``prev`` is a chain entry, and the cut before found
+    ``prev + u[:k-1]`` irreducible."""
     u = cell[i]
     if i == 0:
         return (u[:1], u[1:]) + cell[1:] if len(u) >= 2 else None
     prev = cell[i - 1]
     for k in range(1, len(u)):
-        head, tail = u[:k], u[k:]
-        if not is_irreducible_word(prev + head, srs):
-            if all(is_irreducible_word((prev + head)[:j], srs)
-                   for j in range(len(prev + head))):
-                return cell[:i] + (head, tail) + cell[i + 1:]
-            return None
+        if not is_irreducible_word(prev + u[:k], srs):
+            return cell[:i] + (u[:k], u[k:]) + cell[i + 1:]
     return None
 
 
@@ -299,22 +299,12 @@ class _Words:
     def __init__(self, srs: Srs, mode: str = "count"):
         self.system = srs
         self.ring = collapse.ring_of(mode, _RINGS, srs)
-        self._scanned: tuple[WordCell | None, int] = (None, 0)
 
-    def _prefix(self, cell: WordCell) -> int:
-        """The chain prefix of ``cell``, scanned once for the successive
-        ``is_chain`` and ``split`` of one routing step."""
-        last, p = self._scanned
-        if last is not cell:
-            p = longest_word_chain_prefix(cell, self.system)
-            self._scanned = (cell, p)
-        return p
-
-    def is_chain(self, cell: WordCell) -> bool:
-        return self._prefix(cell) == len(cell)
-
-    def split(self, cell: WordCell) -> WordCell | None:
-        return _split_word_cell(cell, self.system, self._prefix(cell))
+    def match(self, cell: WordCell) -> tuple[bool, WordCell | None]:
+        prefix = longest_word_chain_prefix(cell, self.system)
+        if prefix == len(cell):
+            return True, None
+        return False, _split_word_cell(cell, self.system, prefix)
 
     def boundary(self, cell: WordCell) -> dict[WordCell, WordCoeff]:
         return word_boundary(cell, self.system, self.ring.name)

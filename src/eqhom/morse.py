@@ -16,7 +16,9 @@ dies, is absorbed, or falls off the end as a restriction coefficient.
 A non-chain cell splits at the entry after its chain prefix, along the
 maximal redex of the composite through that entry; this split alone
 defines the matching, whose collapsible cells are those with a face
-that splits back to them.
+that splits back to them.  The adapter's ``match`` scans the chain
+prefix once (``longest_chain_prefix``, unmemoised) and hands it to the
+split.
 
 Coefficients come from a ring (``eqhom.collapse``) with two face hooks,
 so the boundary has one code path: mode ``"symbolic"`` is the presented
@@ -32,9 +34,8 @@ from typing import Union
 from . import collapse
 from .chains import (
     Cell,
-    chain_prefix_length,
     composite,
-    is_chain,
+    longest_chain_prefix,
     max_redex,
     mgu_extension,
     valid_entry,
@@ -157,13 +158,11 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     return acc
 
 
-def _try_split(cell: Cell, trs: Trs) -> Cell | None:
-    """The partner one dimension up, when the cell is a matched target."""
-    if is_chain(cell, trs):
-        return None
+def _try_split(cell: Cell, trs: Trs, prefix: int) -> Cell | None:
+    """The partner one dimension up of a cell that is no chain, its chain
+    prefix ``prefix`` entries long, when the cell is a matched target."""
     entries = cell.entries
-    L = chain_prefix_length(cell, trs)
-    if L == 1:
+    if prefix == 0:
         head = entries[0]
         term = head.term
         assert isinstance(term, App) and term.args, "cell head must split"
@@ -171,9 +170,9 @@ def _try_split(cell: Cell, trs: Trs) -> Cell | None:
         args = Morphism(head.context, term.args)
         assert is_canonical(args) and not is_partial_permutation(args)
         return Cell(cell.sort, (f, args) + entries[1:])
-    T = composite(cell, trs, L - 1)
-    tL = entries[L - 1]
-    top = max_redex(compose_raw(T, tL).term, trs)
+    T = composite(cell, trs, prefix)
+    t = entries[prefix]
+    top = max_redex(compose_raw(T, t).term, trs)
     if top is None:
         return None
     p, rank = top
@@ -186,14 +185,14 @@ def _try_split(cell: Cell, trs: Trs) -> Cell | None:
     u = mgu_extension(T, p, trs.rules[rank], trs)
     if u is None or not valid_entry(u, trs):
         return None
-    binding = match_tuple(u.terms, tL.terms)
+    binding = match_tuple(u.terms, t.terms)
     if binding is None:
         return None
-    w = Morphism(tL.context, tuple(binding[name] for name, _ in u.context))
+    w = Morphism(t.context, tuple(binding[name] for name, _ in u.context))
     if is_partial_permutation(w):
         return None
     assert is_canonical(w), "split remainder should be canonical"
-    return Cell(cell.sort, entries[: L - 1] + (u, w) + entries[L:])
+    return Cell(cell.sort, entries[:prefix] + (u, w) + entries[prefix + 1:])
 
 
 class _Counts(collapse.Integers):
@@ -245,11 +244,11 @@ class _Terms:
         self.system = trs
         self.ring = collapse.ring_of(mode, _RINGS, trs)
 
-    def is_chain(self, cell: Cell) -> bool:
-        return is_chain(cell, self.system)
-
-    def split(self, cell: Cell) -> Cell | None:
-        return _try_split(cell, self.system)
+    def match(self, cell: Cell) -> tuple[bool, Cell | None]:
+        prefix = longest_chain_prefix(cell, self.system)
+        if prefix == cell.dim:
+            return True, None
+        return False, _try_split(cell, self.system, prefix)
 
     def boundary(self, cell: Cell) -> Boundary:
         return normalized_boundary(cell, self.system, self.ring.name)

@@ -122,9 +122,11 @@ def _strip(line: str) -> str:
 
 def parse_presentation(text: str) -> Trs:
     """Parse a ``.lwv`` presentation into a rewrite system."""
-    sorts: list[str] = []
+    sorts: dict[str, int] = {}  # each name with the line declaring it
     ops: list[tuple[str, tuple[str, ...], str]] = []
+    op_lines: dict[str, int] = {}
     vars_: dict[str, str] = {}
+    var_lines: dict[str, int] = {}
     rule_specs: list[tuple[str, str, int]] = []
     rule_lines: dict[str, int] = {}
     order: list[str] | None = None
@@ -140,7 +142,8 @@ def parse_presentation(text: str) -> Trs:
             names = rest.split()
             if not names:
                 raise ParseError("syntax-error", "sorts needs at least one name", lineno)
-            sorts.extend(names)
+            for name in names:
+                _declare(sorts, name, lineno, "sort")
         elif head == "op":
             m = re.fullmatch(r"(\w+)\s*:\s*([\w\s]*)->\s*(\w+)", rest)
             if not m:
@@ -150,6 +153,7 @@ def parse_presentation(text: str) -> Trs:
             for s in (*args, result):
                 if s not in sorts:
                     raise ParseError("undeclared-name", f"sort {s!r} not declared", lineno)
+            _declare(op_lines, name, lineno, "operation")
             ops.append((name, args, result))
         elif head == "var":
             m = re.fullmatch(r"([\w\s]+):\s*(\w+)", rest)
@@ -159,6 +163,7 @@ def parse_presentation(text: str) -> Trs:
             if sort not in sorts:
                 raise ParseError("undeclared-name", f"sort {sort!r} not declared", lineno)
             for n in names:
+                _declare(var_lines, n, lineno, "variable")
                 vars_[n] = sort
         elif head == "rule":
             m = re.fullmatch(r"(\w+)\s*:\s*(.+)", rest)
@@ -176,10 +181,7 @@ def parse_presentation(text: str) -> Trs:
         else:
             raise ParseError("syntax-error", f"unknown directive {head!r}", lineno)
 
-    try:
-        sig = Signature(tuple(sorts), tuple(ops))
-    except TermError as exc:
-        raise ParseError("sort-error", str(exc), 0) from exc
+    sig = Signature(tuple(sorts), tuple(ops))
 
     rules = []
     for name, body, lineno in rule_specs:

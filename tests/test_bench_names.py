@@ -17,13 +17,14 @@ def test_traced_kernel_names_resolve(monkeypatch):
 
 
 # every memo kind each traced workload creates (README, "Library"); the
-# traced run reads ``nf``, ``prefix`` and ``classify`` by name and sums
-# every ``express_*`` kind, so a new memo must not take one of those
-# names, and a renamed ``*_symbolic`` or word-engine kind must fail here
+# traced run reads ``nf``, ``prefix`` (no longer created, so its counter
+# reads 0) and ``classify`` by name and sums every ``express_*`` kind, so
+# a new memo must not take one of those names, and a renamed
+# ``*_symbolic`` or word-engine kind must fail here
 # (``classify`` is filled only by the public ``classify`` and
 # ``verify_matching``, never by routing)
 TERM_CACHE_KINDS = {
-    "certify", "nf", "composite", "prefix", "extensions", "max_redex",
+    "certify", "nf", "composite", "extensions", "max_redex",
     "mgu_extension", "merge", "factor",
 }
 GROUP_HOMOLOGY_CACHE_KINDS = TERM_CACHE_KINDS | {"express_count"}
@@ -62,7 +63,7 @@ def test_traced_run_creates_the_documented_cache_kinds(
     if routed is not None:  # the term engine's memo counters
         metrics = traced.layer_metrics(tr, workload, system, chains, matrices)
         assert metrics["rewrite.nf_cache"] == len(system.cache("nf"))
-        assert metrics["chains.prefix_cache"] == len(system.cache("prefix"))
+        assert "prefix" not in system.caches  # the chain prefix is scanned once, unmemoised
         assert metrics["morse.routed"] == len(system.cache(routed))
 
 

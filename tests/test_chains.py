@@ -4,7 +4,6 @@ import pytest
 
 from eqhom.chains import (
     Cell,
-    chain_prefix_length,
     composite,
     enumerate_chains,
     is_chain,
@@ -133,8 +132,7 @@ def test_chain_prefixes_are_chains(ab_trs, group_trs):
             for cell in cells:
                 for k in range(dim):
                     assert is_chain(Cell(cell.sort, cell.entries[:k]), trs)
-                if dim:
-                    assert chain_prefix_length(cell, trs) == dim
+                assert longest_chain_prefix(cell, trs) == dim
 
 
 def test_routed_prefixes_are_the_longest_enumerated_chains(data_dir):

@@ -5,8 +5,16 @@ import sys
 import pytest
 
 from eqhom import collapse
+from eqhom.chains import enumerate_chains, longest_chain_prefix
 from eqhom.collapse import MatchingError, assemble_matrices, morse_differential
-from eqhom.rewrite import BudgetExceeded
+from eqhom.homology import boundary_matrices
+from eqhom.monoid import (
+    enumerate_word_chains,
+    longest_word_chain_prefix,
+    word_boundary_matrices,
+)
+from eqhom.parser import parse_presentation, parse_srs
+from eqhom.rewrite import BudgetExceeded, degree
 
 
 class Table:
@@ -21,11 +29,9 @@ class Table:
     def cache(self, kind):
         return self.caches.setdefault(kind, {})
 
-    def is_chain(self, cell):
-        return cell in self.chains
-
-    def split(self, cell):
-        return self.splits.get(cell)
+    def match(self, cell):
+        chain = cell in self.chains
+        return chain, None if chain else self.splits.get(cell)
 
     def boundary(self, cell):
         return dict(self.boundaries.get(cell, {}))
@@ -101,3 +107,35 @@ def test_assembly_refuses_a_target_off_the_chain_list():
     assert assemble_matrices(lambda c: {"a": 3}, chains, 1, 2)[1].entries == [[1]]
     with pytest.raises(ValueError, match="not an enumerated chain"):
         assemble_matrices(lambda c: {"b": 1}, chains, 1)
+
+
+def _count_calls(monkeypatch, fn) -> list[int]:
+    """Count the calls of ``fn`` by rebinding its name in every ``eqhom``
+    module that imported it, as ``bench/traced.py`` does."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "eqhom" or name.startswith("eqhom."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_routing_scans_each_chain_prefix_once(monkeypatch, data_dir):
+    # one ``match`` per routed cell, and one prefix scan per ``match``
+    trs = parse_presentation((data_dir / "group.lwv").read_text())
+    term_chains = enumerate_chains(trs, 3)
+    scans = _count_calls(monkeypatch, longest_chain_prefix)
+    boundary_matrices(trs, term_chains, 3, degree(trs))
+    assert scans[0] == len(trs.cache("express_count")) == 85
+
+    srs = parse_srs((data_dir / "s3.srs").read_text())
+    word_chains = enumerate_word_chains(srs, 5)
+    scans = _count_calls(monkeypatch, longest_word_chain_prefix)
+    word_boundary_matrices(srs, word_chains, 5)
+    assert scans[0] == len(srs.cache("express_count")) == 349

@@ -282,7 +282,10 @@ def test_cli_rejects_negative_dimensions(capsys, data_dir, argv):
     ("rules.srs", "letters a\nrule r : a a ->\nrule r : a a a ->\n", "rule 'r'", 3),
     ("rules.lwv", "sorts X\nop e : -> X\nop f : X -> X\nvar x : X\n"
                   "rule r : f(e) -> e\n\nrule r : f(f(x)) -> x\n", "rule 'r'", 7),
-], ids=["srs-letters", "srs-rules", "lwv-rules"])
+    ("sorts.lwv", "sorts X\nsorts Y X\nop e : -> X\n", "sort 'X'", 2),
+    ("ops.lwv", "sorts X\nop e : -> X\nop f : X -> X\nop e : -> X\n", "operation 'e'", 4),
+    ("vars.lwv", "sorts A B\nvar x y : A\nvar x : B\n", "variable 'x'", 3),
+], ids=["srs-letters", "srs-rules", "lwv-rules", "lwv-sorts", "lwv-ops", "lwv-vars"])
 def test_cli_reports_a_duplicate_name_in_one_line(capsys, tmp_path, name, text, duplicate, line):
     path = tmp_path / name
     path.write_text(text)

@@ -15,6 +15,7 @@ from eqhom.monoid import (
     _split_word_cell,
     _Words,
     certify_srs,
+    chain_tails,
     check_complete_srs,
     classify_word_cell,
     enumerate_word_chains,
@@ -363,6 +364,15 @@ def test_s3_homology_is_known(s3_srs):
     assert [(H[n].rank, H[n].torsion) for n in range(5)] == expect
 
 
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_cyclic_group_homology_is_known(n):
+    # <a | a^n> presents Z/n, whose integral homology is Z, Z/n, 0, Z/n, 0
+    # (Brown, Cohomology of Groups, II.3)
+    H = monoid_homology(Srs(A, (SrsRule("r", A * n, ()),)), 4)
+    expect = [(1, ()), (0, (n,)), (0, ()), (0, (n,)), (0, ())]
+    assert [(H[k].rank, H[k].torsion) for k in range(5)] == expect
+
+
 def _as_unary_trs(srs):
     """The string system as a term system: letter ``a`` is ``a : X -> X``
     and a word is its letters applied to ``x``, leftmost outermost."""
@@ -417,6 +427,74 @@ def test_merges_agree_with_the_rescan_definition(data_dir):
     assert collapsible > 400
 
 
+def _tails_by_definition(last, srs):
+    """``chain_tails`` by definition: every proper prefix of ``last + v``
+    tested for irreducibility on its own."""
+    out = set()
+    for rule in srs.rules:
+        l = rule.lhs
+        for k in range(1, len(l)):
+            if len(last) >= k and last[-k:] == l[:k]:
+                v = l[k:]
+                w = last + v
+                if (is_irreducible_word(v, srs)
+                        and all(is_irreducible_word(w[:j], srs) for j in range(len(w)))):
+                    out.add(v)
+    return sorted(out)
+
+
+def _prefix_by_definition(cell, srs):
+    for k, w in enumerate(cell):
+        if not w or not is_irreducible_word(w, srs):
+            return k
+        if not (len(w) == 1 if k == 0 else w in _tails_by_definition(cell[k - 1], srs)):
+            return k
+    return len(cell)
+
+
+def _split_by_definition(cell, srs, i):
+    """The split with every proper prefix of the reducible ``prev + head``
+    re-tested."""
+    if i >= len(cell):
+        return None
+    u = cell[i]
+    if i == 0:
+        return (u[:1], u[1:]) + cell[1:] if len(u) >= 2 else None
+    prev = cell[i - 1]
+    for k in range(1, len(u)):
+        head, tail = u[:k], u[k:]
+        if not is_irreducible_word(prev + head, srs):
+            if all(is_irreducible_word((prev + head)[:j], srs)
+                   for j in range(len(prev + head))):
+                return cell[:i] + (head, tail) + cell[i + 1:]
+            return None
+    return None
+
+
+def _assert_scans_agree_with_the_definitions(srs, max_len, max_dim, routed_dim):
+    """Tails, chain prefixes and splits against their by-definition
+    versions, on every cell of words up to ``max_len`` letters (reducible
+    and empty ones included) through ``max_dim``, and on every cell that
+    routing meets through ``d_routed_dim``."""
+    words = [w for n in range(max_len + 1) for w in product(srs.alphabet, repeat=n)]
+    cells = {c for d in range(1, max_dim + 1) for c in product(words, repeat=d)}
+    word_boundary_matrices(srs, enumerate_word_chains(srs, routed_dim), routed_dim)
+    cells |= set(srs.cache("express_count"))
+    for w in words + [w for cell in cells for w in cell]:
+        assert chain_tails(w, srs) == _tails_by_definition(w, srs), w
+    for cell in cells:
+        prefix = longest_word_chain_prefix(cell, srs)
+        assert prefix == _prefix_by_definition(cell, srs), cell
+        if prefix < len(cell):
+            assert _split_word_cell(cell, srs, prefix) == _split_by_definition(cell, srs, prefix)
+
+
+def test_word_scans_agree_with_the_definitions(data_dir):
+    for srs in (parse_srs((data_dir / "z2.srs").read_text()), nat2(),
+                parse_srs((data_dir / "s3.srs").read_text())):
+        _assert_scans_agree_with_the_definitions(srs, 3, 3, 5)
+
+
 def _shortlex_oriented(pair):
     # the larger side in length-then-letters order rewrites to the smaller,
     # so every generated system terminates
@@ -435,6 +513,7 @@ def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
     assume(check_complete_srs(srs).certified)
     words = monoid_homology(srs, 3)
     collapse.verify_matching(srs.cache("express_count"), _Words(srs))
+    _assert_scans_agree_with_the_definitions(srs, 2, 2, 4)
     trs = _as_unary_trs(srs)
     chains = enumerate_chains(trs, 4)
     counts = {n: len(c) for n, c in chains.items()}

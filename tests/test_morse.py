@@ -5,13 +5,12 @@ from collections import Counter
 import pytest
 
 from eqhom import collapse
-from eqhom.chains import Cell, enumerate_chains
+from eqhom.chains import Cell, enumerate_chains, longest_chain_prefix
 from eqhom.coeff import ZERO as EL_ZERO, multiply, signed_monomial_count, vanishes
 from eqhom.homology import boundary_matrices
 from eqhom.monoid import enumerate_word_chains, word_boundary, word_boundary_matrices
 from eqhom.morse import (
     _Terms,
-    chain_prefix_length,
     classify,
     morse_differential,
     normalized_boundary,
@@ -59,15 +58,15 @@ def tau2(trs):
     return Cell("X", two_chain_left_unit(trs).entries + (Morphism((), (sig.app("zero"),)),))
 
 
-def test_chain_prefix_length_examples(ab_trs):
+def test_longest_chain_prefix_examples(ab_trs):
     sig = ab_trs.signature
-    assert chain_prefix_length(tau1(ab_trs), ab_trs) == 3  # a chain: all prefixes chain
+    assert longest_chain_prefix(tau1(ab_trs), ab_trs) == 3  # a chain: all prefixes chain
     # a head that is not a bare operation stops the prefix at once
     nested = Cell("X", (Morphism(
         (("x1", "X"), ("x2", "X"), ("x3", "X")),
         (sig.app("plus", sig.app("plus", xv("x1"), xv("x2")), xv("x3")),)),))
-    assert chain_prefix_length(nested, ab_trs) == 1
-    assert chain_prefix_length(redundant_zz(ab_trs), ab_trs) == 2
+    assert longest_chain_prefix(nested, ab_trs) == 0
+    assert longest_chain_prefix(redundant_zz(ab_trs), ab_trs) == 1
 
 
 def test_boundary_of_operations(ab_trs):
