@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .chains import Cell, enumerate_chains
@@ -83,12 +84,8 @@ def _resolve_modulus(trs: Trs, coeff: str) -> int:
 def _cmd_check(args) -> int:
     trs = _load_trs(args.file)
     if args.cp_budget or args.term_budget:
-        trs = Trs(
-            trs.signature,
-            trs.rules,
-            args.term_budget or trs.step_budget,
-            args.cp_budget or trs.join_budget,
-        )
+        trs = replace(trs, step_budget=args.term_budget or trs.step_budget,
+                      join_budget=args.cp_budget or trs.join_budget)
     report = check_complete(trs, assume_terminating=args.assume_terminating)
     for line in report.lines():
         print(line)

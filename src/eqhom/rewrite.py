@@ -11,12 +11,16 @@ Normal forms are computed with a deterministic leftmost-innermost
 strategy.  For a certified system the normal form is unique regardless,
 and results are memoized per system (idempotent values, so last-write-wins
 caching is safe under concurrent use).
+
+The string engine (``eqhom.monoid``) certifies through the same
+``reducedness_failures``, ``judge`` and ``certify``, with its own
+critical pairs, join test, normaliser, probes and renderer.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .terms import (
@@ -74,17 +78,11 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class Trs:
-    signature: Signature
-    rules: tuple[Rule, ...]
-    step_budget: int = DEFAULT_STEP_BUDGET
-    join_budget: int = DEFAULT_JOIN_BUDGET
-    caches: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+class Memoised:
+    """A rewrite system's memo tables, one dict per kind; the base of
+    ``Trs`` and ``monoid.Srs``."""
 
-    def __post_init__(self):
-        names = [r.name for r in self.rules]
-        if len(set(names)) != len(names):
-            raise TermError("duplicate rule names")
+    caches: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def cache(self, kind: str) -> dict:
         return self.caches.get(kind) or self.caches.setdefault(kind, {})
@@ -97,6 +95,19 @@ class Trs:
         if hit is _MISSING:
             hit = cache[key] = compute()
         return hit
+
+
+@dataclass(frozen=True)
+class Trs(Memoised):
+    signature: Signature
+    rules: tuple[Rule, ...]
+    step_budget: int = DEFAULT_STEP_BUDGET
+    join_budget: int = DEFAULT_JOIN_BUDGET
+
+    def __post_init__(self):
+        names = [r.name for r in self.rules]
+        if len(set(names)) != len(names):
+            raise TermError("duplicate rule names")
 
 
 def rewrite_steps(t: Term, trs: Trs) -> list[tuple[Rule, Position, Term]]:
@@ -222,9 +233,9 @@ class CompletenessReport:
     reduced: bool
     reducedness_failures: list[str]
     locally_confluent: bool
-    unjoinable: list[CriticalPair]
+    unjoinable: list  # the engine's critical pairs that did not join
     termination_probe_ok: bool
-    termination_offender: str | None
+    termination_offender: str | None  # the rendered probe that ran out of budget
     probe_terms: int
     budget_exceeded: bool
     assume_terminating: bool = False
@@ -243,8 +254,9 @@ class CompletenessReport:
         out.extend(f"  {msg}" for msg in self.reducedness_failures)
         out.append(f"locally confluent: {ok(self.locally_confluent)}")
         out.extend(f"  unjoinable: {cp!r}" for cp in self.unjoinable)
-        probe = "ok" if self.termination_probe_ok else f"FAILED ({self.termination_offender})"
-        out.append(f"termination probe ({self.probe_terms} terms): {probe}")
+        offender = f" ({self.termination_offender})" if self.termination_offender else ""
+        out.append(f"termination probe ({self.probe_terms} terms): "
+                   f"{ok(self.termination_probe_ok)}{offender}")
         if self.termination_probe_ok:
             note = "acknowledged" if self.assume_terminating else "pass --assume-terminating to acknowledge"
             out.append(f"termination is probed, not proven ({note})")
@@ -253,9 +265,46 @@ class CompletenessReport:
         return out
 
 
-def _without(trs: Trs, rule: Rule) -> Trs:
-    rest = tuple(r for r in trs.rules if r is not rule)
-    return Trs(trs.signature, rest, trs.step_budget, trs.join_budget)
+def without(system, rule):
+    """``system`` (a ``Trs`` or ``monoid.Srs``) less ``rule``, with fresh memos."""
+    return replace(system, rules=tuple(r for r in system.rules if r is not rule))
+
+
+def reducedness_failures(system, irreducible) -> list[str]:
+    """Reducedness of either engine's system: no left side is reducible by
+    the other rules, and every right side is irreducible."""
+    failures = []
+    for rule in system.rules:
+        if not irreducible(rule.lhs, without(system, rule)):
+            failures.append(f"lhs of {rule.name} reducible by another rule")
+        if not irreducible(rule.rhs, system):
+            failures.append(f"rhs of {rule.name} not in normal form")
+    return failures
+
+
+def judge(failures: list[str], pairs, joins, normalise, probes: list, render,
+          assume_terminating: bool = False) -> CompletenessReport:
+    """The report on a system with reducedness ``failures``: join every
+    critical pair in ``pairs``, then normalise every probe within budget.
+    A budget that runs out while joining leaves the pair unjoinable."""
+    unjoinable, budget_exceeded, offender = [], False, None
+    for pair in pairs:
+        try:
+            if not joins(pair):
+                unjoinable.append(pair)
+        except BudgetExceeded:
+            budget_exceeded = True
+            unjoinable.append(pair)
+    for t in probes:
+        try:
+            normalise(t)
+        except BudgetExceeded:
+            budget_exceeded = True
+            offender = render(t)
+            break
+    return CompletenessReport(not failures, failures, not unjoinable, unjoinable,
+                              offender is None, offender, len(probes), budget_exceeded,
+                              assume_terminating)
 
 
 def random_term(sig: Signature, sort: str, rng: random.Random, depth: int,
@@ -286,66 +335,26 @@ def random_term(sig: Signature, sort: str, rng: random.Random, depth: int,
 def check_complete(trs: Trs, sample_size: int = 40, sample_depth: int = 4,
                    seed: int = 0, assume_terminating: bool = False) -> CompletenessReport:
     """Certify reducedness, local confluence, and a termination probe."""
-    failures = []
-    for rule in trs.rules:
-        rest = _without(trs, rule)
-        if not is_irreducible(rule.lhs, rest):
-            failures.append(f"lhs of {rule.name} reducible by another rule")
-        if not is_irreducible(rule.rhs, trs):
-            failures.append(f"rhs of {rule.name} not in normal form")
-
-    unjoinable = []
-    budget_exceeded = False
-    for cp in critical_pairs(trs):
-        try:
-            if not joinable(cp.left, cp.right, trs):
-                unjoinable.append(cp)
-        except BudgetExceeded:
-            budget_exceeded = True
-            unjoinable.append(cp)
-
-    probe_ok = True
-    offender = None
+    failures = reducedness_failures(trs, is_irreducible)
     rng = random.Random(seed)
     probes: list[Term] = [r.rhs for r in trs.rules] + [r.lhs for r in trs.rules]
     for sort in trs.signature.sorts:
         probes.extend(random_term(trs.signature, sort, rng, sample_depth)
                       for _ in range(sample_size))
-    for t in probes:
-        try:
-            normal_form(t, trs)
-        except BudgetExceeded:
-            probe_ok = False
-            budget_exceeded = True
-            offender = render_term(t)
-            break
-
-    return CompletenessReport(
-        reduced=not failures,
-        reducedness_failures=failures,
-        locally_confluent=not unjoinable,
-        unjoinable=unjoinable,
-        termination_probe_ok=probe_ok,
-        termination_offender=offender,
-        probe_terms=len(probes),
-        budget_exceeded=budget_exceeded,
-        assume_terminating=assume_terminating,
-    )
+    return judge(failures, critical_pairs(trs), lambda cp: joinable(cp.left, cp.right, trs),
+                 lambda t: normal_form(t, trs), probes, render_term, assume_terminating)
 
 
-def certify(trs: Trs, need_reduced: bool = True) -> CompletenessReport:
-    """Budgeted certification, cached on the system; raises if it fails."""
-    cache = trs.cache("certify")
-    report = cache.get("report")
-    if report is None:
-        report = check_complete(trs)
-        cache["report"] = report
-    if not report.complete:
-        raise CompletenessError("system is not certified complete: "
-                                + "; ".join(report.lines()))
-    if need_reduced and not report.reduced:
-        raise CompletenessError("system is complete but not reduced: "
-                                + "; ".join(report.reducedness_failures))
+def certify(system, need_reduced: bool = True, check=check_complete) -> CompletenessReport:
+    """The ``check`` report on ``system``, memoised under ``certify``;
+    raises ``CompletenessError`` with its failed parts unless the system
+    is complete, and reduced too if ``need_reduced``."""
+    report = system.memo("certify", "report", lambda: check(system))
+    if not (report.certified if need_reduced else report.complete):
+        failed = [line.strip() for line in report.lines()[:-1]  # failed checks, their details
+                  if "FAILED" in line or line.startswith(" ")]
+        raise CompletenessError(f"system is not certified {'reduced ' if need_reduced else ''}"
+                                "complete: " + "; ".join(failed))
     return report
 
 
@@ -353,15 +362,10 @@ def reduce_trs(trs: Trs) -> Trs:
     """Equivalent reduced system: normalize right-hand sides, then drop
     every rule whose left-hand side the remaining rules already reduce."""
     certify(trs, need_reduced=False)
-    normalized = tuple(
-        Rule(r.name, r.lhs, normal_form(r.rhs, trs)) for r in trs.rules
-    )
-    stage_two = Trs(trs.signature, normalized, trs.step_budget, trs.join_budget)
-    kept = tuple(
-        r for r in stage_two.rules
-        if is_irreducible(r.lhs, _without(stage_two, r))
-    )
-    return Trs(trs.signature, kept, trs.step_budget, trs.join_budget)
+    stage_two = replace(trs, rules=tuple(
+        Rule(r.name, r.lhs, normal_form(r.rhs, trs)) for r in trs.rules))
+    return replace(trs, rules=tuple(
+        r for r in stage_two.rules if is_irreducible(r.lhs, without(stage_two, r))))
 
 
 def degree(trs: Trs) -> int:

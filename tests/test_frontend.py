@@ -1,10 +1,13 @@
+import argparse
 import hashlib
+import inspect
 import json
 
 import pytest
 
+import eqhom
 from eqhom import monoid
-from eqhom.cli import cell_json, cli_dispatch, emit_json
+from eqhom.cli import _parser, cell_json, cli_dispatch, emit_json
 from eqhom.chains import enumerate_chains
 from eqhom.homology import inequality_report
 from eqhom.parser import (
@@ -189,6 +192,10 @@ def test_cli_monoid(capsys, data_dir):
     assert "H_1: Z/2" in out and "H_3: Z/2" in out
 
 
+NONCONFLUENT = ("sorts X\nop f : X -> X\nop a : -> X\nop b : -> X\nvar x : X\n"
+                "rule r1 : f(x) -> a\nrule r2 : f(x) -> b\n")
+
+
 def test_cli_exit_codes(capsys, data_dir, tmp_path):
     code, _, err = _run(capsys, "chains", "missing.lwv", "--max-dim", "2")
     assert code == 1 and "no such file" in err
@@ -198,9 +205,7 @@ def test_cli_exit_codes(capsys, data_dir, tmp_path):
     assert code == 4
 
     nonconfluent = tmp_path / "bad.lwv"
-    nonconfluent.write_text(
-        "sorts X\nop f : X -> X\nop a : -> X\nop b : -> X\nvar x : X\n"
-        "rule r1 : f(x) -> a\nrule r2 : f(x) -> b\n")
+    nonconfluent.write_text(NONCONFLUENT)
     code, out, _ = _run(capsys, "check", str(nonconfluent))
     assert code == 2
 
@@ -244,6 +249,53 @@ def test_cli_check_reports_a_rewrite_cycle(capsys, tmp_path):
     assert code == 3 and not err
     assert "termination probe (44 terms): FAILED (g(x))" in out
     assert "complete (reduced + locally confluent + termination probed): NO" in out
+
+
+@pytest.mark.parametrize("name, text, argv, names", [
+    ("grow.srs", "letters a b\nrule r : a -> b b a\n", ("monoid", "homology"),
+     "reduced: FAILED; rhs of r not in normal form; "),
+    ("bad.lwv", NONCONFLUENT, ("homology",),
+     "locally confluent: FAILED; unjoinable: <r1/r2@ε: a vs b>; "),
+], ids=["srs-unreduced", "lwv-nonconfluent"])
+def test_cli_names_the_failed_checks_of_uncertified_input_in_one_line(
+        capsys, tmp_path, name, text, argv, names):
+    # only the failed checks, stripped: no flag hint and no unrun probe
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = _run(capsys, *argv, str(path), "--max-dim", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: system is not certified reduced complete: ")
+    assert err.count("\n") == 1 and names in err
+    assert "--assume-terminating" not in err and "None" not in err and "  " not in err
+
+
+def test_public_api_and_cli_surface_are_pinned():
+    # a rename, addition or removal here must be deliberate and versioned
+    public = sorted(n for n, v in vars(eqhom).items()
+                    if not n.startswith("_") and not inspect.ismodule(v))
+    assert public == [
+        "App", "BoundaryMatrix", "Cell", "HomologyGroup", "Morphism", "Rule",
+        "Signature", "Srs", "SrsRule", "Term", "Trs", "Var", "boundary_matrices",
+        "canonicalize", "check_complete", "classify", "critical_pairs", "degree",
+        "enumerate_chains", "enumerate_word_chains", "homology_group",
+        "inequality_report", "is_chain", "match_term", "mgu", "monoid_homology",
+        "morse_differential", "normal_form", "normalized_boundary",
+        "parse_presentation", "parse_srs", "print_presentation", "reduce_trs",
+        "rewrite_steps", "smith_normal_form",
+    ]
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: sorted(opt for a in p._actions for opt in a.option_strings or [a.dest])
+               for name, p in sub.choices.items()}
+    common = ["--help", "-h", "file"]
+    assert surface == {
+        "check": sorted(common + ["--assume-terminating", "--cp-budget", "--term-budget"]),
+        "reduce": common,
+        "chains": sorted(common + ["--json", "--max-dim"]),
+        "resolution": sorted(common + ["--max-dim", "--mode"]),
+        "homology": sorted(common + ["--coeff", "--json", "--max-dim"]),
+        "inequality": sorted(common + ["--coeff", "--dim"]),
+        "monoid": sorted(common + ["--max-dim", "what"]),
+    }
 
 
 @pytest.mark.parametrize("argv", [

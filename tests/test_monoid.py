@@ -28,7 +28,7 @@ from eqhom.monoid import (
     word_morse_differential,
 )
 from eqhom.parser import parse_presentation, parse_srs
-from eqhom.rewrite import BudgetExceeded, CompletenessError
+from eqhom.rewrite import BudgetExceeded, CompletenessError, check_complete
 
 A = ("a",)
 
@@ -506,10 +506,14 @@ _words = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
 _rule = st.tuples(_words, _words).filter(lambda p: p[0] != p[1]).map(_shortlex_oriented)
 
 
+def _srs(sides):
+    return Srs(("a", "b"), tuple(SrsRule(f"r{i}", l, r) for i, (l, r) in enumerate(sides)))
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.lists(_rule, min_size=1, max_size=3))
 def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
-    srs = Srs(("a", "b"), tuple(SrsRule(f"r{i}", l, r) for i, (l, r) in enumerate(sides)))
+    srs = _srs(sides)
     assume(check_complete_srs(srs).certified)
     words = monoid_homology(srs, 3)
     collapse.verify_matching(srs.cache("express_count"), _Words(srs))
@@ -521,6 +525,51 @@ def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
     for n in range(4):
         got = homology_group(mats, n, 0, counts)
         assert (got.rank, got.torsion) == (words[n].rank, words[n].torsion), (sides, n)
+
+
+def _word_critical_pairs_with_containment(srs):
+    """Every critical pair by definition: the overlaps, and a left side
+    inside another (which a reduced system does not have)."""
+    for r1 in srs.rules:
+        for r2 in srs.rules:
+            l1, l2 = r1.lhs, r2.lhs
+            # boundary overlaps: a proper suffix of l1 is a proper prefix of l2
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[-k:] == l2[:k]:
+                    left = r1.rhs + l2[k:]
+                    right = l1[:-k] + r2.rhs
+                    yield left, right
+            # containment: l2 occurs inside l1
+            if r1 is not r2 or len(l2) < len(l1):
+                for i in range(len(l1) - len(l2) + 1):
+                    if r1 is r2 and i == 0 and len(l1) == len(l2):
+                        continue
+                    if l1[i:i + len(l2)] == l2:
+                        left = r1.rhs
+                        right = l1[:i] + r2.rhs + l1[i + len(l2):]
+                        yield left, right
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(_rule, min_size=1, max_size=3))
+def test_both_engines_certify_every_system_alike(sides):
+    # an independent oracle for check_complete_srs: the term engine's
+    # check of the same system in its unary encoding; a reduced system's
+    # critical pairs are its overlaps alone
+    srs = _srs(sides)
+    words, terms = check_complete_srs(srs), check_complete(_as_unary_trs(srs))
+    assert words.reduced == terms.reduced, sides
+    if words.reduced:
+        assert (words.locally_confluent, words.certified) == (
+            terms.locally_confluent, terms.certified), sides
+        assert (list(monoid._word_critical_pairs(srs))
+                == list(_word_critical_pairs_with_containment(srs))), sides
+
+
+def test_a_reduced_system_has_only_overlap_pairs(z2_srs, s3_srs):
+    for srs in (z2_srs, s3_srs, nat2()):
+        assert (list(monoid._word_critical_pairs(srs))
+                == list(_word_critical_pairs_with_containment(srs)))
 
 
 def test_reduce_word_stops_a_growing_word_within_budget(monkeypatch):
@@ -553,7 +602,9 @@ def test_check_complete_srs_skips_the_probes_once_reducedness_fails():
     assert (rep.reduced, rep.locally_confluent, rep.unjoinable,
             rep.termination_probe_ok) == (False, False, [], False)
     assert srs.cache("nf") == {}
-    with pytest.raises(CompletenessError, match="not certified reduced complete"):
+    with pytest.raises(CompletenessError, match=(
+            "^system is not certified reduced complete: reduced: FAILED; rhs of r1 not in"
+            " normal form; locally confluent: FAILED; termination probe [(]0 terms[)]: FAILED$")):
         certify_srs(srs)
 
 
