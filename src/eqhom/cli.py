@@ -4,7 +4,7 @@ Subcommands: ``check``, ``reduce``, ``chains``, ``resolution``,
 ``homology``, ``inequality`` and ``monoid {chains,homology}``.
 
 Exit codes: 0 ok, 1 input error, 2 completeness check failed, 3 budget
-exceeded, 4 unsupported coefficient modulus.
+exceeded (in the check too), 4 unsupported coefficient modulus.
 """
 
 from __future__ import annotations
@@ -81,6 +81,11 @@ def _resolve_modulus(trs: Trs, coeff: str) -> int:
         raise CoefficientError(f"bad --coeff value {coeff!r}") from exc
 
 
+def _certification_code(report) -> int:
+    """0 if ``report`` certifies its system, else 3 if a budget ran out, else 2."""
+    return 0 if report.certified else 3 if report.budget_exceeded else 2
+
+
 def _cmd_check(args) -> int:
     trs = _load_trs(args.file)
     if args.cp_budget or args.term_budget:
@@ -89,9 +94,7 @@ def _cmd_check(args) -> int:
     report = check_complete(trs, assume_terminating=args.assume_terminating)
     for line in report.lines():
         print(line)
-    if report.certified:
-        return 0
-    return 3 if report.budget_exceeded else 2
+    return _certification_code(report)
 
 
 def _cmd_reduce(args) -> int:
@@ -272,7 +275,10 @@ def cli_dispatch(argv: list[str]) -> int:
     except CoefficientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (CompletenessError, MatchingError) as exc:
+    except CompletenessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _certification_code(exc.report)
+    except MatchingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -34,13 +34,15 @@ expression of each routed cell in the system's cache ``express_<name>``
 after the ring's ``name``; the ``classify`` cache is filled only by
 ``classify`` and ``verify_matching``.
 
-Coefficients live in a ring object, ``Integers`` (shared) or an
-engine's ``FormalSums``, which ``ring_of`` picks once for a public
-``mode`` string.  A ring supplies ``one``, ``element``, ``mul`` and
-``unit``; coefficients, ints or ``FormalSum``s, add with ``+``, scale
-with ``* k``, are zero exactly when falsy, and sums keep no zero.  Counting
-differentials of the chains assemble into integer matrices, rows indexed
-by the chains of a dimension, columns by the chains one dimension down.
+Coefficients live in a stateless ring object, one shared instance per
+engine and mode (``Integers`` or a subclass for ``"count"``, the
+engine's symbolic ring for ``"symbolic"``), which ``ring_of`` looks up.
+A ring supplies ``one``, ``element``, ``mul`` and ``unit``; ``element``
+and ``mul`` take the system as their last argument.  Coefficients, ints
+or ``FormalSum``s, add with ``+``, scale with ``* k``, are zero exactly
+when falsy, and sums keep no zero.  Counting differentials of the chains
+assemble into integer matrices, rows indexed by the chains of a
+dimension, columns by the chains one dimension down.
 """
 
 from __future__ import annotations
@@ -84,15 +86,12 @@ class Integers:
 
     name = "count"
 
-    def __init__(self, system=None):
-        self.system = system
-
-    def one(self, cell_or_generator) -> int:
+    def one(self, cell_or_generator, system=None) -> int:
         return 1
 
     element = one
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a: int, b: int, system) -> int:
         return a * b
 
     def unit(self, c) -> int:
@@ -122,20 +121,11 @@ class FormalSum(dict):
         return type(self)({b: c * k for b, c in self.items()} if k else ())
 
 
-class FormalSums:
-    """A symbolic ring of ``system``, its coefficients ``FormalSum``s."""
-
-    name = "symbolic"
-
-    def __init__(self, system):
-        self.system = system
-
-
-def ring_of(mode: str, rings: dict, system):
-    """The ring of coefficient ``mode`` among an engine's ``rings``."""
+def ring_of(mode: str, rings: dict):
+    """The ring of coefficient ``mode`` among an engine's shared ``rings``."""
     if mode not in rings:
         raise ValueError(f"unknown coefficient mode {mode!r}: expected 'count' or 'symbolic'")
-    return rings[mode](system)
+    return rings[mode]
 
 
 class Complex(Protocol):
@@ -211,8 +201,8 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
     boundary order: ``[cell, out, remaining faces, -ε, coefficient of the
     face being expressed]``.
     """
-    ring = cx.ring
-    cache = cx.system.cache("express_" + ring.name)
+    ring, system = cx.ring, cx.system
+    cache = system.cache("express_" + ring.name)
     hit = cache.get(cell)
     if hit is not None:
         return hit
@@ -236,7 +226,7 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
         top, out, faces, neg_eps, coeff = frame
         if done is not None:
             for crit, w in done.items():
-                add_term(out, crit, ring.mul(coeff, w) * neg_eps)
+                add_term(out, crit, ring.mul(coeff, w, system) * neg_eps)
             done = None
         for face, coeff in faces:
             if face == top:
@@ -246,7 +236,7 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
                 frame[4], cell = coeff, face
                 break
             for crit, w in hit.items():
-                add_term(out, crit, ring.mul(coeff, w) * neg_eps)
+                add_term(out, crit, ring.mul(coeff, w, system) * neg_eps)
         else:
             stack.pop()
             cache[top] = done = out
@@ -261,7 +251,7 @@ def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) ->
     out: Boundary = {}
     for face, coeff in cx.boundary(cell).items():
         for crit, w in _express(face, cx, counter).items():
-            add_term(out, crit, ring.mul(coeff, w))
+            add_term(out, crit, ring.mul(coeff, w, cx.system))
     return out
 
 

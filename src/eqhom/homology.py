@@ -7,7 +7,8 @@ prime); rows are indexed by the chains of the dimension, columns by the
 chains one dimension down.  Homology in dimension n is the kernel of the
 n-th matrix modulo the image of the (n+1)-st.  Over the integers the
 result is a free rank plus a divisibility chain of invariant factors
-from the Smith normal form; over a prime field it is a dimension.
+from a strike-out Smith normal form; over a prime field it is a
+dimension.  ``homology_group`` reads both through one rank helper.
 
 ``s`` of a group is its minimum number of generators (rank plus the
 number of nontrivial invariant factors over the integers, the dimension
@@ -27,6 +28,7 @@ of the strong inequality work uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .chains import Cell, enumerate_chains
 from .collapse import BoundaryMatrix, Matrix, assemble_matrices
@@ -39,18 +41,7 @@ class CoefficientError(Exception):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def validate_modulus(d: int, trs_degree: int) -> None:
@@ -97,76 +88,42 @@ def matrix_product(a: BoundaryMatrix, b: BoundaryMatrix) -> Matrix:
 
 
 def smith_normal_form(matrix: Matrix) -> tuple[list[int], int]:
-    """Invariant factors (nonneg, divisibility chain) and rank.
+    """Invariant factors (nonneg, divisibility chain, 1s included) and rank.
 
-    Exact integer arithmetic with minimal-absolute-value pivoting; safe
-    for arbitrarily large entries.
+    Strike-out elimination in exact integers, safe for arbitrarily large
+    entries; ``matrix`` is not mutated.  The pivot ``p`` has least |entry|.
+    Floor division clears its column, then its row, and a remainder is the
+    next, smaller pivot.  If ``p`` does not divide some other row, that row
+    is added to the pivot's row, which leaves such a remainder; otherwise
+    ``|p|`` is the next factor, and its row and column are struck out.
     """
     a = [row[:] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        # clear the pivot row and column; restart if a remainder survives
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-v for v in a[t]]
-            p = a[t][t]
-            done = True
-            for i in range(t + 1, m):
-                q = a[i][t] // p
-                if q:
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    done = False
-                    break
-            if not done:
-                continue
-            for j in range(t + 1, n):
-                q = a[t][j] // p
-                if q:
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    for i in range(m):
-                        a[i][t], a[i][j] = a[i][j], a[i][t]
-                    done = False
-                    break
-            if done:
-                break
-        # divisibility: fold any non-multiple into the pivot's column
-        p = abs(a[t][t])
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, n):
-                a[t][j] += a[offender][j]
+    factors: list[int] = []
+    while True:
+        pick = min(((abs(v), r, c) for r, row in enumerate(a)
+                    for c, v in enumerate(row) if v), default=None)
+        if pick is None:
+            return factors, len(factors)
+        _, i, j = pick
+        pivot_row, p = a[i], a[i][j]
+        for r, row in enumerate(a):
+            if r != i and row[j]:
+                q = row[j] // p
+                a[r] = [v - q * w for v, w in zip(row, pivot_row)]
+        if any(row[j] for row in a if row is not pivot_row):
             continue
-        diag.append(p)
-        t += 1
-    return diag, len(diag)
+        # the column is clear, so column operations change only the pivot's row
+        a[i] = [v % p if c != j else p for c, v in enumerate(pivot_row)]
+        if any(a[i][:j]) or any(a[i][j + 1:]):
+            continue
+        other = next((row for row in a if any(v % p for v in row)), None)
+        if other is not None:  # added to the pivot's row, p alone, which is cleared again
+            a[i] = [v % p if c != j else p for c, v in enumerate(other)]
+            continue
+        factors.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
 
 
 def fp_rank(matrix: Matrix, p: int) -> int:
@@ -222,26 +179,24 @@ def homology_group(matrices: dict[int, BoundaryMatrix], n: int, d: int,
     matrix n+1 (the n=0 kernel is everything)."""
     if n not in chain_counts or n + 1 not in chain_counts:
         raise ValueError(f"chains not enumerated through dimension {n + 1}")
-    if n >= 1 and chain_counts[n] and n not in matrices:
-        raise ValueError(f"need the boundary matrix at dimension {n}")
-    if chain_counts[n + 1] and n + 1 not in matrices:
-        raise ValueError(f"need the boundary matrix at dimension {n + 1}")
-    dim_n = chain_counts[n]
-    below = matrices.get(n)
-    above = matrices.get(n + 1)
-    below_entries = below.entries if below else []
-    above_entries = above.entries if above else []
-    if d == 0:
-        rank_below = smith_normal_form(below_entries)[1] if below_entries else 0
-        factors, rank_above = (smith_normal_form(above_entries)
-                               if above_entries else ([], 0))
-        kernel = dim_n - rank_below if n > 0 else dim_n
-        torsion = tuple(f for f in factors if f > 1)
-        return HomologyGroup(kernel - rank_above, torsion)
-    rank_below = fp_rank(below_entries, d) if below_entries else 0
-    rank_above = fp_rank(above_entries, d) if above_entries else 0
-    kernel = dim_n - rank_below if n > 0 else dim_n
-    return HomologyGroup(kernel - rank_above, ())
+    for k in (n, n + 1):
+        if k and chain_counts[k] and k not in matrices:
+            raise ValueError(f"need the boundary matrix at dimension {k}")
+    rank_below, _ = _rank_and_factors(matrices.get(n), d)
+    rank_above, factors = _rank_and_factors(matrices.get(n + 1), d)
+    return HomologyGroup(chain_counts[n] - rank_below - rank_above,
+                         tuple(f for f in factors if f > 1))
+
+
+def _rank_and_factors(matrix: BoundaryMatrix | None, d: int) -> tuple[int, list[int]]:
+    """Rank over Z (``d`` 0) or F_d, and the invariant factors over Z, of
+    ``matrix``; a missing or empty matrix has rank 0."""
+    if matrix is None or not matrix.entries:
+        return 0, []
+    if d:
+        return fp_rank(matrix.entries, d), []
+    factors, rank = smith_normal_form(matrix.entries)
+    return rank, factors
 
 
 @dataclass

@@ -229,18 +229,20 @@ def _split_word_cell(cell: WordCell, srs: Srs, i: int) -> WordCell | None:
     return None
 
 
-class _MonoidRing(collapse.FormalSums):
-    """The monoid ring of ``srs``: the product concatenates and reduces
+class _MonoidRing:
+    """The monoid ring of a system: the product concatenates and reduces
     (``reduce_word``, looked up as a module global at call time)."""
+
+    name = "symbolic"
 
     def one(self, cell: WordCell) -> FormalSum:
         return FormalSum({EMPTY: 1})
 
-    def element(self, w: Word) -> FormalSum:
-        return FormalSum({reduce_word(w, self.system): 1})
+    def element(self, w: Word, srs: Srs) -> FormalSum:
+        return FormalSum({reduce_word(w, srs): 1})
 
-    def mul(self, a: FormalSum, b: FormalSum) -> FormalSum:
-        return FormalSum.collect((reduce_word(wa + wb, self.system), ka * kb)
+    def mul(self, a: FormalSum, b: FormalSum, srs: Srs) -> FormalSum:
+        return FormalSum.collect((reduce_word(wa + wb, srs), ka * kb)
                                  for wa, ka in a.items() for wb, kb in b.items())
 
     def unit(self, c: FormalSum | None) -> int:
@@ -249,7 +251,7 @@ class _MonoidRing(collapse.FormalSums):
         return c[EMPTY]
 
 
-_RINGS = {"count": collapse.Integers, "symbolic": _MonoidRing}
+_RINGS = {"count": collapse.Integers(), "symbolic": _MonoidRing()}
 
 
 class _Words:
@@ -258,7 +260,7 @@ class _Words:
 
     def __init__(self, srs: Srs, mode: str = "count"):
         self.system = srs
-        self.ring = collapse.ring_of(mode, _RINGS, srs)
+        self.ring = collapse.ring_of(mode, _RINGS)
 
     def match(self, cell: WordCell) -> tuple[bool, WordCell | None]:
         prefix = longest_word_chain_prefix(cell, self.system)
@@ -277,13 +279,13 @@ def classify_word_cell(cell: WordCell, srs: Srs) -> CellClass:
 def word_boundary(cell: WordCell, srs: Srs, mode: str = "count") -> dict[WordCell, WordCoeff]:
     """Bar-resolution boundary with identity entries dropped: act by the
     first word, merge adjacent words, drop the last word."""
-    ring = collapse.ring_of(mode, _RINGS, srs)
+    ring = collapse.ring_of(mode, _RINGS)
     n = len(cell)
     if n < 1:
         raise ValueError("boundary needs dimension at least 1")
     one = ring.one(cell)
     signed = (one, one * -1)  # face j has sign (-1)^j
-    acc: dict[WordCell, WordCoeff] = {cell[1:]: ring.element(cell[0])}
+    acc: dict[WordCell, WordCoeff] = {cell[1:]: ring.element(cell[0], srs)}
     for j in range(1, n):
         merged = reduce_word(cell[j - 1] + cell[j], srs)
         if merged:  # an identity entry is a degenerate face

@@ -116,7 +116,7 @@ def _phi(entries: tuple[Morphism, ...], k: int,
 
 def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     """Signed boundary of a cell over cells one dimension down."""
-    ring = collapse.ring_of(mode, _RINGS, trs)
+    ring = collapse.ring_of(mode, _RINGS)
     n = cell.dim
     if n < 1:
         raise ValueError("boundary needs dimension at least 1")
@@ -126,7 +126,7 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
 
     def add(face: Cell, coeff: Coeff, leftover: Morphism | None) -> None:
         if leftover is not None:
-            coeff = ring.mul(coeff, ring.element(leftover))
+            coeff = ring.mul(coeff, ring.element(leftover, trs), trs)
         add_term(acc, face, coeff)
 
     # face 0: differentiate the head across the next entry's components
@@ -142,7 +142,7 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
         else:
             repaired = (), projection(head.context, i)
         if repaired is not None:
-            derivative = derivative or ring.derivatives(head, tail)
+            derivative = derivative or ring.derivatives(head, tail, trs)
             add(Cell(sort, repaired[0]), derivative(i), repaired[1])
 
     # middle faces: compose adjacent entries and re-normalize
@@ -154,7 +154,7 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
             add(Cell(cell.sort, repaired[0]), ring.one(cell) * sign, repaired[1])
 
     # last face: drop the tail entry, emit its restriction
-    add_term(acc, Cell(cell.sort, entries[:-1]), ring.element(entries[-1]) * (-1) ** n)
+    add_term(acc, Cell(cell.sort, entries[:-1]), ring.element(entries[-1], trs) * (-1) ** n)
     return acc
 
 
@@ -199,13 +199,15 @@ class _Counts(collapse.Integers):
     """Counting coefficients of the term complex: ∂_i(f) counts the
     occurrences of the i-th variable of ``f``."""
 
-    def derivatives(self, head: Morphism, tail: tuple[Morphism, ...]):
+    def derivatives(self, head: Morphism, tail: tuple[Morphism, ...], trs: Trs):
         return lambda i: var_count(head.term, head.context[i - 1][0])
 
 
-class _Ringoid(collapse.FormalSums):
-    """The presented ringoid of ``trs`` (``eqhom.coeff``).  The kernels are
-    looked up as module globals at call time."""
+class _Ringoid:
+    """The presented ringoid of a system (``eqhom.coeff``).  The kernels
+    are looked up as module globals at call time."""
+
+    name = "symbolic"
 
     def one(self, cell: Cell) -> RingoidElement:
         """The identity on the cell's domain: its last entry's context."""
@@ -213,17 +215,17 @@ class _Ringoid(collapse.FormalSums):
         return identity_element(entries[-1].context if entries
                                 else canonical_context((cell.sort,)))
 
-    def element(self, alpha: Morphism) -> RingoidElement:
-        return star(alpha, self.system)
+    def element(self, alpha: Morphism, trs: Trs) -> RingoidElement:
+        return star(alpha, trs)
 
-    def derivatives(self, head: Morphism, tail: tuple[Morphism, ...]):
+    def derivatives(self, head: Morphism, tail: tuple[Morphism, ...], trs: Trs):
         """i ↦ ∂_i(head) restricted along the composite of ``tail`` (the
         identity when it is empty)."""
         subscript = compose_chain(tail) if tail else identity(head.context)
-        return lambda i: expand_derivative(i, head, subscript, self.system)
+        return lambda i: expand_derivative(i, head, subscript, trs)
 
-    def mul(self, a: RingoidElement, b: RingoidElement) -> RingoidElement:
-        return multiply(a, b, self.system)
+    def mul(self, a: RingoidElement, b: RingoidElement, trs: Trs) -> RingoidElement:
+        return multiply(a, b, trs)
 
     def unit(self, c: RingoidElement | None) -> int:
         if c is not None and len(c) == 1:
@@ -233,7 +235,7 @@ class _Ringoid(collapse.FormalSums):
         raise MatchingError(f"matched coefficient {c!r} is not a unit")
 
 
-_RINGS = {"count": _Counts, "symbolic": _Ringoid}
+_RINGS = {"count": _Counts(), "symbolic": _Ringoid()}
 
 
 class _Terms:
@@ -242,7 +244,7 @@ class _Terms:
 
     def __init__(self, trs: Trs, mode: str = "count"):
         self.system = trs
-        self.ring = collapse.ring_of(mode, _RINGS, trs)
+        self.ring = collapse.ring_of(mode, _RINGS)
 
     def match(self, cell: Cell) -> tuple[bool, Cell | None]:
         prefix = longest_chain_prefix(cell, self.system)

@@ -54,7 +54,12 @@ class BudgetExceeded(Exception):
 
 
 class CompletenessError(Exception):
-    """An operation required a certified reduced complete system."""
+    """An operation required a certified reduced complete system; ``report``
+    is the ``CompletenessReport`` that refused the system."""
+
+    def __init__(self, message: str, report: CompletenessReport):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -354,7 +359,7 @@ def certify(system, need_reduced: bool = True, check=check_complete) -> Complete
         failed = [line.strip() for line in report.lines()[:-1]  # failed checks, their details
                   if "FAILED" in line or line.startswith(" ")]
         raise CompletenessError(f"system is not certified {'reduced ' if need_reduced else ''}"
-                                "complete: " + "; ".join(failed))
+                                "complete: " + "; ".join(failed), report)
     return report
 
 

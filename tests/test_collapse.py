@@ -24,7 +24,7 @@ class Table:
         self.chains, self.splits, self.boundaries = chains, splits, boundaries
         self.caches = {}
         self.system = self
-        self.ring = collapse.Integers(self)
+        self.ring = collapse.Integers()
 
     def cache(self, kind):
         return self.caches.setdefault(kind, {})

@@ -216,8 +216,12 @@ def test_cli_exit_codes(capsys, data_dir, tmp_path):
     code, _, _ = _run(capsys, "check", str(loop))
     assert code == 3
 
-    code, _, err = _run(capsys, "chains", str(loop), "--max-dim", "2")
-    assert code in (2, 3)  # refused: not certified complete
+    # refused by the certification every command runs, whose probe ran out
+    for argv in (("chains", "--max-dim", "2"), ("resolution", "--max-dim", "2"),
+                 ("homology", "--max-dim", "2"), ("inequality", "--dim", "1")):
+        code, out, err = _run(capsys, argv[0], str(loop), *argv[1:])
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: system is not certified reduced complete: ")
 
     code, _, _ = _run(capsys, "bogus-command")
     assert code == 1

@@ -29,6 +29,45 @@ def test_snf_examples():
     assert smith_normal_form([[1, 0], [0, 1]]) == ([1, 1], 2)
 
 
+@pytest.mark.parametrize("matrix, expected", [
+    ([], ([], 0)),
+    ([[]], ([], 0)),
+    ([[0, 0]], ([], 0)),
+    ([[0], [0], [0]], ([], 0)),
+    ([[0, 4], [0, 0], [6, 0], [0, 0]], ([2, 12], 2)),
+    ([[0, 0, 0], [3, 0, 6], [0, 0, 0], [6, 0, 12]], ([3], 1)),
+])
+def test_snf_of_degenerate_shapes_and_zero_rows(matrix, expected):
+    assert smith_normal_form(matrix) == expected
+
+
+def test_snf_leaves_its_input_unchanged():
+    rng = random.Random(5)
+    for _ in range(20):
+        a = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
+        before = [row[:] for row in a]
+        rows = list(a)
+        smith_normal_form(a)
+        assert a == before and all(x is y for x, y in zip(a, rows))
+
+
+def test_snf_agrees_with_sympy_above_64_bits():
+    rng = random.Random(29)
+    big = 2 ** 64
+    for _ in range(30):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        scale = rng.choice([1, big + 1, 3 * big])
+        a = [[scale * rng.randint(-big, big) if rng.random() < 0.7 else 0
+              for _ in range(n)] for _ in range(m)]
+        assert _snf_summary(a) == _snf_by_sympy(a), a
+    # a single invariant factor above 2**64: diag(2**65, 3**41) has
+    # factors 1 and 2**65 * 3**41
+    factors, rank = smith_normal_form([[2 ** 65, 0], [0, 3 ** 41]])
+    assert (factors, rank) == ([1, 2 ** 65 * 3 ** 41], 2)
+    assert _snf_summary([[2 ** 65, 0], [0, 3 ** 41]]) == _snf_by_sympy(
+        [[2 ** 65, 0], [0, 3 ** 41]])
+
+
 def test_snf_against_minor_gcd_oracle():
     rng = random.Random(19)
     for _ in range(40):
