@@ -12,12 +12,8 @@ per sort.  Chains are the cells surviving the collapse:
 * dimension 2: one chain per rewrite rule (head symbol followed by the
   argument tuple of the left-hand side),
 * dimension n+1: extensions of an n-chain by the most general way of
-  creating a strictly larger maximal redex in its raw composite.
-
-Redexes are indexed by (position, rule rank) pairs ordered
-lexicographically: a proper prefix precedes its extensions and siblings
-compare numerically, then the rule order breaks ties.  ``max_redex`` of
-an irreducible term is None, the bottom of the order.
+  creating a strictly larger maximal redex in its raw composite, with
+  redexes indexed and ordered as in ``eqhom.rewrite.max_redex``.
 
 Enumeration of one dimension from the previous one is an independent
 per-chain task; results are merged in a canonical cell order so the
@@ -28,26 +24,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rewrite import Rule, Trs, certify, is_irreducible, op_morphism
+from .rewrite import RedexIndex, Rule, Trs, certify, is_irreducible, max_redex, op_morphism
 from .terms import (
     Morphism,
     Position,
-    Term,
     Var,
     compose_chain,
     compose_raw,
     essential_from_terms,
     is_canonical,
     is_partial_permutation,
-    positions,
     render_morphism,
-    rename_vars,
+    substitute,
     subterm_at,
+    subterms,
     variables,
 )
-from .unify import match_term, unify_terms
-
-RedexIndex = tuple[Position, int]  # (position, rule rank); None plays bottom
+from .unify import unify_terms
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,28 +85,6 @@ def composite(cell: Cell, trs: Trs, upto: int | None = None) -> Morphism:
     return hit
 
 
-def max_redex(t: Term, trs: Trs) -> RedexIndex | None:
-    """Greatest redex index of ``t``; None iff ``t`` is irreducible.
-
-    Preorder is lexicographic order on positions, so the first match
-    scanning positions backwards and ranks downwards is the maximum of
-    all redex indices.  Memoised per term in ``trs.cache("max_redex")``.
-    """
-    return trs.memo("max_redex", t, lambda: _max_redex(t, trs))
-
-
-def _max_redex(t: Term, trs: Trs) -> RedexIndex | None:
-    ranked = list(enumerate(trs.rules))[::-1]
-    for p in reversed(positions(t)):
-        sub = subterm_at(t, p)
-        if isinstance(sub, Var):
-            continue
-        for rank, rule in ranked:
-            if match_term(rule.lhs, sub) is not None:
-                return p, rank
-    return None
-
-
 def redex_less(a: RedexIndex | None, b: RedexIndex | None) -> bool:
     """Strict order with None as bottom."""
     if b is None:
@@ -149,8 +120,8 @@ def _mgu_extension(T: Morphism, p: Position, rule: Rule) -> Morphism | None:
     sub = subterm_at(T.term, p)
     if isinstance(sub, Var):
         return None
-    apart = {v.name: v.name + "'" for v in variables(rule.lhs)}
-    sigma = unify_terms(sub, rename_vars(rule.lhs, apart))
+    apart = {v.name: Var(v.name + "'", v.sort) for v in variables(rule.lhs)}
+    sigma = unify_terms(sub, substitute(rule.lhs, apart))
     if sigma is None:
         return None
     terms = tuple(sigma.get(name, Var(name, sort)) for name, sort in T.context)
@@ -199,8 +170,8 @@ def chain_extensions(T: Morphism, trs: Trs) -> list[Morphism]:
 def _chain_extensions(T: Morphism, trs: Trs) -> list[Morphism]:
     base = max_redex(T.term, trs)
     out = []
-    for p in positions(T.term):
-        if isinstance(subterm_at(T.term, p), Var):
+    for p, sub in subterms(T.term):
+        if isinstance(sub, Var):
             continue
         for rank, rule in enumerate(trs.rules):
             if not redex_less(base, (p, rank)):

@@ -52,11 +52,11 @@ def validate_modulus(d: int, trs_degree: int) -> None:
             raise CoefficientError(
                 f"modulus 0 needs degree 0, system has degree {trs_degree}")
         return
+    if trs_degree % d != 0:  # first: a nonzero degree bounds the trial division
+        raise CoefficientError(
+            f"modulus {d} does not divide the system degree {trs_degree}")
     if not is_prime(d):
         raise CoefficientError(f"modulus {d} is neither 0 nor prime")
-    if trs_degree % d != 0:
-        raise CoefficientError(
-            f"prime {d} does not divide the system degree {trs_degree}")
 
 
 def boundary_matrices(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,

@@ -36,7 +36,6 @@ from .chains import (
     Cell,
     composite,
     longest_chain_prefix,
-    max_redex,
     mgu_extension,
     valid_entry,
 )
@@ -48,7 +47,7 @@ from .coeff import (
     star,
 )
 from .collapse import DEFAULT_ROUTE_BUDGET, CellClass, MatchingError, add_term
-from .rewrite import Trs, normal_form_morphism, op_morphism
+from .rewrite import Trs, max_redex, normal_form_morphism, op_morphism
 from .terms import (
     App,
     Morphism,

@@ -12,6 +12,12 @@ strategy.  For a certified system the normal form is unique regardless,
 and results are memoized per system (idempotent values, so last-write-wins
 caching is safe under concurrent use).
 
+Redexes are indexed by (position, rule rank) pairs ordered
+lexicographically: a proper prefix precedes its extensions and siblings
+compare numerically, then the rule order breaks ties.  ``max_redex`` of
+an irreducible term is None, the bottom of the order, and
+``is_irreducible`` reads its memo.
+
 The string engine (``eqhom.monoid``) certifies through the same
 ``reducedness_failures``, ``judge`` and ``certify``, with its own
 critical pairs, join test, normaliser, probes and renderer.
@@ -32,12 +38,10 @@ from .terms import (
     TermError,
     Var,
     canonical_context,
-    positions,
     render_term,
-    rename_vars,
     replace_at,
     substitute,
-    subterm_at,
+    subterms,
     var_count,
     variables,
 )
@@ -47,6 +51,8 @@ DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_JOIN_BUDGET = 1_000
 
 _MISSING = object()  # memo miss; None is a valid memoised result
+
+RedexIndex = tuple[Position, int]  # (position, rule rank); None plays bottom
 
 
 class BudgetExceeded(Exception):
@@ -118,8 +124,7 @@ class Trs(Memoised):
 def rewrite_steps(t: Term, trs: Trs) -> list[tuple[Rule, Position, Term]]:
     """All one-step reducts of ``t`` with rule and position provenance."""
     out = []
-    for p in positions(t):
-        sub = subterm_at(t, p)
+    for p, sub in subterms(t):
         if isinstance(sub, Var):
             continue
         for rule in trs.rules:
@@ -129,15 +134,29 @@ def rewrite_steps(t: Term, trs: Trs) -> list[tuple[Rule, Position, Term]]:
     return out
 
 
-def is_irreducible(t: Term, trs: Trs) -> bool:
-    for p in positions(t):
-        sub = subterm_at(t, p)
+def max_redex(t: Term, trs: Trs) -> RedexIndex | None:
+    """Greatest redex index of ``t``; None iff ``t`` is irreducible.
+
+    Preorder is lexicographic order on positions, so the first match
+    scanning positions backwards and ranks downwards is the maximum of
+    all redex indices.  Memoised per term in ``trs.cache("max_redex")``.
+    """
+    return trs.memo("max_redex", t, lambda: _max_redex(t, trs))
+
+
+def _max_redex(t: Term, trs: Trs) -> RedexIndex | None:
+    ranked = list(enumerate(trs.rules))[::-1]
+    for p, sub in reversed(list(subterms(t))):
         if isinstance(sub, Var):
             continue
-        for rule in trs.rules:
+        for rank, rule in ranked:
             if match_term(rule.lhs, sub) is not None:
-                return False
-    return True
+                return p, rank
+    return None
+
+
+def is_irreducible(t: Term, trs: Trs) -> bool:
+    return max_redex(t, trs) is None
 
 
 def normal_form(t: Term, trs: Trs) -> Term:
@@ -194,13 +213,6 @@ class CriticalPair:
                 f" {render_term(self.left)} vs {render_term(self.right)}>")
 
 
-def apply_subst(t: Term, sigma: dict[str, Term]) -> Term:
-    """Substitution that keeps unbound variables in place."""
-    if isinstance(t, Var):
-        return sigma.get(t.name, t)
-    return App(t.op, tuple(apply_subst(a, sigma) for a in t.args), t.sort)
-
-
 def critical_pairs(trs: Trs) -> list[CriticalPair]:
     """All overlaps at non-variable positions, including self-overlaps.
 
@@ -209,21 +221,20 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
     out = []
     for outer in trs.rules:
         for inner in trs.rules:
-            apart = {v.name: v.name + "'" for v in variables(inner.lhs)}
-            inner_lhs = rename_vars(inner.lhs, apart)
-            inner_rhs = rename_vars(inner.rhs, apart)
-            for p in positions(outer.lhs):
-                if p == () and outer is inner:
-                    continue
-                sub = subterm_at(outer.lhs, p)
-                if isinstance(sub, Var):
+            apart = {v.name: Var(v.name + "'", v.sort) for v in variables(inner.lhs)}
+            inner_lhs = substitute(inner.lhs, apart)
+            inner_rhs = substitute(inner.rhs, apart)
+            identity = {v.name: v for v in (*variables(outer.lhs), *apart.values())}
+            for p, sub in subterms(outer.lhs):
+                if isinstance(sub, Var) or (p == () and outer is inner):
                     continue
                 sigma = unify_terms(sub, inner_lhs)
                 if sigma is None:
                     continue
-                overlap = apply_subst(outer.lhs, sigma)
-                left = apply_subst(outer.rhs, sigma)
-                right = replace_at(overlap, p, apply_subst(inner_rhs, sigma))
+                sigma = identity | sigma  # the identity on the unbound variables
+                overlap = substitute(outer.lhs, sigma)
+                left = substitute(outer.rhs, sigma)
+                right = replace_at(overlap, p, substitute(inner_rhs, sigma))
                 out.append(CriticalPair(outer, inner, p, left, right))
     return out
 

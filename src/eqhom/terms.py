@@ -3,6 +3,8 @@
 A signature declares a finite set of sorts and a finite set of operation
 symbols, each with a list of argument sorts and a result sort.  Terms are
 variables or applications of operation symbols; every term carries a sort.
+Positions are tuples of 1-based argument indices, the root ``()``, and
+``subterms`` walks them in preorder; a renaming is a ``substitute``.
 
 A morphism packages a sorting context (an ordered list of typed variables)
 together with a tuple of terms over that context.  These are the arrows of
@@ -111,18 +113,16 @@ class Signature:
         return App(op, tuple(args), result)
 
 
-def positions(t: Term) -> list[Position]:
-    """All positions of ``t`` in depth-first preorder, root first."""
-    out: list[Position] = []
-
-    def walk(u: Term, p: Position):
-        out.append(p)
+def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
+    """Every ``(position, subterm)`` of ``t`` in depth-first preorder, root
+    first, walked with an explicit stack."""
+    stack = [(ROOT, t)]
+    while stack:
+        p, u = stack.pop()
+        yield p, u
         if isinstance(u, App):
-            for i, a in enumerate(u.args, 1):
-                walk(a, p + (i,))
-
-    walk(t, ROOT)
-    return out
+            for i in range(len(u.args), 0, -1):
+                stack.append((p + (i,), u.args[i - 1]))
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -182,12 +182,6 @@ def substitute(t: Term, assignment: Mapping[str, Term]) -> Term:
             raise TermError(f"sort mismatch substituting {image!r} for {t!r}")
         return image
     return App(t.op, tuple(substitute(a, assignment) for a in t.args), t.sort)
-
-
-def rename_vars(t: Term, mapping: Mapping[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name), t.sort)
-    return App(t.op, tuple(rename_vars(a, mapping) for a in t.args), t.sort)
 
 
 def render_term(t: Term) -> str:
@@ -335,9 +329,9 @@ def canonicalize(context: Context, terms: tuple[Term, ...]) -> tuple[Morphism, P
     identity permutation.
     """
     order = _checked_variables(context, terms)
-    renaming = {old: canonical_name(i) for i, old in enumerate(order, 1)}
-    new_context = tuple((renaming[old], sort) for old, sort in order.items())
-    new_terms = tuple(rename_vars(t, renaming) for t in terms)
+    new_context = canonical_context(order.values())
+    renaming = {old: Var(*new) for old, new in zip(order, new_context)}
+    new_terms = tuple(substitute(t, renaming) for t in terms)
     index_of = {name: i for i, (name, _) in enumerate(context, 1)}
     selected = tuple(index_of[old] for old in order)
     return Morphism(new_context, new_terms), PartialPermutation(selected, context)
@@ -389,9 +383,9 @@ def positional(context: Context, terms: tuple[Term, ...]) -> Morphism:
     it is the normal form for subscript and tail morphisms whose domain is
     a fixed object rather than a variable set.
     """
-    renaming = {name: canonical_name(i) for i, (name, _) in enumerate(context, 1)}
-    ctx = tuple((renaming[n], s) for n, s in context)
-    return Morphism(ctx, tuple(rename_vars(t, renaming) for t in terms))
+    ctx = canonical_context(s for _, s in context)
+    renaming = {name: Var(*new) for (name, _), new in zip(context, ctx)}
+    return Morphism(ctx, tuple(substitute(t, renaming) for t in terms))
 
 
 def render_morphism(m: Morphism) -> str:

@@ -20,7 +20,6 @@ from .terms import (
     Term,
     Var,
     essential_from_terms,
-    rename_vars,
     substitute,
     variables,
 )
@@ -150,21 +149,16 @@ def mgu(t: Term, s: Term) -> Unifier | None:
     if sigma is None:
         return None
 
-    def image(v: Var) -> Term:
-        return sigma.get(v.name, Var(v.name, v.sort))
-
-    t_vars = variables(t)
-    s_vars = variables(s)
-    left_raw = tuple(image(v) for v in t_vars)
-    right_raw = tuple(image(v) for v in s_vars)
-    unified_raw = substitute(t, {v.name: img for v, img in zip(t_vars, left_raw)})
+    t_vars, s_vars = variables(t), variables(s)
+    sigma = {v.name: v for v in t_vars + s_vars} | sigma  # identity on the unbound variables
+    unified_raw = substitute(t, sigma)
 
     # One canonical renaming, fixed by the unified term, applied everywhere.
     raw_vars = variables(unified_raw)
     unified = essential_from_terms((unified_raw,))
-    renaming = {old.name: new for old, (new, _) in zip(raw_vars, unified.context)}
+    renaming = {old.name: Var(*new) for old, new in zip(raw_vars, unified.context)}
     # The substitutions are morphisms from the unified domain into each
     # term's context, so their tuple slots follow the original contexts.
-    left = Morphism(unified.context, tuple(rename_vars(u, renaming) for u in left_raw))
-    right = Morphism(unified.context, tuple(rename_vars(u, renaming) for u in right_raw))
+    left = Morphism(unified.context, tuple(substitute(sigma[v.name], renaming) for v in t_vars))
+    right = Morphism(unified.context, tuple(substitute(sigma[v.name], renaming) for v in s_vars))
     return Unifier(left=left, right=right, unified=unified)

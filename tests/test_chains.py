@@ -19,9 +19,8 @@ from eqhom.terms import (
     Morphism,
     Signature,
     Var,
-    positions,
     substitute,
-    subterm_at,
+    subterms,
     variables,
 )
 from eqhom.unify import match_term
@@ -34,8 +33,7 @@ def redex_set(t, trs):
     """The reference for ``max_redex``: all (position, rule rank) pairs
     where a rule instance occurs."""
     out = set()
-    for p in positions(t):
-        sub = subterm_at(t, p)
+    for p, sub in subterms(t):
         if isinstance(sub, Var):
             continue
         for rank, rule in enumerate(trs.rules):

@@ -203,6 +203,12 @@ def test_cli_exit_codes(capsys, data_dir, tmp_path):
     code, _, err = _run(capsys, "homology", str(data_dir / "group.lwv"),
                         "--max-dim", "2", "--coeff", "6")
     assert code == 4
+    # 2^61 - 1 is prime but does not divide the group degree 2; testing
+    # primality first would take about 1.5e9 trial divisions
+    code, out, err = _run(capsys, "homology", str(data_dir / "group.lwv"),
+                          "--max-dim", "1", "--coeff", str(2**61 - 1))
+    assert (code, out) == (4, "")
+    assert err == f"error: modulus {2**61 - 1} does not divide the system degree 2\n"
 
     nonconfluent = tmp_path / "bad.lwv"
     nonconfluent.write_text(NONCONFLUENT)

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from eqhom.parser import parse_presentation
 from eqhom.rewrite import (
     BudgetExceeded,
     Rule,
@@ -74,6 +76,28 @@ def test_critical_pairs_single_rule_no_overlap():
     sig = Signature(("X",), (("f", ("X",), "X"),))
     trs = Trs(sig, (Rule("r", sig.app("f", x()), x()),))
     assert critical_pairs(trs) == []
+
+
+# count and sha256 of ``repr(critical_pairs(trs))`` per fixture: any change
+# to an overlap, its position or its two reducts shows here
+PINNED_CRITICAL_PAIRS = [
+    ("abelian_unit.lwv", 2, "c0be156ec1def42a17f02f4236b161cce0e1b12e3253bc26d5f270b36060a1e1"),
+    ("group.lwv", 55, "492d623a6f13240e50a8766c1c7e5a7cfdec80fbea810e0b678bede183a1f585"),
+    ("unreduced.lwv", 6, "758a8e0a502a454f5a8ff9900899413ce1e8e0cb489ab34d2005ed775312394a"),
+]
+
+
+@pytest.mark.parametrize("name, count, digest", PINNED_CRITICAL_PAIRS,
+                         ids=[name for name, _, _ in PINNED_CRITICAL_PAIRS])
+def test_critical_pairs_match_their_pinned_digest(data_dir, name, count, digest):
+    cps = critical_pairs(parse_presentation((data_dir / name).read_text()))
+    assert len(cps) == count
+    assert hashlib.sha256(repr(cps).encode()).hexdigest() == digest
+
+
+def test_every_fixture_has_pinned_critical_pairs(data_dir):
+    assert sorted(p.name for p in data_dir.glob("*.lwv")) == [
+        name for name, _, _ in PINNED_CRITICAL_PAIRS]
 
 
 def test_check_complete_abelian(ab_trs):

@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from eqhom.chains import Cell
-from eqhom.rewrite import random_term
+from eqhom.rewrite import is_irreducible, random_term, rewrite_steps
 from eqhom.terms import (
     App,
     Morphism,
@@ -18,10 +18,10 @@ from eqhom.terms import (
     is_canonical,
     is_identity,
     is_partial_permutation,
-    positions,
     render_term,
     subterm_at,
     substitute,
+    subterms,
     var_count,
     variables,
 )
@@ -41,11 +41,50 @@ def plus(a, b):
 ZERO = SIG.app("zero")
 
 
+def positions_reference(t):
+    """The reference for ``subterms``: positions by recursion in preorder,
+    each looked up from the root with ``subterm_at``."""
+    def walk(u, p):
+        yield p
+        if isinstance(u, App):
+            for i, a in enumerate(u.args, 1):
+                yield from walk(a, p + (i,))
+
+    return [(p, subterm_at(t, p)) for p in walk(t, ())]
+
+
 def test_positions_examples():
-    assert positions(plus(x(), ZERO)) == [(), (1,), (2,)]
-    assert positions(x()) == [()]
+    assert [p for p, _ in subterms(plus(x(), ZERO))] == [(), (1,), (2,)]
+    assert list(subterms(x())) == [((), x())]
     t = plus(plus(x("x"), x("y")), x("z"))
-    assert positions(t) == [(), (1,), (1, 1), (1, 2), (2,)]
+    assert [p for p, _ in subterms(t)] == [(), (1,), (1, 1), (1, 2), (2,)]
+    assert dict(subterms(t))[(1, 2)] == x("y")
+
+
+def test_subterms_match_the_recursive_reference(ab_trs, group_trs):
+    rng = random.Random(41)
+    for trs, sort in ((ab_trs, "X"), (group_trs, "G")):
+        irreducible = 0
+        for _ in range(200):
+            t = random_term(trs.signature, sort, rng, rng.randint(0, 5))
+            assert list(subterms(t)) == positions_reference(t), t
+            # one redex scan: irreducible iff no one-step reduct
+            assert is_irreducible(t, trs) == (rewrite_steps(t, trs) == []), t
+            irreducible += is_irreducible(t, trs)
+        assert 20 < irreducible < 180
+
+
+def test_subterms_walk_past_the_recursion_limit():
+    depth = 5000
+    t = ZERO
+    for _ in range(depth):
+        t = App("plus", (ZERO, t), "X")
+    seen = deepest = 0
+    for p, u in subterms(t):
+        seen += 1
+        deepest = max(deepest, len(p))
+    assert (seen, deepest) == (2 * depth + 1, depth)
+    assert u == ZERO and p == (2,) * depth
 
 
 def test_subterm_at_examples():
@@ -196,8 +235,8 @@ def test_substitution_commutes_with_positions():
         t = _random_term(rng, 3, ["a", "b"])
         sigma = {"a": _random_term(rng, 2, ["u"]), "b": _random_term(rng, 2, ["u"])}
         s = substitute(t, sigma)
-        for p in positions(t):
-            assert subterm_at(s, p) == substitute(subterm_at(t, p), sigma)
+        for p, u in subterms(t):
+            assert subterm_at(s, p) == substitute(u, sigma)
 
 
 def test_render_term():

@@ -5,9 +5,8 @@ from eqhom.terms import (
     Signature,
     Var,
     canonicalize,
-    positions,
     substitute,
-    subterm_at,
+    subterms,
     variables,
 )
 from eqhom.unify import match_term, mgu
@@ -26,8 +25,7 @@ def generalized_subterm_occurrences(tp, t):
     matching substitution: a reference for the rewrite engine's redex
     search."""
     out = []
-    for p in positions(t):
-        sub = subterm_at(t, p)
+    for p, sub in subterms(t):
         if sub.sort == tp.sort:
             sigma = match_term(tp, sub)
             if sigma is not None:
