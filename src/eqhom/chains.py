@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rewrite import RedexIndex, Rule, Trs, certify, is_irreducible, max_redex, op_morphism
+from .rewrite import (RedexIndex, Rule, Trs, certify, is_irreducible, max_redex, memoised,
+                      op_morphism)
 from .terms import (
     Morphism,
     Position,
@@ -74,15 +75,14 @@ def cell_key(cell: Cell) -> tuple:
 
 
 def composite(cell: Cell, trs: Trs, upto: int | None = None) -> Morphism:
-    """Raw composite of the first ``upto`` entries (no rewriting)."""
-    upto = cell.dim if upto is None else upto
-    cache = trs.cache("composite")
-    key = (cell.sort, cell.entries[:upto])
-    hit = cache.get(key)
-    if hit is None:
-        hit = compose_chain(cell.entries[:upto])
-        cache[key] = hit
-    return hit
+    """Raw composite of the first ``upto`` entries (no rewriting),
+    memoised per entry prefix: a cell's sort is its first entry's codomain."""
+    return _composite(cell.entries[:upto], trs)
+
+
+@memoised("composite")
+def _composite(entries: tuple[Morphism, ...], trs: Trs) -> Morphism:
+    return compose_chain(entries)
 
 
 def redex_less(a: RedexIndex | None, b: RedexIndex | None) -> bool:
@@ -104,19 +104,17 @@ def valid_entry(m: Morphism, trs: Trs) -> bool:
     return all(is_irreducible(t, trs) for t in m.terms)
 
 
-def mgu_extension(T: Morphism, p: Position, rule: Rule, trs: Trs) -> Morphism | None:
-    """Most general substitution tuple unifying ``T``'s subterm at ``p``
-    with the rule's left-hand side, expressed over ``T``'s full context.
+@memoised("mgu_extension")
+def mgu_extension(key: tuple[Morphism, Position, Rule], trs: Trs) -> Morphism | None:
+    """Most general substitution tuple unifying the subterm at ``p`` of
+    ``T`` with the rule's left-hand side, ``key = (T, p, rule)``,
+    expressed over ``T``'s full context.
 
     Context variables not constrained by the unification stay as fresh
     distinct variables.  Returns the canonical morphism, or None when the
-    subterm is a variable or the unification fails.  Memoised per
-    ``(T, p, rule)`` in ``trs.cache("mgu_extension")``.
+    subterm is a variable or the unification fails.  Memoised per key.
     """
-    return trs.memo("mgu_extension", (T, p, rule), lambda: _mgu_extension(T, p, rule))
-
-
-def _mgu_extension(T: Morphism, p: Position, rule: Rule) -> Morphism | None:
+    T, p, rule = key
     sub = subterm_at(T.term, p)
     if isinstance(sub, Var):
         return None
@@ -157,17 +155,13 @@ def is_chain(cell: Cell, trs: Trs) -> bool:
     return longest_chain_prefix(cell, trs) == cell.dim
 
 
+@memoised("extensions")
 def chain_extensions(T: Morphism, trs: Trs) -> list[Morphism]:
     """All valid entries extending the chain with raw composite ``T``:
     the composite with the entry has a strictly larger maximal redex
     (p, l), at a non-variable position of ``T`` itself, and the entry is
     the most general unifier of ``T`` at ``p`` against ``l``.  Memoised
-    per ``T`` in ``trs.cache("extensions")``; the returned list is
-    shared, not to be mutated."""
-    return trs.memo("extensions", T, lambda: _chain_extensions(T, trs))
-
-
-def _chain_extensions(T: Morphism, trs: Trs) -> list[Morphism]:
+    per ``T``; the returned list is shared, not to be mutated."""
     base = max_redex(T.term, trs)
     out = []
     for p, sub in subterms(T.term):
@@ -176,7 +170,7 @@ def _chain_extensions(T: Morphism, trs: Trs) -> list[Morphism]:
         for rank, rule in enumerate(trs.rules):
             if not redex_less(base, (p, rank)):
                 continue
-            u = mgu_extension(T, p, rule, trs)
+            u = mgu_extension((T, p, rule), trs)
             if u is None or not valid_entry(u, trs):
                 continue
             if max_redex(compose_raw(T, u).term, trs) != (p, rank):

@@ -150,7 +150,7 @@ def add_term(acc: Boundary, cell, coeff) -> None:
 
 def classify(cell, cx: Complex) -> CellClass:
     """Critical, redundant-with-partner or collapsible-with-partner."""
-    cache = cx.system.cache("classify")
+    cache = cx.system.cache("classify")  # by hand: its system comes through the adapter
     hit = cache.get(cell)
     if hit is None:
         hit = cache[cell] = _classify(cell, cx)
@@ -202,7 +202,7 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
     face being expressed]``.
     """
     ring, system = cx.ring, cx.system
-    cache = system.cache("express_" + ring.name)
+    cache = system.cache("express_" + ring.name)  # by hand: every routed cell is filled
     hit = cache.get(cell)
     if hit is not None:
         return hit

@@ -28,7 +28,6 @@ of the strong inequality work uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .chains import Cell, enumerate_chains
 from .collapse import BoundaryMatrix, Matrix, assemble_matrices
@@ -40,8 +39,30 @@ class CoefficientError(Exception):
     """The requested coefficient modulus is not 0 or an admissible prime."""
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin over _BASES is exact below this bound (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin, exact for ``n < PRIME_TEST_LIMIT``."""
+    if n < 2 or n in _BASES:
+        return n in _BASES
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _BASES:
+        x = pow(a, odd, n)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def validate_modulus(d: int, trs_degree: int) -> None:
@@ -52,9 +73,11 @@ def validate_modulus(d: int, trs_degree: int) -> None:
             raise CoefficientError(
                 f"modulus 0 needs degree 0, system has degree {trs_degree}")
         return
-    if trs_degree % d != 0:  # first: a nonzero degree bounds the trial division
+    if trs_degree % d != 0:  # first: a nonzero degree bounds d
         raise CoefficientError(
             f"modulus {d} does not divide the system degree {trs_degree}")
+    if d >= PRIME_TEST_LIMIT:
+        raise CoefficientError(f"modulus {d} is too large to test for primality")
     if not is_prime(d):
         raise CoefficientError(f"modulus {d} is neither 0 nor prime")
 

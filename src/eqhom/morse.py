@@ -47,7 +47,7 @@ from .coeff import (
     star,
 )
 from .collapse import DEFAULT_ROUTE_BUDGET, CellClass, MatchingError, add_term
-from .rewrite import Trs, max_redex, normal_form_morphism, op_morphism
+from .rewrite import Trs, max_redex, memoised, normal_form_morphism, op_morphism
 from .terms import (
     App,
     Morphism,
@@ -71,19 +71,17 @@ Coeff = Union[int, RingoidElement]
 Boundary = dict[Cell, Coeff]
 
 
-def _merge(a: Morphism, b: Morphism, trs: Trs) -> Morphism:
-    """Normal form of the composite of adjacent entries ``a`` and ``b``,
-    memoised per pair in ``trs.cache("merge")``."""
-    return trs.memo("merge", (a, b), lambda: normal_form_morphism(compose_raw(a, b), trs))
+@memoised("merge")
+def _merge(pair: tuple[Morphism, Morphism], trs: Trs) -> Morphism:
+    """Normal form of the composite of two adjacent entries, memoised per pair."""
+    return normal_form_morphism(compose_raw(*pair), trs)
 
 
+@memoised("factor")
 def _factor(m: Morphism, trs: Trs) -> tuple[Morphism, Morphism]:
-    """``m`` as (essential part, selection morphism), memoised per
-    morphism in ``trs.cache("factor")``."""
-    def factor():
-        ess, pp = canonicalize(m.context, m.terms)
-        return ess, pp.as_morphism()
-    return trs.memo("factor", m, factor)
+    """``m`` as (essential part, selection morphism), memoised per morphism."""
+    ess, pp = canonicalize(m.context, m.terms)
+    return ess, pp.as_morphism()
 
 
 def _phi(entries: tuple[Morphism, ...], k: int,
@@ -146,7 +144,7 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
 
     # middle faces: compose adjacent entries and re-normalize
     for j in range(1, n):
-        merged = _merge(entries[j - 1], entries[j], trs)
+        merged = _merge(entries[j - 1:j + 1], trs)
         repaired = _phi(entries[: j - 1] + (merged,) + entries[j + 1 :], j - 1, trs)
         if repaired is not None:
             sign = -1 if j % 2 else 1
@@ -181,7 +179,7 @@ def _try_split(cell: Cell, trs: Trs, prefix: int) -> Cell | None:
         return None
     if isinstance(sub, Var):
         return None
-    u = mgu_extension(T, p, trs.rules[rank], trs)
+    u = mgu_extension((T, p, trs.rules[rank]), trs)
     if u is None or not valid_entry(u, trs):
         return None
     binding = match_tuple(u.terms, t.terms)

@@ -10,7 +10,8 @@ the report says which parts passed.
 Normal forms are computed with a deterministic leftmost-innermost
 strategy.  For a certified system the normal form is unique regardless,
 and results are memoized per system (idempotent values, so last-write-wins
-caching is safe under concurrent use).
+caching is safe under concurrent use); ``memoised`` memoises every
+single-key kernel of both engines.
 
 Redexes are indexed by (position, rule rank) pairs ordered
 lexicographically: a proper prefix precedes its extensions and siblings
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import wraps
 from math import gcd
 
 from .terms import (
@@ -98,14 +100,21 @@ class Memoised:
     def cache(self, kind: str) -> dict:
         return self.caches.get(kind) or self.caches.setdefault(kind, {})
 
-    def memo(self, kind: str, key, compute):
-        """``compute()``, memoised under ``key`` in ``self.cache(kind)``;
-        any value, None included, is a memoised result."""
-        cache = self.cache(kind)
-        hit = cache.get(key, _MISSING)
-        if hit is _MISSING:
-            hit = cache[key] = compute()
-        return hit
+
+def memoised(kind: str):
+    """Memoise a kernel ``f(key, system)`` under ``key`` in
+    ``system.cache(kind)``; any value, None and False included, is a
+    memoised result."""
+    def decorate(f):
+        @wraps(f)
+        def kernel(key, system):
+            cache = system.cache(kind)
+            hit = cache.get(key, _MISSING)
+            if hit is _MISSING:
+                hit = cache[key] = f(key, system)
+            return hit
+        return kernel
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -134,17 +143,14 @@ def rewrite_steps(t: Term, trs: Trs) -> list[tuple[Rule, Position, Term]]:
     return out
 
 
+@memoised("max_redex")
 def max_redex(t: Term, trs: Trs) -> RedexIndex | None:
     """Greatest redex index of ``t``; None iff ``t`` is irreducible.
 
     Preorder is lexicographic order on positions, so the first match
     scanning positions backwards and ranks downwards is the maximum of
-    all redex indices.  Memoised per term in ``trs.cache("max_redex")``.
+    all redex indices.  Memoised per term.
     """
-    return trs.memo("max_redex", t, lambda: _max_redex(t, trs))
-
-
-def _max_redex(t: Term, trs: Trs) -> RedexIndex | None:
     ranked = list(enumerate(trs.rules))[::-1]
     for p, sub in reversed(list(subterms(t))):
         if isinstance(sub, Var):
@@ -165,7 +171,7 @@ def normal_form(t: Term, trs: Trs) -> Term:
     Uniqueness holds once the system is certified; without certification
     this is still a deterministic reduction, bounded by the step budget.
     """
-    cache = trs.cache("nf")
+    cache = trs.cache("nf")  # by hand: the result -> result entries serve most hits
     hit = cache.get(t)
     if hit is not None:
         return hit
@@ -175,22 +181,40 @@ def normal_form(t: Term, trs: Trs) -> Term:
 
 
 def _innermost(u: Term, trs: Trs, budget: list[int]) -> Term:
-    """Normalise the arguments, then rewrite at the root until no rule
-    applies there; a root rewrite loops instead of recursing, so the
-    recursion depth is the term depth, not the number of steps."""
-    while isinstance(u, App):
-        u = App(u.op, tuple(_innermost(a, trs, budget) for a in u.args), u.sort)
-        for rule in trs.rules:
-            sigma = match_term(rule.lhs, u)
+    """Leftmost-innermost normalisation on an explicit stack, never the
+    recursion limit: a frame is an application and the normal forms of its
+    first arguments.  A term with normal arguments is rewritten at the
+    root by the first rule that matches; the reduct is normalised afresh."""
+    stack: list[tuple[App, list[Term]]] = []
+    fresh = True  # u's arguments are not known to be normal
+    while True:
+        if fresh and isinstance(u, App) and u.args:
+            stack.append((u, []))
+            u = u.args[0]
+            continue
+        if isinstance(u, App):
+            for rule in trs.rules:
+                sigma = match_term(rule.lhs, u)
+                if sigma is not None:
+                    break
+            else:
+                sigma = None
             if sigma is not None:
-                break
-        else:
+                budget[0] -= 1
+                if budget[0] < 0:  # u may be deep: name its head, do not render it
+                    raise BudgetExceeded(
+                        f"step budget exhausted while reducing a term headed by {u.op}")
+                u, fresh = substitute(rule.rhs, sigma), True
+                continue
+        if not stack:
             return u
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded(f"step budget exhausted while reducing {render_term(u)}")
-        u = substitute(rule.rhs, sigma)
-    return u
+        app, done = stack[-1]
+        done.append(u)
+        if len(done) < len(app.args):
+            u, fresh = app.args[len(done)], True
+        else:
+            stack.pop()
+            u, fresh = App(app.op, tuple(done), app.sort), False
 
 
 def normal_form_morphism(m: Morphism, trs: Trs) -> Morphism:
@@ -248,9 +272,9 @@ def joinable(a: Term, b: Term, trs: Trs) -> bool:
 class CompletenessReport:
     reduced: bool
     reducedness_failures: list[str]
-    locally_confluent: bool
+    locally_confluent: bool | None  # None: the check did not run
     unjoinable: list  # the engine's critical pairs that did not join
-    termination_probe_ok: bool
+    termination_probe_ok: bool | None  # None: the probe did not run
     termination_offender: str | None  # the rendered probe that ran out of budget
     probe_terms: int
     budget_exceeded: bool
@@ -258,14 +282,14 @@ class CompletenessReport:
 
     @property
     def complete(self) -> bool:
-        return self.locally_confluent and self.termination_probe_ok
+        return bool(self.locally_confluent and self.termination_probe_ok)
 
     @property
     def certified(self) -> bool:
         return self.reduced and self.complete
 
     def lines(self) -> list[str]:
-        ok = lambda b: "ok" if b else "FAILED"
+        ok = lambda b: "not run" if b is None else "ok" if b else "FAILED"
         out = [f"reduced: {ok(self.reduced)}"]
         out.extend(f"  {msg}" for msg in self.reducedness_failures)
         out.append(f"locally confluent: {ok(self.locally_confluent)}")
@@ -361,11 +385,16 @@ def check_complete(trs: Trs, sample_size: int = 40, sample_depth: int = 4,
                  lambda t: normal_form(t, trs), probes, render_term, assume_terminating)
 
 
+@memoised("certify")
+def _report(check, system) -> CompletenessReport:
+    return check(system)
+
+
 def certify(system, need_reduced: bool = True, check=check_complete) -> CompletenessReport:
-    """The ``check`` report on ``system``, memoised under ``certify``;
+    """The ``check`` report on ``system``, memoised per check under ``certify``;
     raises ``CompletenessError`` with its failed parts unless the system
     is complete, and reduced too if ``need_reduced``."""
-    report = system.memo("certify", "report", lambda: check(system))
+    report = _report(check, system)
     if not (report.certified if need_reduced else report.complete):
         failed = [line.strip() for line in report.lines()[:-1]  # failed checks, their details
                   if "FAILED" in line or line.startswith(" ")]

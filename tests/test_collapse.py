@@ -5,16 +5,19 @@ import sys
 import pytest
 
 from eqhom import collapse
-from eqhom.chains import enumerate_chains, longest_chain_prefix
+from eqhom.chains import enumerate_chains, longest_chain_prefix, mgu_extension
 from eqhom.collapse import MatchingError, assemble_matrices, morse_differential
 from eqhom.homology import boundary_matrices
 from eqhom.monoid import (
     enumerate_word_chains,
+    find_redex,
+    is_irreducible_word,
     longest_word_chain_prefix,
     word_boundary_matrices,
 )
 from eqhom.parser import parse_presentation, parse_srs
-from eqhom.rewrite import BudgetExceeded, degree
+from eqhom.rewrite import BudgetExceeded, degree, max_redex, op_morphism
+from eqhom.unify import match_term, unify_terms
 
 
 class Table:
@@ -139,3 +142,25 @@ def test_routing_scans_each_chain_prefix_once(monkeypatch, data_dir):
     scans = _count_calls(monkeypatch, longest_word_chain_prefix)
     word_boundary_matrices(srs, word_chains, 5)
     assert scans[0] == len(srs.cache("express_count")) == 349
+
+
+def test_a_none_or_false_result_is_computed_once(monkeypatch, data_dir):
+    # a memo that took None or False for a miss would rescan on every call
+    trs = parse_presentation((data_dir / "group.lwv").read_text())
+    t = op_morphism(trs.signature, "m").term  # m(x1,x2) is irreducible
+    matches = _count_calls(monkeypatch, match_term)
+    assert max_redex(t, trs) is None
+    scanned = matches[0]
+    assert scanned > 0 and max_redex(t, trs) is None and matches[0] == scanned
+
+    T = op_morphism(trs.signature, "i")  # i(x1) against m(e,x) fails at the root
+    unifications = _count_calls(monkeypatch, unify_terms)
+    for _ in range(2):
+        assert mgu_extension((T, (), trs.rules[0]), trs) is None
+    assert unifications[0] == 1
+
+    srs = parse_srs((data_dir / "z2.srs").read_text())
+    scans = _count_calls(monkeypatch, find_redex)
+    for _ in range(2):
+        assert is_irreducible_word(("a", "a"), srs) is False
+    assert scans[0] == 1

@@ -263,7 +263,7 @@ def test_cli_check_reports_a_rewrite_cycle(capsys, tmp_path):
 
 @pytest.mark.parametrize("name, text, argv, names", [
     ("grow.srs", "letters a b\nrule r : a -> b b a\n", ("monoid", "homology"),
-     "reduced: FAILED; rhs of r not in normal form; "),
+     "reduced: FAILED; rhs of r not in normal form\n"),
     ("bad.lwv", NONCONFLUENT, ("homology",),
      "locally confluent: FAILED; unjoinable: <r1/r2@ε: a vs b>; "),
 ], ids=["srs-unreduced", "lwv-nonconfluent"])
@@ -277,6 +277,49 @@ def test_cli_names_the_failed_checks_of_uncertified_input_in_one_line(
     assert err.startswith("error: system is not certified reduced complete: ")
     assert err.count("\n") == 1 and names in err
     assert "--assume-terminating" not in err and "None" not in err and "  " not in err
+
+
+def test_cli_reports_the_probes_an_unreduced_srs_never_ran_as_not_run(capsys, tmp_path):
+    path = tmp_path / "grow.srs"
+    path.write_text("letters a b\nrule r1 : a -> b b a\n")
+    code, out, err = _run(capsys, "monoid", "homology", str(path), "--max-dim", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: system is not certified reduced complete: "
+                   "reduced: FAILED; rhs of r1 not in normal form\n")
+
+
+def test_cli_survives_a_rule_that_nests_its_redex(capsys, tmp_path):
+    # each step nests the next redex one level deeper, so a recursive
+    # normaliser would meet the recursion limit before the step budget
+    path = tmp_path / "nest.lwv"
+    path.write_text("sorts X\nop f : X -> X\nop a : -> X\nvar x : X\n"
+                    "rule r : f(x) -> f(f(x))\n")
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, err) == (3, "")
+    assert "termination probe (42 terms): FAILED (f(f(x)))" in out
+    assert out.endswith("complete (reduced + locally confluent + termination probed): NO\n")
+    code, out, err = _run(capsys, "chains", str(path), "--max-dim", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: system is not certified reduced complete: ")
+    assert err.count("\n") == 1 and "FAILED (f(f(x)))" in err
+
+
+def test_cli_tests_a_huge_prime_modulus_at_once(capsys, data_dir):
+    # abelian_unit has degree 0, which every modulus divides
+    path = str(data_dir / "abelian_unit.lwv")
+    code, out, err = _run(capsys, "homology", path, "--max-dim", "1",
+                          "--coeff", "2305843009213693951")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "coefficients: Z/2305843009213693951  (degree 0)"
+    assert [line.split("   ")[0] for line in out.splitlines()[1:]] == ["H_0: 0", "H_1: 0"]
+    # (2^31 - 1)^2: about 2e9 trial divisions before the prime test
+    code, out, err = _run(capsys, "homology", path, "--max-dim", "1",
+                          "--coeff", str((2**31 - 1) ** 2))
+    assert (code, out) == (4, "")
+    assert err == f"error: modulus {(2**31 - 1) ** 2} is neither 0 nor prime\n"
+    code, out, err = _run(capsys, "homology", path, "--max-dim", "1", "--coeff", str(2**89 - 1))
+    assert (code, out) == (4, "")
+    assert err == f"error: modulus {2**89 - 1} is too large to test for primality\n"
 
 
 def test_public_api_and_cli_surface_are_pinned():

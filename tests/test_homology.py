@@ -1,5 +1,6 @@
 import math
 import random
+from math import isqrt
 from itertools import combinations
 
 import pytest
@@ -9,11 +10,13 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 from eqhom.chains import enumerate_chains
 from eqhom.homology import (
     BoundaryMatrix,
+    PRIME_TEST_LIMIT,
     CoefficientError,
     boundary_matrices,
     fp_rank,
     homology_group,
     inequality_report,
+    is_prime,
     matrix_product,
     smith_normal_form,
     validate_modulus,
@@ -224,6 +227,24 @@ def test_modulus_validation(ab_trs, group_trs):
         validate_modulus(3, degree(group_trs))
     with pytest.raises(CoefficientError):
         validate_modulus(0, degree(group_trs))
+
+
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    for n in range(-50, 200_001):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3_215_031_751) and not _is_prime_by_trial_division(3_215_031_751)
+    assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) ** 2)
+    # the bound is the least strong pseudoprime to all thirteen bases,
+    # which the test calls prime, so validation refuses it unseen
+    assert PRIME_TEST_LIMIT == 1_287_836_182_261 * 2_575_672_364_521
+    assert is_prime(PRIME_TEST_LIMIT)
+    with pytest.raises(CoefficientError, match="too large"):
+        validate_modulus(PRIME_TEST_LIMIT, 0)
 
 
 def test_idempotent_closure_theory():
