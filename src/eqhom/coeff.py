@@ -12,9 +12,12 @@ Each factor carries an operation symbol ``f``, an argument index ``i``
 and a subscript morphism ``s``; the tail ``a*`` restricts along a
 morphism ``a`` and is kept rightmost as the normal form.  Multiplying
 pushes the left factor's tail through the right factor's derivatives by
-composing it into their subscripts, and composes the tails; subscripts
-and tails are stored in normal form with positional variable naming so
-that equality of monomials is structural.
+composing it into their subscripts, and composes the tails.  Subscripts
+and tails are stored in normal form over the context ``x1..xn`` of their
+domain sorts, so equality of monomials is structural.  The three
+constructors (``identity_element``, ``star``, and ``expand_derivative``
+on its subscript) rename a context to ``x1..xn`` once; ``multiply``
+composes onto such a tail, so it needs only the normal form.
 
 ``expand_derivative`` rewrites the derivative of a composite term into
 the sum of one monomial per occurrence of the chosen context variable
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .collapse import FormalSum
-from .rewrite import Trs, normal_form
+from .rewrite import Trs, normal_form_morphism
 from .terms import (
     Context,
     Morphism,
@@ -42,7 +45,6 @@ from .terms import (
     compose_raw,
     identity,
     is_identity,
-    positional,
     render_morphism,
 )
 
@@ -56,11 +58,6 @@ class Monomial:
 
     def __repr__(self):
         return render_monomial(self)
-
-
-def normalize_positional(m: Morphism, trs: Trs) -> Morphism:
-    """Normal-form components, context renamed x1..xn by position."""
-    return positional(m.context, tuple(normal_form(t, trs) for t in m.terms))
 
 
 def _mono_key(m: Monomial) -> tuple:
@@ -93,12 +90,13 @@ ZERO = RingoidElement()
 
 
 def identity_element(context: Context) -> RingoidElement:
-    return RingoidElement({Monomial((), identity(context)): 1})
+    return RingoidElement({Monomial((), identity(canonical_context(s for _, s in context))): 1})
 
 
 def star(alpha: Morphism, trs: Trs) -> RingoidElement:
     """The restriction generator along ``alpha`` as an element."""
-    return RingoidElement({Monomial((), normalize_positional(alpha, trs)): 1})
+    renamed = compose_raw(alpha, identity(canonical_context(alpha.domain_sorts)))
+    return RingoidElement({Monomial((), normal_form_morphism(renamed, trs)): 1})
 
 
 def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> RingoidElement:
@@ -114,13 +112,14 @@ def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> Ri
         raise ValueError("subscript does not land in the term's context")
     target = tm.context[i - 1][0]
     tail = identity(canonical_context(subscript.domain_sorts))
+    subscript = compose_raw(subscript, tail)
 
     def rec(t: Term) -> list[tuple[Factor, ...]]:
         if isinstance(t, Var):
             return [()] if t.name == target else []
         out: list[tuple[Factor, ...]] = []
         args_m = Morphism(tm.context, t.args)
-        sub = normalize_positional(compose_raw(args_m, subscript), trs)
+        sub = normal_form_morphism(compose_raw(args_m, subscript), trs)
         for j, arg in enumerate(t.args, 1):
             head: Factor = (t.op, j, sub)
             out.extend((head,) + rest for rest in rec(arg))
@@ -138,11 +137,11 @@ def multiply(a: RingoidElement, b: RingoidElement, trs: Trs) -> RingoidElement:
     """
     def product(ma: Monomial, mb: Monomial) -> Monomial:
         moved = tuple(
-            (op, idx, normalize_positional(compose_raw(sub, ma.tail), trs))
+            (op, idx, normal_form_morphism(compose_raw(sub, ma.tail), trs))
             for op, idx, sub in mb.factors
         )
         return Monomial(ma.factors + moved,
-                        normalize_positional(compose_raw(mb.tail, ma.tail), trs))
+                        normal_form_morphism(compose_raw(mb.tail, ma.tail), trs))
 
     return RingoidElement.collect((product(ma, mb), ca * cb)
                                   for ma, ca in a.items() for mb, cb in b.items())

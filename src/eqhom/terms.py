@@ -22,9 +22,10 @@ factorization.  All higher-level cell machinery stores canonical morphisms
 only, so structural equality is semantic equality.
 
 All values are immutable; every function is pure and thread-safe.  The
-hash of an application is computed on first use and kept in a slot; that
-slot is written at most once per value, and only ever with the same
-value, so concurrent readers can at worst compute it twice.
+hash of an application is computed on first use, on an explicit stack,
+and kept in a slot; that slot is written at most once per value, and
+only ever with the same value, so concurrent readers can at worst
+compute it twice.
 """
 
 from __future__ import annotations
@@ -60,8 +61,18 @@ class App:
         # -1 marks "not yet computed": hash() never returns it
         h = self._hash
         if h == -1:
-            h = hash((self.op, self.args, self.sort))
-            object.__setattr__(self, "_hash", h)
+            # unhashed arguments first, deepest first, on an explicit stack:
+            # a deep term never meets the recursion limit
+            stack = [self]
+            while stack:
+                u = stack[-1]
+                for a in u.args:
+                    if type(a) is App and a._hash == -1:
+                        stack.append(a)
+                if stack[-1] is u:
+                    stack.pop()
+                    object.__setattr__(u, "_hash", hash((u.op, u.args, u.sort)))
+            h = self._hash
         return h
 
     def __repr__(self):
@@ -374,18 +385,6 @@ def is_partial_permutation(m: Morphism) -> bool:
 
 def is_identity(m: Morphism) -> bool:
     return m.terms == tuple(Var(n, s) for n, s in m.context)
-
-
-def positional(context: Context, terms: tuple[Term, ...]) -> Morphism:
-    """``terms`` over ``context``, its variables renamed ``x1..xn`` by slot position.
-
-    Unlike ``canonicalize`` this keeps every context slot, used or not, so
-    it is the normal form for subscript and tail morphisms whose domain is
-    a fixed object rather than a variable set.
-    """
-    ctx = canonical_context(s for _, s in context)
-    renaming = {name: Var(*new) for (name, _), new in zip(context, ctx)}
-    return Morphism(ctx, tuple(substitute(t, renaming) for t in terms))
 
 
 def render_morphism(m: Morphism) -> str:

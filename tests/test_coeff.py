@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from eqhom.coeff import (
     ZERO as EL_ZERO,
+    Monomial,
     RingoidElement,
     expand_derivative,
     identity_element,
@@ -11,8 +14,16 @@ from eqhom.coeff import (
     tail_counts,
     vanishes,
 )
-from eqhom.rewrite import random_term
-from eqhom.terms import Morphism, Var, identity, variables
+from eqhom.rewrite import normal_form, random_term
+from eqhom.terms import (
+    Morphism,
+    Var,
+    canonical_context,
+    compose_raw,
+    identity,
+    substitute,
+    variables,
+)
 
 X = "X"
 
@@ -172,3 +183,80 @@ def test_elements_are_formal_sums_independent_of_insertion_order(ab_trs):
     assert isinstance(cancelled, RingoidElement)
     assert forward * 0 == EL_ZERO and not forward * 0 and repr(forward * 0) == "0"
     assert forward * -2 == {m1: -6, m2: 2, m3: -2}
+
+
+# A reference ringoid by definition: every subscript and tail is put in
+# normal form and its context renamed x1..xn by slot position, at every
+# step.  The ringoid under test renames only at its constructors.
+
+def positional_nf(m, trs):
+    ctx = canonical_context(m.domain_sorts)
+    renaming = {name: Var(*new) for (name, _), new in zip(m.context, ctx)}
+    return Morphism(ctx, tuple(substitute(normal_form(t, trs), renaming) for t in m.terms))
+
+
+def ref_star(alpha, trs):
+    return RingoidElement({Monomial((), positional_nf(alpha, trs)): 1})
+
+
+def ref_expand_derivative(i, tm, subscript, trs):
+    target = tm.context[i - 1][0]
+    tail = identity(canonical_context(subscript.domain_sorts))
+
+    def rec(t):
+        if isinstance(t, Var):
+            return [()] if t.name == target else []
+        sub = positional_nf(compose_raw(Morphism(tm.context, t.args), subscript), trs)
+        return [((t.op, j, sub),) + rest for j, arg in enumerate(t.args, 1) for rest in rec(arg)]
+
+    return RingoidElement.collect((Monomial(factors, tail), 1) for factors in rec(tm.term))
+
+
+def ref_multiply(a, b, trs):
+    def product(ma, mb):
+        moved = tuple((op, idx, positional_nf(compose_raw(sub, ma.tail), trs))
+                      for op, idx, sub in mb.factors)
+        return Monomial(ma.factors + moved, positional_nf(compose_raw(mb.tail, ma.tail), trs))
+
+    return RingoidElement.collect((product(ma, mb), ca * cb)
+                                  for ma, ca in a.items() for mb, cb in b.items())
+
+
+@pytest.mark.parametrize("fixture", ["ab_trs", "group_trs"])
+def test_ringoid_agrees_with_the_positional_reference(request, fixture):
+    trs = request.getfixturevalue(fixture)
+    sig = trs.signature
+    (sort,) = sig.sorts
+    rng = random.Random(47)
+
+    def context(k):
+        # slots named z, y, x: reversed, not x1..xk
+        return tuple((name, sort) for name in reversed(("x", "y", "z")[:k]))
+
+    def morphism(k, n, depth):  # some slots may go unused
+        pool = {sort: [name for name, _ in context(k)]}
+        return Morphism(context(k),
+                        tuple(random_term(sig, sort, rng, depth, pool) for _ in range(n)))
+
+    factors = 0
+    for _ in range(40):
+        n, k, j = (rng.randint(1, 3) for _ in range(3))
+        tm, subscript = morphism(n, 1, 3), morphism(k, n, 2)
+        alpha, beta = morphism(j, k, 2), morphism(k, rng.randint(1, 3), 2)
+        i = rng.randint(1, n)
+        d = expand_derivative(i, tm, subscript, trs)
+        ref_d = ref_expand_derivative(i, tm, subscript, trs)
+        assert d == ref_d
+        assert star(alpha, trs) == ref_star(alpha, trs)
+        assert star(beta, trs) == ref_star(beta, trs)
+        one = identity(context(k))  # not renamed: the reference renames in multiply
+        for a, b, ref_a, ref_b in [
+            (star(alpha, trs), d, ref_star(alpha, trs), ref_d),
+            (d, star(beta, trs), ref_d, ref_star(beta, trs)),
+            (d, d, ref_d, ref_d),
+            (identity_element(one.context), d, RingoidElement({Monomial((), one): 1}), ref_d),
+        ]:
+            got, want = multiply(a, b, trs), ref_multiply(ref_a, ref_b, trs)
+            assert got == want and repr(got) == repr(want)
+        factors += sum(len(m.factors) for m in d)
+    assert factors > 0

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 
 import pytest
 
@@ -429,3 +430,11 @@ def test_cli_stdout_matches_its_pinned_digest(capsys, data_dir, argv, digest):
     code, out, err = _run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(os.environ.get("EQHOM_SLOW") != "1",
+                    reason="takes about 15 s; set EQHOM_SLOW=1 to run it")
+def test_symbolic_resolution_to_dim_5_matches_its_pinned_digest(capsys, data_dir):
+    test_cli_stdout_matches_its_pinned_digest(
+        capsys, data_dir, ("resolution", "group.lwv", "--max-dim", "5", "--mode", "symbolic"),
+        "7d29d0597f801e97353d79da531d3f06e149bf6ecbb98282c1a2ce55f162a59d")

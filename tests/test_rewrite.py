@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -223,6 +224,37 @@ def test_budget_exceeded_signals():
     with pytest.raises(BudgetExceeded):
         normal_form(sig.app("f", sig.app("c")), trs)
     assert is_irreducible(sig.app("c"), trs)
+
+
+BINARY_DOUBLING = """\
+sorts N
+op z : -> N
+op s : N -> N
+op d : N -> N
+op e : N -> N
+var x : N
+rule d0 : d(z) -> z
+rule d1 : d(s(x)) -> s(s(d(x)))
+rule e0 : e(z) -> s(z)
+rule e1 : e(s(x)) -> d(e(x))
+budget steps 100000
+"""
+
+
+def test_normal_form_of_a_term_deeper_than_the_recursion_limit():
+    # e(s^n(z)) reduces to s^(2^n)(z); hashing the result to store it
+    # in the memo must not recurse once per level
+    trs = parse_presentation(BINARY_DOUBLING)
+    sig = trs.signature
+    t = sig.app("z")
+    for _ in range(11):
+        t = sig.app("s", t)
+    got = normal_form(sig.app("e", t), trs)
+    depth = 0
+    while got.op == "s":
+        got, depth = got.args[0], depth + 1
+    assert (got.op, depth) == ("z", 2048)
+    assert 2048 > sys.getrecursionlimit()
 
 
 def test_system_equality_ignores_caches_but_not_term_budgets(ab_trs, group_trs, z2_srs):
