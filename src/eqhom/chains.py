@@ -50,15 +50,13 @@ class Cell:
 
     sort: str
     entries: tuple[Morphism, ...]
-    _hash: int = field(default=-1, init=False, compare=False, repr=False, hash=False)
+    _hash: int = field(init=False, compare=False, repr=False, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.sort, self.entries)))
 
     def __hash__(self):
-        # computed once, as for App; -1 marks "not yet computed"
-        h = self._hash
-        if h == -1:
-            h = hash((self.sort, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     @property
     def dim(self) -> int:

@@ -4,7 +4,8 @@ Subcommands: ``check``, ``reduce``, ``chains``, ``resolution``,
 ``homology``, ``inequality`` and ``monoid {chains,homology}``.
 
 Exit codes: 0 ok, 1 input error, 2 completeness check failed, 3 budget
-exceeded (in the check too), 4 unsupported coefficient modulus.
+exceeded (in the check too, or a term nested past the recursion limit),
+4 unsupported coefficient modulus.
 """
 
 from __future__ import annotations
@@ -283,6 +284,9 @@ def cli_dispatch(argv: list[str]) -> int:
         return 2
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: recursion limit exceeded: a term is nested too deeply", file=sys.stderr)
         return 3
 
 

@@ -80,8 +80,7 @@ def _merge(pair: tuple[Morphism, Morphism], trs: Trs) -> Morphism:
 @memoised("factor")
 def _factor(m: Morphism, trs: Trs) -> tuple[Morphism, Morphism]:
     """``m`` as (essential part, selection morphism), memoised per morphism."""
-    ess, pp = canonicalize(m.context, m.terms)
-    return ess, pp.as_morphism()
+    return canonicalize(m.context, m.terms)
 
 
 def _phi(entries: tuple[Morphism, ...], k: int,

@@ -130,6 +130,7 @@ def parse_presentation(text: str) -> Trs:
     rule_specs: list[tuple[str, str, int]] = []
     rule_lines: dict[str, int] = {}
     order: list[str] | None = None
+    order_line = 0
     budgets = {"steps": DEFAULT_STEP_BUDGET, "join": DEFAULT_JOIN_BUDGET}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -172,7 +173,7 @@ def parse_presentation(text: str) -> Trs:
             _declare(rule_lines, m.group(1), lineno, "rule")
             rule_specs.append((m.group(1), m.group(2), lineno))
         elif head == "order":
-            order = rest.split()
+            order, order_line = rest.split(), lineno
         elif head == "budget":
             m = re.fullmatch(r"(steps|join)\s+(\d+)", rest)
             if not m:
@@ -207,9 +208,10 @@ def parse_presentation(text: str) -> Trs:
         by_name = {r.name: r for r in rules}
         unknown = [n for n in order if n not in by_name]
         if unknown:
-            raise ParseError("undeclared-name", f"order names unknown rules {unknown}", 0)
+            raise ParseError("undeclared-name", f"order names unknown rules {unknown}",
+                             order_line)
         if len(order) != len(rules) or len(set(order)) != len(order):
-            raise ParseError("syntax-error", "order must list every rule once", 0)
+            raise ParseError("syntax-error", "order must list every rule once", order_line)
         rules = [by_name[n] for n in order]
 
     return Trs(sig, tuple(rules), budgets["steps"], budgets["join"])

@@ -12,20 +12,22 @@ the free theory generated by the signature: composition substitutes the
 inner morphism's terms for the outer morphism's context variables.
 
 Every morphism factors uniquely as an *essential* morphism followed by a
-*partial permutation*.  A partial permutation merely selects and reorders
-context slots (its terms are pairwise distinct variables); an essential
-morphism uses every variable of its context.  We fix one representative
-per renaming class: context variables are listed in order of first
-occurrence across the term tuple and named ``x1, x2, ...``.  A morphism in
-that form is called *canonical* here, and ``canonicalize`` computes the
-factorization.  All higher-level cell machinery stores canonical morphisms
-only, so structural equality is semantic equality.
+*partial permutation*.  A partial permutation is itself a morphism that
+merely selects and reorders context slots (its terms are pairwise
+distinct variables); an essential morphism uses every variable of its
+context.  We fix one representative per renaming class: context
+variables are listed in order of first occurrence across the term tuple
+and named ``x1, x2, ...``.  A morphism in that form is called
+*canonical* here, and ``canonicalize`` computes the factorization,
+returning the selection as a morphism.  All higher-level cell machinery
+stores canonical morphisms only, so structural equality is semantic
+equality.
 
-All values are immutable; every function is pure and thread-safe.  The
-hash of an application is computed on first use, on an explicit stack,
-and kept in a slot; that slot is written at most once per value, and
-only ever with the same value, so concurrent readers can at worst
-compute it twice.
+All values are immutable; every function is pure and thread-safe.  An
+application and a morphism compute their hash once, at construction,
+from their parts' hashes, and keep it in a slot that is never written
+again; so hashing never walks a term, and concurrent readers only ever
+read.
 """
 
 from __future__ import annotations
@@ -55,25 +57,15 @@ class App:
     op: str
     args: tuple["Term", ...]
     sort: str
-    _hash: int = field(default=-1, init=False, compare=False, repr=False, hash=False)
+    _hash: int = field(init=False, compare=False, repr=False, hash=False)
+
+    def __post_init__(self):
+        # the generated dataclass hash, so hash-ordered containers iterate
+        # as they would without the slot; the arguments' hashes are cached
+        object.__setattr__(self, "_hash", hash((self.op, self.args, self.sort)))
 
     def __hash__(self):
-        # -1 marks "not yet computed": hash() never returns it
-        h = self._hash
-        if h == -1:
-            # unhashed arguments first, deepest first, on an explicit stack:
-            # a deep term never meets the recursion limit
-            stack = [self]
-            while stack:
-                u = stack[-1]
-                for a in u.args:
-                    if type(a) is App and a._hash == -1:
-                        stack.append(a)
-                if stack[-1] is u:
-                    stack.pop()
-                    object.__setattr__(u, "_hash", hash((u.op, u.args, u.sort)))
-            h = self._hash
-        return h
+        return self._hash
 
     def __repr__(self):
         if not self.args:
@@ -246,9 +238,14 @@ class Morphism:
 
     context: Context
     terms: tuple[Term, ...]
+    _hash: int = field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         _checked_variables(self.context, self.terms)
+        object.__setattr__(self, "_hash", hash((self.context, self.terms)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def domain_sorts(self) -> tuple[str, ...]:
@@ -268,33 +265,6 @@ class Morphism:
         ctx = ",".join(n for n, _ in self.context)
         tms = ",".join(render_term(t) for t in self.terms)
         return f"({ctx}|{tms})"
-
-
-@dataclass(frozen=True)
-class PartialPermutation:
-    """An injection from target slots into source context slots (1-based)."""
-
-    selected: tuple[int, ...]
-    source: Context
-
-    def __post_init__(self):
-        n = len(self.source)
-        if len(set(self.selected)) != len(self.selected):
-            raise TermError("partial permutation must be injective")
-        if any(not 1 <= i <= n for i in self.selected):
-            raise TermError("partial permutation index out of range")
-
-    @property
-    def is_permutation(self) -> bool:
-        return len(self.selected) == len(self.source)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.selected == tuple(range(1, len(self.source) + 1))
-
-    def as_morphism(self) -> Morphism:
-        terms = tuple(Var(*self.source[i - 1]) for i in self.selected)
-        return Morphism(self.source, terms)
 
 
 def identity(context: Context) -> Morphism:
@@ -329,23 +299,22 @@ def compose_chain(morphisms: Iterable[Morphism]) -> Morphism:
     return acc
 
 
-def canonicalize(context: Context, terms: tuple[Term, ...]) -> tuple[Morphism, PartialPermutation]:
+def canonicalize(context: Context, terms: tuple[Term, ...]) -> tuple[Morphism, Morphism]:
     """Factor a raw (context, terms) pair as essential-after-selection.
 
     Returns the essential part (context restricted to the variables that
     occur, in first-occurrence order, renamed ``x1, x2, ...``) and the
-    partial permutation recording which source slots were kept.  Composing
-    the essential part with the partial permutation as a morphism restores
-    the input up to renaming; canonical input returns itself with the
-    identity permutation.
+    selection: the partial permutation, itself a morphism over
+    ``context``, whose terms are the kept variables in that order.
+    ``compose_raw(essential, selection)`` restores the input; canonical
+    input returns itself with the identity selection.
     """
     order = _checked_variables(context, terms)
     new_context = canonical_context(order.values())
     renaming = {old: Var(*new) for old, new in zip(order, new_context)}
     new_terms = tuple(substitute(t, renaming) for t in terms)
-    index_of = {name: i for i, (name, _) in enumerate(context, 1)}
-    selected = tuple(index_of[old] for old in order)
-    return Morphism(new_context, new_terms), PartialPermutation(selected, context)
+    selection = Morphism(context, tuple(Var(name, sort) for name, sort in order.items()))
+    return Morphism(new_context, new_terms), selection
 
 
 def essential_from_terms(terms: tuple[Term, ...]) -> Morphism:

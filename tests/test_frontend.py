@@ -77,8 +77,13 @@ def test_order_directive(data_dir):
     text = (data_dir / "abelian_unit.lwv").read_text() + "order r2 r1\n"
     trs = parse_presentation(text)
     assert [r.name for r in trs.rules] == ["r2", "r1"]
-    with pytest.raises(ParseError):
-        parse_presentation(ABELIAN + "order r1\n")
+    # each error cites the order directive's own line
+    for order, message in (
+            ("r1 q", "undeclared-name at line 7:0: order names unknown rules ['q']"),
+            ("r1", "syntax-error at line 7:0: order must list every rule once")):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(ABELIAN + f"order {order}\n\n")
+        assert str(err.value) == message
 
 
 def test_budget_directive():
@@ -303,6 +308,19 @@ def test_cli_survives_a_rule_that_nests_its_redex(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert err.startswith("error: system is not certified reduced complete: ")
     assert err.count("\n") == 1 and "FAILED (f(f(x)))" in err
+
+
+@pytest.mark.parametrize("depth", [600, 3000])
+@pytest.mark.parametrize("argv", [("check",), ("chains", "--max-dim", "2")],
+                         ids=["check", "chains"])
+def test_cli_reports_a_term_past_the_recursion_limit_in_one_line(capsys, tmp_path, depth, argv):
+    # 3000 deep fails while parsing the rule, 600 deep while overlapping it
+    path = tmp_path / "deep.lwv"
+    lhs = "f(" * depth + "x" + ")" * depth
+    path.write_text(f"sorts X\nop f : X -> X\nop a : -> X\nvar x : X\nrule r : {lhs} -> x\n")
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == "error: recursion limit exceeded: a term is nested too deeply\n"
 
 
 def test_cli_tests_a_huge_prime_modulus_at_once(capsys, data_dir):
