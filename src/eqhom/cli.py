@@ -26,7 +26,6 @@ from .homology import (
     inequality_report,
 )
 from .monoid import (
-    Srs,
     certify_srs,
     enumerate_word_chains,
     monoid_homology,
@@ -65,12 +64,20 @@ def cell_json(cell: Cell) -> dict:
     return {"sort": cell.sort, "entries": [morphism_json(m) for m in cell.entries]}
 
 
-def _load_trs(path: str) -> Trs:
-    return parse_presentation(Path(path).read_text(encoding="utf-8-sig"))
+class InputError(Exception):
+    """An input file that cannot be read as UTF-8 text."""
 
 
-def _load_srs(path: str) -> Srs:
-    return parse_srs(Path(path).read_text(encoding="utf-8-sig"))
+def _load(path: str, parse):
+    """``parse`` of the text of the input file at ``path``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except FileNotFoundError as exc:
+        raise InputError(f"no such file: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise InputError(f"cannot read {path}: {why}") from exc
+    return parse(text)
 
 
 def _resolve_modulus(trs: Trs, coeff: str) -> int:
@@ -88,7 +95,7 @@ def _certification_code(report) -> int:
 
 
 def _cmd_check(args) -> int:
-    trs = _load_trs(args.file)
+    trs = _load(args.file, parse_presentation)
     if args.cp_budget or args.term_budget:
         trs = replace(trs, step_budget=args.term_budget or trs.step_budget,
                       join_budget=args.cp_budget or trs.join_budget)
@@ -99,13 +106,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    trs = _load_trs(args.file)
+    trs = _load(args.file, parse_presentation)
     print(print_presentation(reduce_trs(trs)), end="")
     return 0
 
 
 def _cmd_chains(args) -> int:
-    trs = _load_trs(args.file)
+    trs = _load(args.file, parse_presentation)
     chains = enumerate_chains(trs, args.max_dim)
     if args.json:
         payload = {
@@ -128,7 +135,7 @@ def _render_coeff(coeff) -> str:
 
 
 def _cmd_resolution(args) -> int:
-    trs = _load_trs(args.file)
+    trs = _load(args.file, parse_presentation)
     chains = enumerate_chains(trs, args.max_dim)
     for dim in range(args.max_dim + 1):
         cells = chains[dim]
@@ -145,7 +152,7 @@ def _cmd_resolution(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    trs = _load_trs(args.file)
+    trs = _load(args.file, parse_presentation)
     d = _resolve_modulus(trs, args.coeff)
     chains = enumerate_chains(trs, args.max_dim + 1)
     counts = {k: len(v) for k, v in chains.items()}
@@ -178,7 +185,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_inequality(args) -> int:
-    trs = _load_trs(args.file)
+    trs = _load(args.file, parse_presentation)
     d = _resolve_modulus(trs, args.coeff)
     rep = inequality_report(trs, d, args.dim)
     for line in rep.lines():
@@ -190,7 +197,7 @@ def _cmd_inequality(args) -> int:
 
 
 def _cmd_monoid(args) -> int:
-    srs = _load_srs(args.file)
+    srs = _load(args.file, parse_srs)
     certify_srs(srs)
     if args.what == "chains":
         chains = enumerate_word_chains(srs, args.max_dim)
@@ -267,10 +274,7 @@ def cli_dispatch(argv: list[str]) -> int:
             return 1
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
+    except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CoefficientError as exc:

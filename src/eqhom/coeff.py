@@ -95,8 +95,8 @@ def identity_element(context: Context) -> RingoidElement:
 
 def star(alpha: Morphism, trs: Trs) -> RingoidElement:
     """The restriction generator along ``alpha`` as an element."""
-    renamed = compose_raw(alpha, identity(canonical_context(alpha.domain_sorts)))
-    return RingoidElement({Monomial((), normal_form_morphism(renamed, trs)): 1})
+    renamed = identity(canonical_context(alpha.domain_sorts))
+    return RingoidElement({Monomial((), normal_form_morphism(alpha, renamed, trs)): 1})
 
 
 def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> RingoidElement:
@@ -118,8 +118,7 @@ def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> Ri
         if isinstance(t, Var):
             return [()] if t.name == target else []
         out: list[tuple[Factor, ...]] = []
-        args_m = Morphism(tm.context, t.args)
-        sub = normal_form_morphism(compose_raw(args_m, subscript), trs)
+        sub = normal_form_morphism(Morphism.derived(tm.context, t.args), subscript, trs)
         for j, arg in enumerate(t.args, 1):
             head: Factor = (t.op, j, sub)
             out.extend((head,) + rest for rest in rec(arg))
@@ -136,12 +135,9 @@ def multiply(a: RingoidElement, b: RingoidElement, trs: Trs) -> RingoidElement:
     the tails compose in the theory.
     """
     def product(ma: Monomial, mb: Monomial) -> Monomial:
-        moved = tuple(
-            (op, idx, normal_form_morphism(compose_raw(sub, ma.tail), trs))
-            for op, idx, sub in mb.factors
-        )
-        return Monomial(ma.factors + moved,
-                        normal_form_morphism(compose_raw(mb.tail, ma.tail), trs))
+        moved = tuple((op, idx, normal_form_morphism(sub, ma.tail, trs))
+                      for op, idx, sub in mb.factors)
+        return Monomial(ma.factors + moved, normal_form_morphism(mb.tail, ma.tail, trs))
 
     return RingoidElement.collect((product(ma, mb), ca * cb)
                                   for ma, ca in a.items() for mb, cb in b.items())

@@ -61,7 +61,6 @@ from .terms import (
     is_canonical,
     is_identity,
     is_partial_permutation,
-    projection,
     subterm_at,
     var_count,
 )
@@ -74,7 +73,7 @@ Boundary = dict[Cell, Coeff]
 @memoised("merge")
 def _merge(pair: tuple[Morphism, Morphism], trs: Trs) -> Morphism:
     """Normal form of the composite of two adjacent entries, memoised per pair."""
-    return normal_form_morphism(compose_raw(*pair), trs)
+    return normal_form_morphism(*pair, trs)
 
 
 @memoised("factor")
@@ -133,10 +132,10 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     derivative = None
     for i, (_, sort) in enumerate(head.context, 1):
         if tail:
-            component = Morphism(tail[0].context, (tail[0].terms[i - 1],))
+            component = Morphism.derived(tail[0].context, (tail[0].terms[i - 1],))
             repaired = _phi((component,) + tail[1:], 0, trs)
         else:
-            repaired = (), projection(head.context, i)
+            repaired = (), Morphism.derived(head.context, (Var(*head.context[i - 1]),))
         if repaired is not None:
             derivative = derivative or ring.derivatives(head, tail, trs)
             add(Cell(sort, repaired[0]), derivative(i), repaired[1])
@@ -163,7 +162,7 @@ def _try_split(cell: Cell, trs: Trs, prefix: int) -> Cell | None:
         term = head.term
         assert isinstance(term, App) and term.args, "cell head must split"
         f = op_morphism(trs.signature, term.op)
-        args = Morphism(head.context, term.args)
+        args = Morphism.derived(head.context, term.args)
         assert is_canonical(args) and not is_partial_permutation(args)
         return Cell(cell.sort, (f, args) + entries[1:])
     T = composite(cell, trs, prefix)
@@ -184,7 +183,7 @@ def _try_split(cell: Cell, trs: Trs, prefix: int) -> Cell | None:
     binding = match_tuple(u.terms, t.terms)
     if binding is None:
         return None
-    w = Morphism(t.context, tuple(binding[name] for name, _ in u.context))
+    w = Morphism.derived(t.context, tuple(binding[name] for name, _ in u.context))
     if is_partial_permutation(w):
         return None
     assert is_canonical(w), "split remainder should be canonical"

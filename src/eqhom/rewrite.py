@@ -27,6 +27,7 @@ critical pairs, join test, normaliser, probes and renderer.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import wraps
 from math import gcd
@@ -40,6 +41,7 @@ from .terms import (
     TermError,
     Var,
     canonical_context,
+    compose_raw,
     render_term,
     replace_at,
     substitute,
@@ -95,10 +97,11 @@ class Memoised:
     """A rewrite system's memo tables, one dict per kind; the base of
     ``Trs`` and ``monoid.Srs``."""
 
-    caches: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    caches: defaultdict = field(init=False, repr=False, compare=False,
+                                default_factory=lambda: defaultdict(dict))
 
     def cache(self, kind: str) -> dict:
-        return self.caches.get(kind) or self.caches.setdefault(kind, {})
+        return self.caches[kind]
 
 
 def memoised(kind: str):
@@ -217,8 +220,9 @@ def _innermost(u: Term, trs: Trs, budget: list[int]) -> Term:
             u, fresh = App(app.op, tuple(done), app.sort), False
 
 
-def normal_form_morphism(m: Morphism, trs: Trs) -> Morphism:
-    return Morphism(m.context, tuple(normal_form(t, trs) for t in m.terms))
+def normal_form_morphism(f: Morphism, g: Morphism, trs: Trs) -> Morphism:
+    """The composite ``compose_raw(f, g)`` with each term in normal form."""
+    return Morphism.derived(g.context, tuple(normal_form(t, trs) for t in compose_raw(f, g).terms))
 
 
 @dataclass(frozen=True)
@@ -420,16 +424,13 @@ def degree(trs: Trs) -> int:
     and cannot change the gcd, so only left-side variables are scanned.
     An empty or all-zero multiset has gcd 0.
     """
-    d = 0
-    for rule in trs.rules:
-        for v in variables(rule.lhs):
-            d = gcd(d, abs(var_count(rule.lhs, v.name) - var_count(rule.rhs, v.name)))
-    return d
+    return gcd(*(abs(var_count(rule.lhs, v.name) - var_count(rule.rhs, v.name))
+                 for rule in trs.rules for v in variables(rule.lhs)))
 
 
 def op_morphism(sig: Signature, name: str) -> Morphism:
     """The canonical morphism applying one operation to fresh variables."""
     ctx = canonical_context(sig.arg_sorts(name))
     term = sig.app(name, *(Var(n, s) for n, s in ctx))
-    return Morphism(ctx, (term,))
+    return Morphism.derived(ctx, (term,))
 

@@ -23,6 +23,10 @@ returning the selection as a morphism.  All higher-level cell machinery
 stores canonical morphisms only, so structural equality is semantic
 equality.
 
+A morphism is checked against its context where it enters, by
+``Morphism(context, terms)`` and ``canonicalize``; the morphisms the engine
+derives from valid ones are built unchecked, by ``Morphism.derived``.
+
 All values are immutable; every function is pure and thread-safe.  An
 application and a morphism compute their hash once, at construction,
 from their parts' hashes, and keep it in a slot that is never written
@@ -33,6 +37,7 @@ read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Iterator, Mapping, Union
 
 Position = tuple[int, ...]
@@ -152,27 +157,28 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
     return App(t.op, tuple(args), t.sort)
 
 
+def _leaves(terms: tuple[Term, ...]) -> Iterator[Var]:
+    """Variable occurrences of ``terms``, depth-first, left to right, on an explicit stack."""
+    stack = list(reversed(terms))
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            yield u
+        else:
+            stack.extend(reversed(u.args))
+
+
 def variables(t: Term) -> list[Var]:
     """Distinct variables of ``t`` in order of first occurrence."""
     seen: dict[str, Var] = {}
-
-    def walk(u: Term):
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen[u.name] = u
-        else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
+    for v in _leaves((t,)):
+        seen.setdefault(v.name, v)
     return list(seen.values())
 
 
 def var_count(t: Term, name: str) -> int:
     """Number of occurrences of the variable called ``name`` in ``t``."""
-    if isinstance(t, Var):
-        return 1 if t.name == name else 0
-    return sum(var_count(a, name) for a in t.args)
+    return sum(v.name == name for v in _leaves((t,)))
 
 
 def substitute(t: Term, assignment: Mapping[str, Term]) -> Term:
@@ -217,18 +223,13 @@ def _checked_variables(context: Context, terms: tuple[Term, ...]) -> dict[str, s
     if len(sorts) != len(context):
         raise TermError("duplicate context variable")
     order: dict[str, str] = {}
-    stack = list(reversed(terms))
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            sort = sorts.get(u.name)
-            if sort != u.sort:
-                if sort is None:
-                    raise TermError(f"term variable {u.name!r} missing from context")
-                raise TermError(f"context sort clash for {u.name!r}")
-            order[u.name] = sort
-        else:
-            stack.extend(reversed(u.args))
+    for u in _leaves(terms):
+        sort = sorts.get(u.name)
+        if sort != u.sort:
+            if sort is None:
+                raise TermError(f"term variable {u.name!r} missing from context")
+            raise TermError(f"context sort clash for {u.name!r}")
+        order[u.name] = sort
     return order
 
 
@@ -243,6 +244,15 @@ class Morphism:
     def __post_init__(self):
         _checked_variables(self.context, self.terms)
         object.__setattr__(self, "_hash", hash((self.context, self.terms)))
+
+    @classmethod
+    def derived(cls, context: Context, terms: tuple[Term, ...]) -> Morphism:
+        """``Morphism(context, terms)`` without the check, for terms known to fit."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "context", context)
+        object.__setattr__(m, "terms", terms)
+        object.__setattr__(m, "_hash", hash((context, terms)))
+        return m
 
     def __hash__(self):
         return self._hash
@@ -268,12 +278,7 @@ class Morphism:
 
 
 def identity(context: Context) -> Morphism:
-    return Morphism(context, tuple(Var(n, s) for n, s in context))
-
-
-def projection(context: Context, i: int) -> Morphism:
-    """The morphism selecting the ``i``-th context slot (1-based)."""
-    return Morphism(context, (Var(*context[i - 1]),))
+    return Morphism.derived(context, tuple(Var(n, s) for n, s in context))
 
 
 def compose_raw(f: Morphism, g: Morphism) -> Morphism:
@@ -288,15 +293,11 @@ def compose_raw(f: Morphism, g: Morphism) -> Morphism:
             f"cannot compose: domain {f.domain_sorts} vs codomain {g.codomain_sorts}"
         )
     assignment = {name: t for (name, _), t in zip(f.context, g.terms)}
-    return Morphism(g.context, tuple(substitute(t, assignment) for t in f.terms))
+    return Morphism.derived(g.context, tuple(substitute(t, assignment) for t in f.terms))
 
 
 def compose_chain(morphisms: Iterable[Morphism]) -> Morphism:
-    it: Iterator[Morphism] = iter(morphisms)
-    acc = next(it)
-    for m in it:
-        acc = compose_raw(acc, m)
-    return acc
+    return reduce(compose_raw, morphisms)
 
 
 def canonicalize(context: Context, terms: tuple[Term, ...]) -> tuple[Morphism, Morphism]:
@@ -313,14 +314,13 @@ def canonicalize(context: Context, terms: tuple[Term, ...]) -> tuple[Morphism, M
     new_context = canonical_context(order.values())
     renaming = {old: Var(*new) for old, new in zip(order, new_context)}
     new_terms = tuple(substitute(t, renaming) for t in terms)
-    selection = Morphism(context, tuple(Var(name, sort) for name, sort in order.items()))
-    return Morphism(new_context, new_terms), selection
+    selection = Morphism.derived(context, tuple(Var(name, sort) for name, sort in order.items()))
+    return Morphism.derived(new_context, new_terms), selection
 
 
 def essential_from_terms(terms: tuple[Term, ...]) -> Morphism:
     """Canonical morphism whose context is exactly the variables occurring."""
-    ctx = {v.name: v.sort for t in terms for v in variables(t)}
-    return canonicalize(tuple(ctx.items()), terms)[0]
+    return canonicalize(tuple({v.name: v.sort for v in _leaves(terms)}.items()), terms)[0]
 
 
 def is_canonical(m: Morphism) -> bool:
@@ -346,10 +346,8 @@ def is_canonical(m: Morphism) -> bool:
 
 def is_partial_permutation(m: Morphism) -> bool:
     """True iff every tuple entry is a variable and entries are distinct."""
-    if not all(isinstance(t, Var) for t in m.terms):
-        return False
-    names = [t.name for t in m.terms]
-    return len(set(names)) == len(names)
+    names = [t.name for t in m.terms if isinstance(t, Var)]
+    return len(names) == len(m.terms) == len(set(names))
 
 
 def is_identity(m: Morphism) -> bool:

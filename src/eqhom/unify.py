@@ -159,6 +159,7 @@ def mgu(t: Term, s: Term) -> Unifier | None:
     renaming = {old.name: Var(*new) for old, new in zip(raw_vars, unified.context)}
     # The substitutions are morphisms from the unified domain into each
     # term's context, so their tuple slots follow the original contexts.
-    left = Morphism(unified.context, tuple(substitute(sigma[v.name], renaming) for v in t_vars))
-    right = Morphism(unified.context, tuple(substitute(sigma[v.name], renaming) for v in s_vars))
+    left, right = (Morphism.derived(unified.context,
+                                    tuple(substitute(sigma[v.name], renaming) for v in vs))
+                   for vs in (t_vars, s_vars))
     return Unifier(left=left, right=right, unified=unified)

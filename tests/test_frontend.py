@@ -239,6 +239,19 @@ def test_cli_exit_codes(capsys, data_dir, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [("check",), ("monoid", "homology", "--max-dim", "2")],
+                         ids=["check", "monoid homology"])
+def test_cli_reports_unreadable_input_in_one_line(capsys, tmp_path, argv):
+    binary = tmp_path / "bad.lwv"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = _run(capsys, *argv, str(binary))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {binary}: not UTF-8 text\n"
+    code, out, err = _run(capsys, *argv, str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
 def test_cli_reports_a_matching_failure_in_one_line(capsys, data_dir, monkeypatch):
     # doubled boundaries give the router a matched coefficient of 2
     original = monoid.word_boundary
@@ -456,3 +469,11 @@ def test_symbolic_resolution_to_dim_5_matches_its_pinned_digest(capsys, data_dir
     test_cli_stdout_matches_its_pinned_digest(
         capsys, data_dir, ("resolution", "group.lwv", "--max-dim", "5", "--mode", "symbolic"),
         "7d29d0597f801e97353d79da531d3f06e149bf6ecbb98282c1a2ce55f162a59d")
+
+
+@pytest.mark.skipif(os.environ.get("EQHOM_SLOW") != "1",
+                    reason="takes about 6 s; set EQHOM_SLOW=1 to run it")
+def test_homology_to_dim_4_matches_its_pinned_digest(capsys, data_dir):
+    test_cli_stdout_matches_its_pinned_digest(
+        capsys, data_dir, ("homology", "group.lwv", "--max-dim", "4"),
+        "4a2cbbf234532007aec0b042fcaca81d3f45f68092add6be9ba8504ea1a3b376")

@@ -1,16 +1,19 @@
 import random
+import sys
 from dataclasses import fields
 
 import pytest
 
 from eqhom.chains import Cell
-from eqhom.rewrite import is_irreducible, random_term, rewrite_steps
+from eqhom.cli import cli_dispatch
+from eqhom.rewrite import Rule, Trs, degree, is_irreducible, random_term, rewrite_steps
 from eqhom.terms import (
     App,
     Morphism,
     Signature,
     TermError,
     Var,
+    _checked_variables,
     canonicalize,
     compose_raw,
     essential_from_terms,
@@ -366,3 +369,61 @@ def test_hash_eq_contract():
     assert hash(app) == hash((app.op, app.args, app.sort))
     assert hash(m) == hash((m.context, m.terms))
     assert hash(cell) == hash((cell.sort, cell.entries))
+
+
+# pipelines whose every morphism after parsing is derived inside the engine
+DERIVING_PIPELINES = [
+    ("homology", "group.lwv", "--max-dim", "3"),
+    ("resolution", "group.lwv", "--max-dim", "3", "--mode", "symbolic"),
+    ("resolution", "abelian_unit.lwv", "--max-dim", "4"),
+]
+
+
+def _run_pipeline(capsys, data_dir, argv):
+    argv = [str(data_dir / a) if a.endswith(".lwv") else a for a in argv]
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", DERIVING_PIPELINES, ids=" ".join)
+def test_every_derived_morphism_passes_the_context_check(capsys, data_dir, monkeypatch, argv):
+    derived = Morphism.derived
+    built = []
+
+    def checked(cls, context, terms):
+        _checked_variables(context, terms)  # raises on a term that does not fit
+        built.append(context)
+        return derived(context, terms)
+
+    monkeypatch.setattr(Morphism, "derived", classmethod(checked))
+    _run_pipeline(capsys, data_dir, argv)
+    assert built
+
+
+@pytest.mark.parametrize("argv", DERIVING_PIPELINES, ids=" ".join)
+def test_the_engine_builds_no_checked_morphism(capsys, data_dir, monkeypatch, argv):
+    post_init = Morphism.__post_init__
+    checked = []
+
+    def counted(m):
+        checked.append(m)
+        post_init(m)
+
+    monkeypatch.setattr(Morphism, "__post_init__", counted)
+    _run_pipeline(capsys, data_dir, argv)
+    assert checked == []
+
+
+def test_walks_and_degree_survive_a_term_past_the_recursion_limit():
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    v = Var("x", "X")
+    chain = v
+    for _ in range(depth):
+        chain = App("f", (chain,), "X")
+    assert variables(chain) == [v]
+    assert (var_count(chain, "x"), var_count(chain, "y")) == (1, 0)
+    lhs = App("g", (chain, v), "X")
+    assert (variables(lhs), var_count(lhs, "x")) == ([v], 2)
+    sig = Signature(("X",), (("f", ("X",), "X"), ("g", ("X", "X"), "X")))
+    assert degree(Trs(sig, (Rule("r", lhs, v),))) == 1
