@@ -34,4 +34,4 @@ from .rewrite import (
 from .terms import App, Morphism, Signature, Term, Var, canonicalize
 from .unify import match_term, mgu
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -3,15 +3,17 @@
 Subcommands: ``check``, ``reduce``, ``chains``, ``resolution``,
 ``homology``, ``inequality`` and ``monoid {chains,homology}``.
 
-Exit codes: 0 ok, 1 input error, 2 completeness check failed, 3 budget
-exceeded (in the check too, or a term nested past the recursion limit),
-4 unsupported coefficient modulus.
+Exit codes: 0 ok, 1 input error (or a standard output closed before
+everything was written), 2 completeness check failed, 3 budget exceeded
+(in the check too, or a term nested past the recursion limit), 4
+unsupported coefficient modulus.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -204,7 +206,7 @@ def _cmd_monoid(args) -> int:
         for dim, cells in sorted(chains.items()):
             print(f"dimension {dim}: {len(cells)} chain(s)")
             for c in cells:
-                print("  (" + "; ".join(render_word(w) for w in c) + ")")
+                print("  (" + "; ".join(render_word(w, srs) for w in c) + ")")
         return 0
     groups = monoid_homology(srs, args.max_dim)
     for n in range(args.max_dim + 1):
@@ -295,7 +297,15 @@ def cli_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    try:
+        code = cli_dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is left, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before all output was written", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,11 @@
 systems, the one-sorted, one-operation-per-letter case of the term
 engine.
 
+A letter is one character (``parse_srs`` codes names in sorted order) and
+a word is a ``str``.  One compiled search of the left sides, in rule order,
+finds the leftmost redex, first-declared rule first, for ``reduce_word``,
+``is_irreducible_word`` and ``chain_tails``.
+
 Cells are tuples of nonempty irreducible words.  A cell is a chain when
 every consecutive concatenation first becomes reducible exactly at its
 right end.  The boundary is that of the normalized bar resolution: act
@@ -25,6 +30,7 @@ critical pairs, ``reduce_word``, and rule sides and letter powers as probes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -41,8 +47,7 @@ from .collapse import (
 from .homology import HomologyGroup, homology_group
 from .rewrite import BudgetExceeded, CompletenessReport, Memoised, memoised
 
-Word = tuple[str, ...]
-EMPTY: Word = ()
+Word = str
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,16 @@ class SrsRule:
 
 @dataclass(frozen=True)
 class Srs(Memoised):
-    alphabet: tuple[str, ...]
+    alphabet: tuple[str, ...]  # one character each, in declaration order
     rules: tuple[SrsRule, ...]
     step_budget: int = field(default=10_000, compare=False)
+    names: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
     longest_lhs: int = field(init=False, repr=False, compare=False, default=0)
+    redex: re.Pattern = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if any(len(a) != 1 for a in self.alphabet):
+            raise ValueError(f"letters are one character each: {self.alphabet}")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters")
         names = [r.name for r in self.rules]
@@ -74,24 +83,18 @@ class Srs(Memoised):
                 if c not in self.alphabet:
                     raise ValueError(f"rule {r.name}: letter {c!r} not declared")
         object.__setattr__(self, "longest_lhs", max((len(r.lhs) for r in self.rules), default=0))
+        # group i + 1 is rule i; with no rules, an empty alternation would match everywhere
+        object.__setattr__(self, "redex", re.compile(
+            "|".join(f"({re.escape(r.lhs)})" for r in self.rules) or "(?!)"))
 
 
 WordCell = tuple[Word, ...]
 WordCoeff = Union[int, FormalSum]  # count, or a monoid-ring element
 
 
-def render_word(w: Word) -> str:
-    return " ".join(w) if w else "ε"
-
-
-def find_redex(w: Word, srs: Srs, start: int = 0) -> tuple[int, SrsRule] | None:
-    """Leftmost (then first-declared-rule-first) redex starting at or
-    after ``start``."""
-    for i in range(start, len(w)):
-        for rule in srs.rules:
-            if w[i:i + len(rule.lhs)] == rule.lhs:
-                return i, rule
-    return None
+def render_word(w: Word, srs: Srs) -> str:
+    """``w`` in the letter names of ``srs`` (a letter without one is its own)."""
+    return " ".join(srs.names.get(c, c) for c in w) if w else "ε"
 
 
 def reduce_word(w: Word, srs: Srs) -> Word:
@@ -109,20 +112,19 @@ def reduce_word(w: Word, srs: Srs) -> Word:
         if hit is not None:
             cache[given] = hit
             return hit
-        redex = find_redex(w, srs, start)
+        redex = srs.redex.search(w, start)
         if redex is None:
             cache[given] = w
             cache[w] = w
             return w
-        i, rule = redex
-        w = w[:i] + rule.rhs + w[i + len(rule.lhs):]
+        i = redex.start()
+        w = w[:i] + srs.rules[redex.lastindex - 1].rhs + w[redex.end():]
         start = max(0, i - back)
-    raise BudgetExceeded(f"word reduction budget exhausted on {render_word(given)}")
+    raise BudgetExceeded(f"word reduction budget exhausted on {render_word(given, srs)}")
 
 
-@memoised("irreducible")
 def is_irreducible_word(w: Word, srs: Srs) -> bool:
-    return find_redex(w, srs) is None
+    return srs.redex.search(w) is None
 
 
 def check_complete_srs(srs: Srs) -> CompletenessReport:
@@ -132,10 +134,12 @@ def check_complete_srs(srs: Srs) -> CompletenessReport:
     if failures:
         return CompletenessReport(False, failures, None, [], None, None, 0, False)
     probes = [w for r in srs.rules for w in (r.rhs, r.lhs)]
-    probes += [(a,) * 4 for a in srs.alphabet]  # small generic sample
-    return rewrite.judge(failures, _word_critical_pairs(srs),
-                         lambda pair: reduce_word(pair[0], srs) == reduce_word(pair[1], srs),
-                         lambda w: reduce_word(w, srs), probes, render_word)
+    probes += [a * 4 for a in srs.alphabet]  # small generic sample
+    report = rewrite.judge(failures, _word_critical_pairs(srs),
+                           lambda pair: reduce_word(pair[0], srs) == reduce_word(pair[1], srs),
+                           lambda w: reduce_word(w, srs), probes, lambda w: render_word(w, srs))
+    report.unjoinable = [tuple(render_word(w, srs) for w in pair) for pair in report.unjoinable]
+    return report
 
 
 def _word_critical_pairs(srs: Srs):
@@ -162,13 +166,11 @@ def chain_tails(last: Word, srs: Srs) -> list[Word]:
     out = set()
     for rule in srs.rules:
         l = rule.lhs
-        for k in range(1, len(l)):
-            if len(last) >= k and last[-k:] == l[:k]:
+        for k in range(1, min(len(l), len(last) + 1)):
+            if last.endswith(l[:k]):
                 v = l[k:]
-                # a word containing a redex is reducible, so every proper
-                # prefix of last + v is irreducible iff the longest one is
-                # (tested unmemoised: chain_tails itself is memoised)
-                if is_irreducible_word(v, srs) and find_redex(last + v[:-1], srs) is None:
+                # every proper prefix of last + v is irreducible iff the longest is
+                if is_irreducible_word(v, srs) and is_irreducible_word(last + v[:-1], srs):
                     out.add(v)
     return sorted(out)
 
@@ -179,13 +181,10 @@ def enumerate_word_chains(srs: Srs, max_dim: int) -> dict[int, list[WordCell]]:
     certify_srs(srs)
     chains: dict[int, list[WordCell]] = {0: [()]}
     if max_dim >= 1:
-        chains[1] = [((a,),) for a in srs.alphabet if is_irreducible_word((a,), srs)]
+        chains[1] = [(a,) for a in srs.alphabet if is_irreducible_word(a, srs)]
     for dim in range(2, max_dim + 1):
-        new = []
-        for cell in chains[dim - 1]:
-            for v in chain_tails(cell[-1], srs):
-                new.append(cell + (v,))
-        chains[dim] = sorted(new)
+        chains[dim] = sorted(cell + (v,) for cell in chains[dim - 1]
+                             for v in chain_tails(cell[-1], srs))
     return chains
 
 
@@ -200,19 +199,17 @@ def longest_word_chain_prefix(cell: WordCell, srs: Srs) -> int:
 
 
 def _split_word_cell(cell: WordCell, srs: Srs, i: int) -> WordCell | None:
-    """Split the entry after the chain prefix, of length ``i`` < dim, at
-    its earliest reducible point: the matched partner one dimension up,
-    or None.  Every proper prefix of the first reducible ``prev + head``
-    is irreducible: ``prev`` is a chain entry, and the cut before found
-    ``prev + u[:k-1]`` irreducible."""
+    """Split the entry ``u`` after the chain prefix, of length ``i`` < dim,
+    where ``prev + u`` first becomes reducible (the least end of a left
+    side's first occurrence, past the chain entry ``prev``): the matched
+    partner one dimension up, or None."""
     u = cell[i]
     if i == 0:
         return (u[:1], u[1:]) + cell[1:] if len(u) >= 2 else None
     prev = cell[i - 1]
-    for k in range(1, len(u)):
-        if not is_irreducible_word(prev + u[:k], srs):
-            return cell[:i] + (u[:k], u[k:]) + cell[i + 1:]
-    return None
+    w = prev + u
+    cut = min((j + len(r.lhs) for r in srs.rules if (j := w.find(r.lhs)) >= 0), default=len(w))
+    return cell[:i] + (w[len(prev):cut], w[cut:]) + cell[i + 1:] if cut < len(w) else None
 
 
 class _MonoidRing:
@@ -222,7 +219,7 @@ class _MonoidRing:
     name = "symbolic"
 
     def one(self, cell: WordCell) -> FormalSum:
-        return FormalSum({EMPTY: 1})
+        return FormalSum({"": 1})
 
     def element(self, w: Word, srs: Srs) -> FormalSum:
         return FormalSum({reduce_word(w, srs): 1})
@@ -232,9 +229,9 @@ class _MonoidRing:
                                  for wa, ka in a.items() for wb, kb in b.items())
 
     def unit(self, c: FormalSum | None) -> int:
-        if c not in ({EMPTY: 1}, {EMPTY: -1}):
+        if c not in ({"": 1}, {"": -1}):
             raise MatchingError(f"matched coefficient {c!r} is not a unit")
-        return c[EMPTY]
+        return c[""]
 
 
 _RINGS = {"count": collapse.Integers(), "symbolic": _MonoidRing()}
@@ -292,10 +289,8 @@ def word_boundary_matrices(srs: Srs, chains: dict[int, list[WordCell]],
 
 
 def monoid_homology(srs: Srs, max_dim: int) -> dict[int, HomologyGroup]:
-    """Integral homology with trivial coefficients through ``max_dim``.
-
-    Needs chains one dimension higher to bound the image at the top.
-    """
+    """Integral homology with trivial coefficients through ``max_dim``;
+    needs chains one dimension higher to bound the image at the top."""
     chains = enumerate_word_chains(srs, max_dim + 1)
     counts = {k: len(v) for k, v in chains.items()}
     matrices = word_boundary_matrices(srs, chains, max_dim + 1)

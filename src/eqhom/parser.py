@@ -13,7 +13,8 @@
     budget join 1000     # optional
 
 Terms use prefix syntax ``f(t1,...,tn)``; constants are written bare.
-``.srs`` files declare a string rewriting presentation::
+``.srs`` files declare a string rewriting presentation; each letter name
+is coded as one character, in sorted order (the ``Srs`` keeps the names)::
 
     letters a b
     rule s1 : a a ->     # words are space-separated, empty right side = ε
@@ -244,7 +245,7 @@ def parse_srs(text: str) -> Srs:
     """Parse a ``.srs`` string rewriting presentation."""
     letters: dict[str, int] = {}  # each name with the line declaring it
     rule_lines: dict[str, int] = {}
-    rules: list[SrsRule] = []
+    rules: list[tuple[str, list[str], list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip(raw)
         if not line:
@@ -266,14 +267,16 @@ def parse_srs(text: str) -> Srs:
             arrow = body.find("->")
             if arrow < 0:
                 raise ParseError("syntax-error", "rule needs ->", lineno)
-            lhs = tuple(body[:arrow].split())
-            rhs = tuple(body[arrow + 2 :].split())
+            lhs, rhs = body[:arrow].split(), body[arrow + 2 :].split()
             for c in lhs + rhs:
                 if c not in letters:
                     raise ParseError("undeclared-name", f"letter {c!r} not declared", lineno)
             if not lhs:
                 raise ParseError("syntax-error", f"rule {name}: empty left side", lineno)
-            rules.append(SrsRule(name, lhs, rhs))
+            rules.append((name, lhs, rhs))
         else:
             raise ParseError("syntax-error", f"unknown directive {head!r}", lineno)
-    return Srs(tuple(letters), tuple(rules))
+    code = {name: chr(ord("a") + i) for i, name in enumerate(sorted(letters))}
+    word = lambda names: "".join(code[c] for c in names)
+    return Srs(tuple(word(letters)), tuple(SrsRule(n, word(l), word(r)) for n, l, r in rules),
+               names={c: name for name, c in code.items()})

@@ -10,8 +10,6 @@ from eqhom.collapse import MatchingError, assemble_matrices, morse_differential
 from eqhom.homology import boundary_matrices
 from eqhom.monoid import (
     enumerate_word_chains,
-    find_redex,
-    is_irreducible_word,
     longest_word_chain_prefix,
     word_boundary_matrices,
 )
@@ -158,9 +156,3 @@ def test_a_none_or_false_result_is_computed_once(monkeypatch, data_dir):
     for _ in range(2):
         assert mgu_extension((T, (), trs.rules[0]), trs) is None
     assert unifications[0] == 1
-
-    srs = parse_srs((data_dir / "z2.srs").read_text())
-    scans = _count_calls(monkeypatch, find_redex)
-    for _ in range(2):
-        assert is_irreducible_word(("a", "a"), srs) is False
-    assert scans[0] == 1

@@ -3,6 +3,9 @@ import hashlib
 import inspect
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from eqhom import monoid
 from eqhom.cli import _parser, cell_json, cli_dispatch, emit_json
 from eqhom.chains import enumerate_chains
 from eqhom.homology import inequality_report
+from eqhom.monoid import Srs, render_word
 from eqhom.parser import (
     ParseError,
     parse_presentation,
@@ -94,10 +98,20 @@ def test_budget_directive():
 
 def test_parse_srs(z2_srs):
     assert z2_srs.alphabet == ("a",)
-    assert z2_srs.rules[0].lhs == ("a", "a")
-    assert z2_srs.rules[0].rhs == ()
+    assert z2_srs.rules[0].lhs == "aa"
+    assert z2_srs.rules[0].rhs == ""
     with pytest.raises(ParseError):
         parse_srs("letters a\nrule r : -> a\n")
+
+
+def test_srs_letters_are_one_character_each(data_dir):
+    with pytest.raises(ValueError, match=r"letters are one character each: \('a', 'ab'\)"):
+        Srs(("a", "ab"), ())
+    # declared tau rho_long ab: each name coded in the sorted order of the names
+    srs = parse_srs((data_dir / "respelled.srs").read_text())
+    assert srs.alphabet == ("c", "b", "a")
+    assert (srs.rules[2].lhs, srs.rules[2].rhs) == ("cb", "bbc")
+    assert render_word(srs.rules[2].rhs, srs) == "rho_long rho_long tau"
 
 
 def test_cell_json_matches_contract(ab_trs):
@@ -451,6 +465,10 @@ PINNED_STDOUT = [
      "df8b45e752545f74dc4934b02b970e7c46a594e0f2dc8a8eb7ebb0163b1ed7e4"),
     (("monoid", "homology", "s3.srs", "--max-dim", "8"),
      "a61506b024788d86b13375e65fd942f659c051f3dc30ce807cbb1ea521fb8372"),
+    (("monoid", "chains", "s3.srs", "--max-dim", "5"),
+     "3000afeccca5f607a5b4ef547620e2da1d258bb699928f4796a36c77134d2f13"),
+    (("monoid", "chains", "respelled.srs", "--max-dim", "4"),
+     "72e227f69443e9b1588e5d5d1d6bb98e7ade9ebc7cdbcd5aa55b29c3fe020713"),
 ]
 
 
@@ -461,6 +479,25 @@ def test_cli_stdout_matches_its_pinned_digest(capsys, data_dir, argv, digest):
     code, out, err = _run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("chains", "group.lwv", "--max-dim", "5"),  # 54 KB: fails while printing
+    ("monoid", "homology", "z2.srs", "--max-dim", "2"),  # fails at the final flush
+], ids=["chains", "monoid homology"])
+def test_cli_exits_1_in_one_line_on_a_closed_stdout(data_dir, argv):
+    read, write = os.pipe()
+    os.close(read)  # before the child starts: no race with a pipe buffer
+    src = str(Path(eqhom.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [str(data_dir / a) if a.endswith((".lwv", ".srs")) else a for a in argv]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "eqhom.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "error: standard output closed before all output was written\n"
 
 
 @pytest.mark.skipif(os.environ.get("EQHOM_SLOW") != "1",
