@@ -15,6 +15,12 @@ per sort.  Chains are the cells surviving the collapse:
   creating a strictly larger maximal redex in its raw composite, with
   redexes indexed and ordered as in ``eqhom.rewrite.max_redex``.
 
+``chain_extensions`` tabulates those entries per raw composite, keyed by
+the redex index each creates.  The term engine's matching reads the same
+table: a cell that is no chain splits at the maximal redex of the
+composite through its first non-chain entry, and its partner's new entry
+is the table's entry at that index (``eqhom.morse``).
+
 Enumeration of one dimension from the previous one is an independent
 per-chain task; results are merged in a canonical cell order so the
 output is deterministic.
@@ -28,7 +34,7 @@ from .rewrite import (RedexIndex, Rule, Trs, certify, is_irreducible, max_redex,
                       op_morphism)
 from .terms import (
     Morphism,
-    Position,
+    Term,
     Var,
     compose_chain,
     compose_raw,
@@ -37,7 +43,6 @@ from .terms import (
     is_partial_permutation,
     render_morphism,
     substitute,
-    subterm_at,
     subterms,
     variables,
 )
@@ -102,20 +107,15 @@ def valid_entry(m: Morphism, trs: Trs) -> bool:
     return all(is_irreducible(t, trs) for t in m.terms)
 
 
-@memoised("mgu_extension")
-def mgu_extension(key: tuple[Morphism, Position, Rule], trs: Trs) -> Morphism | None:
-    """Most general substitution tuple unifying the subterm at ``p`` of
-    ``T`` with the rule's left-hand side, ``key = (T, p, rule)``,
-    expressed over ``T``'s full context.
+def mgu_extension(T: Morphism, sub: Term, rule: Rule) -> Morphism | None:
+    """Most general substitution tuple unifying ``sub``, a non-variable
+    subterm of ``T``, with the rule's left-hand side, expressed over
+    ``T``'s full context.
 
     Context variables not constrained by the unification stay as fresh
     distinct variables.  Returns the canonical morphism, or None when the
-    subterm is a variable or the unification fails.  Memoised per key.
+    unification fails.
     """
-    T, p, rule = key
-    sub = subterm_at(T.term, p)
-    if isinstance(sub, Var):
-        return None
     apart = {v.name: Var(v.name + "'", v.sort) for v in variables(rule.lhs)}
     sigma = unify_terms(sub, substitute(rule.lhs, apart))
     if sigma is None:
@@ -143,7 +143,7 @@ def longest_chain_prefix(cell: Cell, trs: Trs) -> int:
         if k == 0:
             ok = sigma_cell_entry(entry, trs) is not None
         else:
-            ok = entry in chain_extensions(composite(cell, trs, k), trs)
+            ok = entry in chain_extensions(composite(cell, trs, k), trs).values()
         if not ok:
             return k
     return cell.dim
@@ -154,26 +154,27 @@ def is_chain(cell: Cell, trs: Trs) -> bool:
 
 
 @memoised("extensions")
-def chain_extensions(T: Morphism, trs: Trs) -> list[Morphism]:
-    """All valid entries extending the chain with raw composite ``T``:
-    the composite with the entry has a strictly larger maximal redex
-    (p, l), at a non-variable position of ``T`` itself, and the entry is
-    the most general unifier of ``T`` at ``p`` against ``l``.  Memoised
-    per ``T``; the returned list is shared, not to be mutated."""
+def chain_extensions(T: Morphism, trs: Trs) -> dict[RedexIndex, Morphism]:
+    """All valid entries extending the chain with raw composite ``T``,
+    keyed by the redex index (p, rank) each creates: the composite with
+    the entry has that strictly larger maximal redex, at a non-variable
+    position of ``T`` itself, and the entry is the most general unifier
+    of ``T`` at ``p`` against the rule's left side.  Memoised per ``T``;
+    the returned dict is shared, not to be mutated."""
     base = max_redex(T.term, trs)
-    out = []
+    out = {}
     for p, sub in subterms(T.term):
         if isinstance(sub, Var):
             continue
         for rank, rule in enumerate(trs.rules):
             if not redex_less(base, (p, rank)):
                 continue
-            u = mgu_extension((T, p, rule), trs)
+            u = mgu_extension(T, sub, rule)
             if u is None or not valid_entry(u, trs):
                 continue
             if max_redex(compose_raw(T, u).term, trs) != (p, rank):
                 continue
-            out.append(u)
+            out[p, rank] = u
     return out
 
 
@@ -196,7 +197,7 @@ def enumerate_chains(trs: Trs, max_dim: int) -> dict[int, list[Cell]]:
         new: list[Cell] = []
         for cell in chains[dim - 1]:
             T = composite(cell, trs)
-            for u in chain_extensions(T, trs):
+            for u in chain_extensions(T, trs).values():
                 new.append(Cell(cell.sort, cell.entries + (u,)))
         chains[dim] = sorted(new, key=cell_key)
     return chains

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from math import isqrt
 from pathlib import Path
 
 from .chains import Cell, enumerate_chains
@@ -83,8 +84,11 @@ def _load(path: str, parse):
 
 
 def _resolve_modulus(trs: Trs, coeff: str) -> int:
+    """``auto`` is the least prime dividing the degree: 0 for degree 0, and
+    1 for degree 1, which ``boundary_matrices`` refuses after certifying."""
     if coeff == "auto":
-        return degree(trs)
+        d = degree(trs)
+        return next((p for p in range(2, isqrt(d) + 1) if d % p == 0), d)
     try:
         return int(coeff)
     except ValueError as exc:

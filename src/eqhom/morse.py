@@ -14,11 +14,13 @@ essential part, pushing the leftover selection rightward until it either
 dies, is absorbed, or falls off the end as a restriction coefficient.
 
 A non-chain cell splits at the entry after its chain prefix, along the
-maximal redex of the composite through that entry; this split alone
-defines the matching, whose collapsible cells are those with a face
-that splits back to them.  The adapter's ``match`` scans the chain
-prefix once (``longest_chain_prefix``, unmemoised) and hands it to the
-split.
+maximal redex of the composite through that entry: the first half of the
+split is the chain step's entry at that redex index
+(``chain_extensions``), and the entry must factor through it.  This
+split alone defines the matching, whose collapsible cells are those with
+a face that splits back to them.  The adapter's ``match`` scans the
+chain prefix once (``longest_chain_prefix``, unmemoised) and hands it to
+the split.
 
 Coefficients come from a ring (``eqhom.collapse``) with two face hooks,
 so the boundary has one code path: mode ``"symbolic"`` is the presented
@@ -32,13 +34,7 @@ from __future__ import annotations
 from typing import Union
 
 from . import collapse
-from .chains import (
-    Cell,
-    composite,
-    longest_chain_prefix,
-    mgu_extension,
-    valid_entry,
-)
+from .chains import Cell, chain_extensions, composite, longest_chain_prefix
 from .coeff import (
     RingoidElement,
     expand_derivative,
@@ -51,7 +47,6 @@ from .rewrite import Trs, max_redex, memoised, normal_form_morphism, op_morphism
 from .terms import (
     App,
     Morphism,
-    TermError,
     Var,
     canonical_context,
     canonicalize,
@@ -61,7 +56,6 @@ from .terms import (
     is_canonical,
     is_identity,
     is_partial_permutation,
-    subterm_at,
     var_count,
 )
 from .unify import match_tuple
@@ -167,18 +161,8 @@ def _try_split(cell: Cell, trs: Trs, prefix: int) -> Cell | None:
         return Cell(cell.sort, (f, args) + entries[1:])
     T = composite(cell, trs, prefix)
     t = entries[prefix]
-    top = max_redex(compose_raw(T, t).term, trs)
-    if top is None:
-        return None
-    p, rank = top
-    try:
-        sub = subterm_at(T.term, p)
-    except TermError:
-        return None
-    if isinstance(sub, Var):
-        return None
-    u = mgu_extension((T, p, trs.rules[rank]), trs)
-    if u is None or not valid_entry(u, trs):
+    u = chain_extensions(T, trs).get(max_redex(compose_raw(T, t).term, trs))
+    if u is None:
         return None
     binding = match_tuple(u.terms, t.terms)
     if binding is None:

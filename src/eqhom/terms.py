@@ -133,16 +133,6 @@ def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
                 stack.append((p + (i,), u.args[i - 1]))
 
 
-def subterm_at(t: Term, p: Position) -> Term:
-    """The subterm of ``t`` at position ``p`` (root = empty position)."""
-    u = t
-    for i in p:
-        if not (isinstance(u, App) and 1 <= i <= len(u.args)):
-            raise TermError(f"invalid position {p} in {u!r}")
-        u = u.args[i - 1]
-    return u
-
-
 def replace_at(t: Term, p: Position, s: Term) -> Term:
     """Replace the subterm of ``t`` at ``p`` by ``s`` (sorts must agree)."""
     if not p:

@@ -24,8 +24,7 @@ def test_traced_kernel_names_resolve(monkeypatch):
 # (``classify`` is filled only by the public ``classify`` and
 # ``verify_matching``, never by routing)
 TERM_CACHE_KINDS = {
-    "certify", "nf", "composite", "extensions", "max_redex",
-    "mgu_extension", "merge", "factor",
+    "certify", "nf", "composite", "extensions", "max_redex", "merge", "factor",
 }
 GROUP_HOMOLOGY_CACHE_KINDS = TERM_CACHE_KINDS | {"express_count"}
 GROUP_RESOLUTION_CACHE_KINDS = TERM_CACHE_KINDS | {"express_symbolic"}

@@ -216,7 +216,7 @@ def _kernel_memos(trs):
     for cells in enumerate_chains(trs, 3).values():
         assert all(is_chain(cell, trs) for cell in cells)
     return {kind: dict(trs.cache(kind))
-            for kind in ("max_redex", "mgu_extension")}
+            for kind in ("max_redex", "extensions")}
 
 
 def test_rule_order_keeps_memos_apart(data_dir):

@@ -350,6 +350,23 @@ def test_cli_reports_a_term_past_the_recursion_limit_in_one_line(capsys, tmp_pat
     assert err == "error: recursion limit exceeded: a term is nested too deeply\n"
 
 
+def test_coeff_auto_takes_the_least_prime_dividing_the_degree(capsys, tmp_path):
+    # f(x,x,x,x,x) -> x has degree 4, so auto means Z/2; 4 itself is refused
+    quintic = tmp_path / "quintic.lwv"
+    quintic.write_text("sorts X\nop f : X X X X X -> X\nvar x : X\nrule r : f(x,x,x,x,x) -> x\n")
+    argv = ("homology", str(quintic), "--max-dim", "2")
+    auto, explicit = _run(capsys, *argv), _run(capsys, *argv, "--coeff", "2")
+    assert auto == explicit and auto[0] == 0
+    assert auto[1].splitlines()[0] == "coefficients: Z/2  (degree 4)"
+    assert _run(capsys, "inequality", str(quintic), "--dim", "2")[0] == 0
+    assert _run(capsys, *argv, "--coeff", "4") == (4, "", "error: modulus 4 is neither 0 nor prime\n")
+    # degree 1 has no prime divisor
+    square = tmp_path / "square.lwv"
+    square.write_text("sorts X\nop f : X X -> X\nvar x : X\nrule r : f(x, x) -> x\n")
+    assert _run(capsys, "homology", str(square), "--max-dim", "2") \
+        == (4, "", "error: modulus 1 is neither 0 nor prime\n")
+
+
 def test_cli_tests_a_huge_prime_modulus_at_once(capsys, data_dir):
     # abelian_unit has degree 0, which every modulus divides
     path = str(data_dir / "abelian_unit.lwv")
@@ -461,6 +478,10 @@ PINNED_STDOUT = [
      "4de180e87f7e9b762d6dce42decc66c3eddaa651ff576cc43ac331db60495db7"),
     (("resolution", "abelian_unit.lwv", "--max-dim", "4", "--mode", "symbolic"),
      "fa6c75c62dec7a50e91b489d6bde5433310faec7beb57f494a1cf598bcafebe4"),
+    (("resolution", "involution.lwv", "--max-dim", "4", "--mode", "symbolic"),
+     "9c6aa435d858d9c6134bc3eaf90b95011fd3d6a1f873cce6d830a408c4f1f743"),
+    (("resolution", "involution3.lwv", "--max-dim", "4", "--mode", "symbolic"),
+     "102bb0e96ad22e7fc044966e49505ebbd2abc7f7b6eacb2f7bd608d545dc54a3"),
     (("chains", "group.lwv", "--max-dim", "5"),
      "df8b45e752545f74dc4934b02b970e7c46a594e0f2dc8a8eb7ebb0163b1ed7e4"),
     (("monoid", "homology", "s3.srs", "--max-dim", "8"),

@@ -5,19 +5,28 @@ from collections import Counter
 import pytest
 
 from eqhom import collapse
-from eqhom.chains import Cell, enumerate_chains, longest_chain_prefix
+from eqhom.chains import (
+    Cell,
+    composite,
+    enumerate_chains,
+    longest_chain_prefix,
+    mgu_extension,
+    valid_entry,
+)
 from eqhom.coeff import ZERO as EL_ZERO, multiply, signed_monomial_count, vanishes
-from eqhom.homology import boundary_matrices
+from eqhom.homology import boundary_matrices, homology_group
 from eqhom.monoid import enumerate_word_chains, word_boundary, word_boundary_matrices
 from eqhom.morse import (
     _Terms,
+    _try_split,
     classify,
     morse_differential,
     normalized_boundary,
 )
 from eqhom.parser import parse_presentation, parse_srs
-from eqhom.rewrite import degree
-from eqhom.terms import Morphism, Var
+from eqhom.rewrite import Rule, Trs, degree, max_redex, op_morphism
+from eqhom.terms import App, Morphism, Signature, Var, compose_raw, is_partial_permutation
+from eqhom.unify import match_tuple
 
 
 def xv(name):
@@ -313,3 +322,84 @@ def test_an_unknown_mode_is_refused_before_any_memo(data_dir):
         with pytest.raises(ValueError, match="'Count'.*'count' or 'symbolic'"):
             call(cell, trs, "Count")
     assert set(trs.caches) == kinds
+
+
+def _split_by_definition(cell, trs, prefix):
+    """The split recomputed from its definition: at prefix 0 the head
+    split; otherwise the most general unifier ``u`` of the prefix
+    composite ``T`` at the maximal redex of ``T∘t``, ``t`` the next entry,
+    when that redex lies at a non-variable position of ``T``, ``u`` is a
+    valid entry and ``t = u∘w`` with ``w`` no selection of variables."""
+    entries = cell.entries
+    if prefix == 0:
+        head = entries[0]
+        f = op_morphism(trs.signature, head.term.op)
+        return Cell(cell.sort, (f, Morphism.derived(head.context, head.term.args)) + entries[1:])
+    T = composite(cell, trs, prefix)
+    t = entries[prefix]
+    top = max_redex(compose_raw(T, t).term, trs)
+    if top is None:
+        return None
+    p, rank = top
+    sub = T.term
+    for i in p:
+        if isinstance(sub, Var):  # the redex lies inside a variable of T
+            return None
+        sub = sub.args[i - 1]
+    if isinstance(sub, Var):
+        return None
+    u = mgu_extension(T, sub, trs.rules[rank])
+    if u is None or not valid_entry(u, trs):
+        return None
+    binding = match_tuple(u.terms, t.terms)
+    if binding is None:
+        return None
+    w = Morphism.derived(t.context, tuple(binding[name] for name, _ in u.context))
+    if is_partial_permutation(w):
+        return None
+    return Cell(cell.sort, entries[:prefix] + (u, w) + entries[prefix + 1:])
+
+
+def _mirror_term(t):
+    if isinstance(t, Var):
+        return t
+    return App(t.op, tuple(_mirror_term(a) for a in reversed(t.args)), t.sort)
+
+
+def _mirror(trs):
+    """The system with the arguments of every operation reversed, in its
+    declaration and in every rule: an isomorphic theory."""
+    sig = trs.signature
+    ops = tuple((name, tuple(reversed(args)), result) for name, args, result in sig.ops)
+    rules = tuple(Rule(r.name, _mirror_term(r.lhs), _mirror_term(r.rhs)) for r in trs.rules)
+    return Trs(Signature(sig.sorts, ops), rules)
+
+
+@pytest.mark.parametrize("name, max_dim, d, groups, chains, splits", [
+    ("involution.lwv", 4, 0, ["0", "Z + Z/2", "0", "Z/2", "0"],
+     ([1, 3, 1, 1, 1, 1], [1, 3, 1, 1, 1, 1]), (0, 0)),
+    ("involution3.lwv", 4, 0, ["0", "Z", "Z/2", "0", "Z/2"],
+     ([1, 3, 3, 3, 3, 3], [1, 3, 3, 3, 3, 3]), (16, 16)),
+    ("abelian_unit.lwv", 4, 0, ["0"] * 5, ([1, 2, 2, 1, 0, 0], [1, 2, 2, 1, 0, 0]), (1, 1)),
+    ("group.lwv", 3, 2, ["0"] * 4, ([1, 3, 10, 39, 154], [1, 3, 10, 37, 135]), (1361, 1345)),
+], ids=["involution", "involution3", "abelian_unit", "group"])
+def test_the_mirror_has_the_same_homology_and_splits_by_definition(
+        data_dir, name, max_dim, d, groups, chains, splits):
+    # the mirror orders redexes differently, so its matching differs; on
+    # every cell routed through d_{max_dim + 1} that is no chain, the split
+    # equals the one recomputed from its definition
+    trs = parse_presentation((data_dir / name).read_text())
+    for system, counts, split in zip((trs, _mirror(trs)), chains, splits):
+        cells = enumerate_chains(system, max_dim + 1)
+        assert [len(cells[n]) for n in sorted(cells)] == counts
+        mats = boundary_matrices(system, cells, max_dim + 1, d)
+        assert [homology_group(mats, n, d, dict(enumerate(counts))).describe(d)
+                for n in range(max_dim + 1)] == groups
+        compared = 0
+        for cell in system.cache("express_count"):
+            prefix = longest_chain_prefix(cell, system)
+            if prefix < cell.dim:
+                expected = _split_by_definition(cell, system, prefix)
+                assert _try_split(cell, system, prefix) == expected, cell
+                compared += 1
+        assert compared == split

@@ -84,6 +84,8 @@ def test_critical_pairs_single_rule_no_overlap():
 PINNED_CRITICAL_PAIRS = [
     ("abelian_unit.lwv", 2, "c0be156ec1def42a17f02f4236b161cce0e1b12e3253bc26d5f270b36060a1e1"),
     ("group.lwv", 55, "492d623a6f13240e50a8766c1c7e5a7cfdec80fbea810e0b678bede183a1f585"),
+    ("involution.lwv", 1, "03808946b8dbc2aa91bfffae74a66a57804ff13194a60d0e0a85903b10032b95"),
+    ("involution3.lwv", 3, "6c7964125184de07ca6ce5685834ea80be5139cf3e606f44ae1bc8b1d206ac49"),
     ("unreduced.lwv", 6, "758a8e0a502a454f5a8ff9900899413ce1e8e0cb489ab34d2005ed775312394a"),
 ]
 
