@@ -24,7 +24,7 @@ from .collapse import MatchingError
 from .homology import (
     CoefficientError,
     boundary_matrices,
-    homology_group,
+    homology_groups,
     inequalities,
     inequality_report,
 )
@@ -84,8 +84,9 @@ def _load(path: str, parse):
 
 
 def _resolve_modulus(trs: Trs, coeff: str) -> int:
-    """``auto`` is the least prime dividing the degree: 0 for degree 0, and
-    1 for degree 1, which ``boundary_matrices`` refuses after certifying."""
+    """``auto`` is the least prime dividing the degree, else the degree: 0
+    (Z) for degree 0, and 1 for degree 1, which admits no modulus, so
+    ``boundary_matrices`` refuses it once the system is certified."""
     if coeff == "auto":
         d = degree(trs)
         return next((p for p in range(2, isqrt(d) + 1) if d % p == 0), d)
@@ -163,7 +164,7 @@ def _cmd_homology(args) -> int:
     chains = enumerate_chains(trs, args.max_dim + 1)
     counts = {k: len(v) for k, v in chains.items()}
     matrices = boundary_matrices(trs, chains, args.max_dim + 1, d)
-    groups = {n: homology_group(matrices, n, d, counts) for n in range(args.max_dim + 1)}
+    groups = homology_groups(matrices, counts, d, range(args.max_dim + 1))
     if args.json:
         payload = {
             "coefficients": d,

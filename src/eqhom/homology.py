@@ -5,24 +5,21 @@ Tensoring the collapsed resolution with the counting module turns each
 differential into an integer matrix (reduced modulo ``d`` when ``d`` is a
 prime); rows are indexed by the chains of the dimension, columns by the
 chains one dimension down.  Homology in dimension n is the kernel of the
-n-th matrix modulo the image of the (n+1)-st.  Over the integers the
-result is a free rank plus a divisibility chain of invariant factors
-from a strike-out Smith normal form; over a prime field it is a
-dimension.  ``homology_group`` reads both through one rank helper.
+n-th matrix modulo the image of the (n+1)-st.  ``homology_groups`` reads
+the groups of either engine off its matrices and reduces each matrix
+once: over the integers a strike-out Smith normal form gives the rank
+and a divisibility chain of invariant factors; over a prime field
+``fp_rank`` eliminates one sparse row at a time and gives a dimension.
 
 ``s`` of a group is its minimum number of generators (rank plus the
-number of nontrivial invariant factors over the integers, the dimension
-over a prime field); ``rank`` is the free rank (the dimension over a
-prime field, see the module docstring note below).  The weak inequality
+number of nontrivial invariant factors).  Over a prime field ``rank`` is
+the dimension: the torsion-free rank of a vector space would be 0, but
+rank over the base PID, then a field, keeps the Euler-characteristic
+bookkeeping of the strong inequality uniform.  The weak inequality
 bounds ``s(H_n)`` by the number of n-chains; the strong one alternates
 chain counts against ranks.  At dimension 2 the strong inequality is the
 axiom-count bound: #rules - #operations + #sorts is at least
 s(H_2) - rank(H_1) + rank(H_0).
-
-Note: for a prime modulus the torsion-free rank of a vector space would
-be 0; we take rank to mean dimension (rank over the base PID, which is
-then a field).  That choice makes the Euler-characteristic bookkeeping
-of the strong inequality work uniformly.
 """
 
 from __future__ import annotations
@@ -68,6 +65,9 @@ def is_prime(n: int) -> bool:
 def validate_modulus(d: int, trs_degree: int) -> None:
     """The counting module is well-defined for d dividing the degree; the
     homology theorems additionally need d zero or prime."""
+    if trs_degree == 1:
+        raise CoefficientError("system has degree 1, which admits no modulus: "
+                               "0 needs degree 0 and no prime divides 1")
     if d == 0:
         if trs_degree != 0:
             raise CoefficientError(
@@ -150,26 +150,23 @@ def smith_normal_form(matrix: Matrix) -> tuple[list[int], int]:
 
 
 def fp_rank(matrix: Matrix, p: int) -> int:
-    """Rank over the field with ``p`` elements by Gaussian elimination."""
-    a = [[v % p for v in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if a[i][col] % p), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(v * inv) % p for v in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    """Rank over the field with ``p`` elements, one row at a time: a row,
+    kept sparse as ``{col: value}``, is reduced by the pivot rows keyed by
+    its leading column until it vanishes or leads in a new column."""
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> row, scaled to lead 1
+    for entries in matrix:
+        row = {c: v % p for c, v in enumerate(entries) if v % p}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in pivots[lead].items():
+                row[c] = (row.get(c, 0) - f * v) % p
+            row = {c: v for c, v in row.items() if v}
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -196,30 +193,33 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def homology_groups(matrices: dict[int, BoundaryMatrix], counts: dict[int, int],
+                    d: int, dims: range) -> dict[int, HomologyGroup]:
+    """H_n for each n of ``dims`` (consecutive): ker of matrix n modulo
+    image of matrix n+1, the n=0 kernel being everything.  Each matrix
+    from ``dims.start`` through ``dims.stop`` is reduced once, over Z
+    (``d`` 0) or F_d; a missing or empty matrix has rank 0."""
+    rank, torsion = {}, {}
+    for k in range(dims.start, dims.stop + 1):
+        if k not in counts:
+            raise ValueError(f"chains not enumerated through dimension {dims.stop}")
+        if k and counts[k] and k not in matrices:
+            raise ValueError(f"need the boundary matrix at dimension {k}")
+        entries = matrices[k].entries if k in matrices else []
+        rank[k], torsion[k] = 0, ()
+        if entries and d:
+            rank[k] = fp_rank(entries, d)
+        elif entries:
+            factors, rank[k] = smith_normal_form(entries)
+            torsion[k] = tuple(f for f in factors if f > 1)
+    return {n: HomologyGroup(counts[n] - rank[n] - rank[n + 1], torsion[n + 1])
+            for n in dims}
+
+
 def homology_group(matrices: dict[int, BoundaryMatrix], n: int, d: int,
                    chain_counts: dict[int, int]) -> HomologyGroup:
-    """H_n of the tensored complex: ker of matrix n modulo image of
-    matrix n+1 (the n=0 kernel is everything)."""
-    if n not in chain_counts or n + 1 not in chain_counts:
-        raise ValueError(f"chains not enumerated through dimension {n + 1}")
-    for k in (n, n + 1):
-        if k and chain_counts[k] and k not in matrices:
-            raise ValueError(f"need the boundary matrix at dimension {k}")
-    rank_below, _ = _rank_and_factors(matrices.get(n), d)
-    rank_above, factors = _rank_and_factors(matrices.get(n + 1), d)
-    return HomologyGroup(chain_counts[n] - rank_below - rank_above,
-                         tuple(f for f in factors if f > 1))
-
-
-def _rank_and_factors(matrix: BoundaryMatrix | None, d: int) -> tuple[int, list[int]]:
-    """Rank over Z (``d`` 0) or F_d, and the invariant factors over Z, of
-    ``matrix``; a missing or empty matrix has rank 0."""
-    if matrix is None or not matrix.entries:
-        return 0, []
-    if d:
-        return fp_rank(matrix.entries, d), []
-    factors, rank = smith_normal_form(matrix.entries)
-    return rank, factors
+    """H_n alone, from the matrices at n and n+1."""
+    return homology_groups(matrices, chain_counts, d, range(n, n + 1))[n]
 
 
 @dataclass
@@ -270,8 +270,7 @@ def inequality_report(trs: Trs, d: int, n: int,
         chains = enumerate_chains(trs, n + 1)
     counts = {k: len(v) for k, v in chains.items()}
     matrices = boundary_matrices(trs, chains, n + 1, d)
-    groups = {k: homology_group(matrices, k, d, counts) for k in range(n + 1)}
-    return inequalities(n, d, counts, groups)
+    return inequalities(n, d, counts, homology_groups(matrices, counts, d, range(n + 1)))
 
 
 def inequalities(n: int, d: int, counts: dict[int, int],

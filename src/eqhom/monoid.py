@@ -44,7 +44,7 @@ from .collapse import (
     add_term,
     assemble_matrices,
 )
-from .homology import HomologyGroup, homology_group
+from .homology import HomologyGroup, homology_groups
 from .rewrite import BudgetExceeded, CompletenessReport, Memoised, memoised
 
 Word = str
@@ -294,4 +294,4 @@ def monoid_homology(srs: Srs, max_dim: int) -> dict[int, HomologyGroup]:
     chains = enumerate_word_chains(srs, max_dim + 1)
     counts = {k: len(v) for k, v in chains.items()}
     matrices = word_boundary_matrices(srs, chains, max_dim + 1)
-    return {n: homology_group(matrices, n, 0, counts) for n in range(max_dim + 1)}
+    return homology_groups(matrices, counts, 0, range(max_dim + 1))

@@ -37,3 +37,15 @@ def data_dir():
 @pytest.fixture(scope="session")
 def s3_srs():
     return parse_srs((DATA / "s3.srs").read_text())
+
+
+def as_unary_trs(srs):
+    """The string system as a term system: letter ``a`` is ``a : X -> X``
+    and a word is its letters applied to ``x``, leftmost outermost."""
+
+    def term(w):
+        return "".join(f"{c}(" for c in w) + "x" + ")" * len(w)
+
+    lines = ["sorts X"] + [f"op {c} : X -> X" for c in srs.alphabet] + ["var x : X"]
+    lines += [f"rule {r.name} : {term(r.lhs)} -> {term(r.rhs)}" for r in srs.rules]
+    return parse_presentation("\n".join(lines) + "\n")

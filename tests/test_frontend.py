@@ -360,11 +360,20 @@ def test_coeff_auto_takes_the_least_prime_dividing_the_degree(capsys, tmp_path):
     assert auto[1].splitlines()[0] == "coefficients: Z/2  (degree 4)"
     assert _run(capsys, "inequality", str(quintic), "--dim", "2")[0] == 0
     assert _run(capsys, *argv, "--coeff", "4") == (4, "", "error: modulus 4 is neither 0 nor prime\n")
-    # degree 1 has no prime divisor
+    # degree 1 admits no modulus, which is said once the system certifies
     square = tmp_path / "square.lwv"
     square.write_text("sorts X\nop f : X X -> X\nvar x : X\nrule r : f(x, x) -> x\n")
-    assert _run(capsys, "homology", str(square), "--max-dim", "2") \
-        == (4, "", "error: modulus 1 is neither 0 nor prime\n")
+    refused = "error: system has degree 1, which admits no modulus: " \
+        "0 needs degree 0 and no prime divides 1\n"
+    for coeff in ("auto", "0", "1", "2"):
+        assert _run(capsys, "homology", str(square), "--max-dim", "2", "--coeff", coeff) \
+            == (4, "", refused)
+    # f(a, a) rewrites to a and to b: not confluent, so certification fails first
+    split = tmp_path / "split.lwv"
+    split.write_text("sorts X\nop f : X X -> X\nop a : -> X\nop b : -> X\nvar x : X\n"
+                     "rule r : f(x, x) -> x\nrule s : f(a, x) -> b\n")
+    code, out, err = _run(capsys, "homology", str(split), "--max-dim", "2")
+    assert (code, out) == (2, "") and err.startswith("error: system is not certified")
 
 
 def test_cli_tests_a_huge_prime_modulus_at_once(capsys, data_dir):

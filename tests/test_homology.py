@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from math import isqrt
 from itertools import combinations
 
@@ -7,7 +8,9 @@ import pytest
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+from eqhom import homology
 from eqhom.chains import enumerate_chains
+from eqhom.cli import cli_dispatch
 from eqhom.homology import (
     BoundaryMatrix,
     PRIME_TEST_LIMIT,
@@ -22,8 +25,8 @@ from eqhom.homology import (
     validate_modulus,
 )
 from eqhom.monoid import enumerate_word_chains, word_boundary_matrices
-from eqhom.parser import parse_presentation
-from eqhom.rewrite import degree
+from eqhom.parser import parse_presentation, parse_srs
+from eqhom.rewrite import check_complete, degree
 
 
 def test_snf_examples():
@@ -153,6 +156,105 @@ def test_fp_rank_matches_integer_rank_for_unimodular_cases():
         for p in (2, 3, 5):
             expect = sum(1 for dk in diag if dk % p)
             assert fp_rank(a, p) == expect
+
+
+def _dense_fp_rank(matrix, p):
+    """Rank over F_p by dense Gauss-Jordan elimination, column by column."""
+    a = [[v % p for v in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, m) if a[i][col] % p), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [(v * inv) % p for v in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def _snf_fp_rank(matrix, p):
+    """Rank over F_p of an integer matrix: its invariant factors prime to p."""
+    return sum(1 for f in smith_normal_form(matrix)[0] if f % p)
+
+
+def _assert_fp_ranks_agree(matrix, p, where):
+    assert fp_rank(matrix, p) == _dense_fp_rank(matrix, p) == _snf_fp_rank(matrix, p), (where, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sparse_fp_rank_agrees_with_dense_elimination_and_snf(p):
+    rng = random.Random(p)
+    # 0 x n, n x 0, all-zero, and nonzero entries that are all multiples of p
+    degenerate = [[], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]], [[p, 0], [0, 2 * p]]]
+    for a in degenerate:
+        _assert_fp_ranks_agree(a, p, a)
+    shapes = [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(120)]
+    for m, n in shapes + [(14, 3), (3, 14), (20, 6), (6, 20)]:
+        zeros = rng.random()
+        a = [[0 if rng.random() < zeros else rng.randint(-2 * p, 2 * p) for _ in range(n)]
+             for _ in range(m)]
+        for i in range(m):
+            if rng.random() < 0.2:
+                a[i] = [0] * n
+        _assert_fp_ranks_agree(a, p, a)
+
+
+def _fixture_matrices(data_dir):
+    """Every certified fixture's boundary matrices at each admissible
+    modulus: 0 and the primes up to 7 for degree 0, else the primes
+    dividing the degree; the string systems' at the primes up to 7."""
+    tops = {"group.lwv": 3}
+    for path in sorted(data_dir.glob("*.lwv")):
+        trs = parse_presentation(path.read_text())
+        if not check_complete(trs).certified:
+            continue
+        top = tops.get(path.name, 4)
+        chains = enumerate_chains(trs, top)
+        deg = degree(trs)
+        for d in [0] * (deg == 0) + [p for p in (2, 3, 5, 7) if deg % p == 0]:
+            for n, mat in boundary_matrices(trs, chains, top, d).items():
+                yield (path.name, n, d), mat.entries, [d] if d else [2, 3, 5, 7]
+    for path in sorted(data_dir.glob("*.srs")):
+        srs = parse_srs(path.read_text())
+        mats = word_boundary_matrices(srs, enumerate_word_chains(srs, 5), 5)
+        for n, mat in mats.items():
+            yield (path.name, n, 0), mat.entries, [2, 3, 5, 7]
+
+
+def test_sparse_fp_rank_agrees_on_every_fixture_boundary(data_dir):
+    seen = set()
+    for where, entries, primes in _fixture_matrices(data_dir):
+        for p in primes:
+            _assert_fp_ranks_agree(entries, p, where)
+        seen.add(where[0])
+    assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv",
+                         "respelled.srs", "s3.srs", "z2.srs"}
+
+
+def test_each_matrix_is_reduced_once(monkeypatch, capsys, data_dir):
+    # H_0..H_top read the matrices 1..top+1, one reduction each; reading
+    # every group from its own two matrices reduced each inner one twice
+    calls = Counter()
+    for name in ("fp_rank", "smith_normal_form"):
+        def counted(*args, _real=getattr(homology, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(homology, name, counted)
+    assert cli_dispatch(["homology", str(data_dir / "group.lwv"), "--max-dim", "3"]) == 0
+    assert calls == {"fp_rank": 4}
+    calls.clear()
+    assert cli_dispatch(["monoid", "homology", str(data_dir / "s3.srs"), "--max-dim", "8"]) == 0
+    assert calls == {"smith_normal_form": 9}
+    capsys.readouterr()
 
 
 def test_homology_of_an_isomorphism():

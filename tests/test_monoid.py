@@ -27,8 +27,10 @@ from eqhom.monoid import (
     word_boundary_matrices,
     word_morse_differential,
 )
-from eqhom.parser import parse_presentation, parse_srs
+from eqhom.parser import parse_srs
 from eqhom.rewrite import BudgetExceeded, CompletenessError, check_complete
+
+from conftest import as_unary_trs
 
 A = "a"
 
@@ -373,23 +375,11 @@ def test_cyclic_group_homology_is_known(n, max_dim):
     assert [(H[k].rank, H[k].torsion) for k in range(max_dim + 1)] == expect
 
 
-def _as_unary_trs(srs):
-    """The string system as a term system: letter ``a`` is ``a : X -> X``
-    and a word is its letters applied to ``x``, leftmost outermost."""
-
-    def term(w):
-        return "".join(f"{c}(" for c in w) + "x" + ")" * len(w)
-
-    lines = ["sorts X"] + [f"op {c} : X -> X" for c in srs.alphabet] + ["var x : X"]
-    lines += [f"rule {r.name} : {term(r.lhs)} -> {term(r.rhs)}" for r in srs.rules]
-    return parse_presentation("\n".join(lines) + "\n")
-
-
 def test_term_engine_agrees_with_word_engine(z2_srs, s3_srs):
     # a second engine: chain counts differ (maximal-redex against leftmost
     # chains), the homology must not
     for srs in (z2_srs, nat2(), s3_srs):
-        trs = _as_unary_trs(srs)
+        trs = as_unary_trs(srs)
         chains = enumerate_chains(trs, 5)
         counts = {n: len(c) for n, c in chains.items()}
         mats = boundary_matrices(trs, chains, 5, 0)
@@ -518,7 +508,7 @@ def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
     words = monoid_homology(srs, 3)
     collapse.verify_matching(srs.cache("express_count"), _Words(srs))
     _assert_scans_agree_with_the_definitions(srs, 2, 2, 4)
-    trs = _as_unary_trs(srs)
+    trs = as_unary_trs(srs)
     chains = enumerate_chains(trs, 4)
     counts = {n: len(c) for n, c in chains.items()}
     mats = boundary_matrices(trs, chains, 4, 0)
@@ -557,7 +547,7 @@ def test_both_engines_certify_every_system_alike(sides):
     # check of the same system in its unary encoding; a reduced system's
     # critical pairs are its overlaps alone
     srs = _srs(sides)
-    words, terms = check_complete_srs(srs), check_complete(_as_unary_trs(srs))
+    words, terms = check_complete_srs(srs), check_complete(as_unary_trs(srs))
     assert words.reduced == terms.reduced, sides
     if words.reduced:
         assert (words.locally_confluent, words.certified) == (
