@@ -24,6 +24,7 @@ from .collapse import MatchingError
 from .homology import (
     CoefficientError,
     boundary_matrices,
+    boundary_rows,
     homology_groups,
     inequalities,
     inequality_report,
@@ -163,7 +164,8 @@ def _cmd_homology(args) -> int:
     d = _resolve_modulus(trs, args.coeff)
     chains = enumerate_chains(trs, args.max_dim + 1)
     counts = {k: len(v) for k, v in chains.items()}
-    matrices = boundary_matrices(trs, chains, args.max_dim + 1, d)
+    # --json prints every entry; the groups alone need only the rows that count
+    matrices = (boundary_matrices if args.json else boundary_rows)(trs, chains, args.max_dim + 1, d)
     groups = homology_groups(matrices, counts, d, range(args.max_dim + 1))
     if args.json:
         payload = {

@@ -16,8 +16,7 @@ splits back to it.  Both at once, two such faces, or neither is a
 ``MatchingError``.  The matched coefficient, read off the boundary of
 the upper cell of the pair, must be a unit (``ring.unit``); the engines
 classify over the counting ring.  ``classify`` makes all of these
-checks, and ``verify_matching`` adds that the matched pairs form an
-involution; neither is on the routing path.
+checks, off the routing path.
 
 Routing.  The router trusts the matching of a certified system, which
 is a Morse matching (Sköldberg; Jöllenbeck & Welker), and tells the
@@ -32,7 +31,8 @@ certified system; a budget of one step per cell routed turns a
 non-terminating matching into ``BudgetExceeded``.  Routing memoises the
 expression of each routed cell in the system's cache ``express_<name>``
 after the ring's ``name``; the ``classify`` cache is filled only by
-``classify`` and ``verify_matching``.
+``classify``.  ``matrix_rows`` routes a counting matrix one row at a
+time, in chain order, so that a reader that stops early routes no more.
 
 Coefficients live in a stateless ring object, one shared instance per
 engine and mode (``Integers`` or a subclass for ``"count"``, the
@@ -41,14 +41,15 @@ A ring supplies ``one``, ``element``, ``mul`` and ``unit``; ``element``
 and ``mul`` take the system as their last argument.  Coefficients, ints
 or ``FormalSum``s, add with ``+``, scale with ``* k``, are zero exactly
 when falsy, and sums keep no zero.  Counting differentials of the chains
-assemble into integer matrices, rows indexed by the chains of a
-dimension, columns by the chains one dimension down.
+form integer matrices, rows indexed by the chains of a dimension,
+columns by the chains one dimension down: sparse rows from
+``matrix_rows``, or dense ones from ``assemble_matrices``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Protocol
+from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol
 
 from .rewrite import BudgetExceeded
 
@@ -174,24 +175,6 @@ def _classify(cell, cx: Complex) -> CellClass:
     raise MatchingError(f"cell {cell!r} is neither critical, redundant nor collapsible")
 
 
-_FLIP = {"redundant": "collapsible", "collapsible": "redundant"}
-
-
-def verify_matching(cells: Iterable, cx: Complex) -> None:
-    """Check the matching on ``cells``: each classifies (``classify``),
-    and each matched cell's partner has the other kind, points back and
-    has the same sign.  Raises ``MatchingError`` on the first failure."""
-    for cell in cells:
-        cls = classify(cell, cx)
-        if cls.kind == "critical":
-            continue
-        back = classify(cls.partner, cx)
-        if (back.kind, back.partner, back.epsilon) != (_FLIP[cls.kind], cell, cls.epsilon):
-            raise MatchingError(
-                f"{cls.kind} cell {cell!r} and its partner {cls.partner!r} "
-                f"are not matched to each other: {back!r}")
-
-
 def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
     """The cell as a combination of critical cells (memoised, read-only).
 
@@ -255,22 +238,30 @@ def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) ->
     return out
 
 
+def matrix_rows(differential: Callable[[Any], Boundary], rows: list, cols: list,
+                modulus: int = 0) -> Iterator[dict[int, int]]:
+    """The differentials of ``rows`` as sparse ``{col: value}`` over ``cols``,
+    reduced modulo ``modulus`` unless it is 0, each routed when it is read."""
+    col_index = {c: j for j, c in enumerate(cols)}
+    for cell in rows:
+        row = {}
+        for target, coeff in differential(cell).items():
+            j = col_index.get(target)
+            if j is None:
+                raise ValueError(f"differential of {cell!r} hits {target!r}, "
+                                 f"which is not an enumerated chain")
+            row[j] = coeff % modulus if modulus else coeff
+        yield row
+
+
 def assemble_matrices(differential: Callable[[Any], Boundary], chains: dict[int, list],
                       max_dim: int, modulus: int = 0) -> dict[int, BoundaryMatrix]:
     """Matrices of the counting differentials for dimensions 1..max_dim,
-    entries reduced modulo ``modulus`` unless it is 0."""
+    every row of ``matrix_rows`` filled in."""
     out: dict[int, BoundaryMatrix] = {}
     for n in range(1, max_dim + 1):
         rows, cols = chains[n], chains[n - 1]
-        col_index = {c: j for j, c in enumerate(cols)}
-        entries = [[0] * len(cols) for _ in rows]
-        for i, cell in enumerate(rows):
-            for target, coeff in differential(cell).items():
-                j = col_index.get(target)
-                if j is None:
-                    raise ValueError(
-                        f"differential of {cell!r} hits {target!r}, "
-                        f"which is not an enumerated chain")
-                entries[i][j] = coeff % modulus if modulus else coeff
+        entries = [[row.get(j, 0) for j in range(len(cols))]
+                   for row in matrix_rows(differential, rows, cols, modulus)]
         out[n] = BoundaryMatrix(n, list(rows), list(cols), entries, modulus)
     return out

@@ -10,6 +10,9 @@ the groups of either engine off its matrices and reduces each matrix
 once: over the integers a strike-out Smith normal form gives the rank
 and a divisibility chain of invariant factors; over a prime field
 ``fp_rank`` eliminates one sparse row at a time and gives a dimension.
+Rank d_{n+1} is at most dim ker d_n = c_n - rank d_n, where its image
+lies, so over a prime field the rows of ``boundary_rows`` are routed only
+until it gets there.
 
 ``s`` of a group is its minimum number of generators (rank plus the
 number of nontrivial invariant factors).  Over a prime field ``rank`` is
@@ -25,9 +28,10 @@ s(H_2) - rank(H_1) + rank(H_0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .chains import Cell, enumerate_chains
-from .collapse import BoundaryMatrix, Matrix, assemble_matrices
+from .collapse import BoundaryMatrix, Matrix, assemble_matrices, matrix_rows
 from .morse import morse_differential
 from .rewrite import Trs, degree
 
@@ -85,29 +89,28 @@ def validate_modulus(d: int, trs_degree: int) -> None:
 def boundary_matrices(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,
                       d: int) -> dict[int, BoundaryMatrix]:
     """Counting-coefficient matrices of the collapsed differentials for
-    dimensions 1..max_dim.  ``d`` must be 0 or a prime dividing the
-    system's degree lattice."""
+    dimensions 1..max_dim, every entry routed.  ``d`` must be 0 or a
+    prime dividing the system's degree lattice."""
     validate_modulus(d, degree(trs))
     return assemble_matrices(lambda cell: morse_differential(cell, trs, "count"),
                              chains, max_dim, d)
+
+
+def boundary_rows(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,
+                  d: int) -> dict[int, Iterable[dict[int, int]]]:
+    """``boundary_matrices`` as sparse rows, each routed when it is read."""
+    validate_modulus(d, degree(trs))
+    return {n: matrix_rows(lambda cell: morse_differential(cell, trs, "count"),
+                           chains[n], chains[n - 1], d) for n in range(1, max_dim + 1)}
 
 
 def matrix_product(a: BoundaryMatrix, b: BoundaryMatrix) -> Matrix:
     """Rows of ``a`` (dim n+1) composed into ``b`` (dim n): the result
     must vanish for a chain complex."""
     assert a.dim == b.dim + 1
-    m = len(a.rows)
-    out = [[0] * len(b.cols) for _ in range(m)]
-    for i in range(m):
-        for k, mid in enumerate(b.rows):
-            aik = a.entries[i][k]
-            if aik == 0:
-                continue
-            for j in range(len(b.cols)):
-                out[i][j] += aik * b.entries[k][j]
-    if a.modulus:
-        out = [[v % a.modulus for v in row] for row in out]
-    return out
+    cols = [[row[j] for row in b.entries] for j in range(len(b.cols))]
+    out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries]
+    return [[v % a.modulus for v in row] for row in out] if a.modulus else out
 
 
 def smith_normal_form(matrix: Matrix) -> tuple[list[int], int]:
@@ -149,13 +152,15 @@ def smith_normal_form(matrix: Matrix) -> tuple[list[int], int]:
             del row[j]
 
 
-def fp_rank(matrix: Matrix, p: int) -> int:
-    """Rank over the field with ``p`` elements, one row at a time: a row,
-    kept sparse as ``{col: value}``, is reduced by the pivot rows keyed by
-    its leading column until it vanishes or leads in a new column."""
+def fp_rank(matrix: Iterable, p: int, bound: int | None = None) -> int:
+    """Rank over F_p, one row (a list, or sparse ``{col: value}``) at a time,
+    none read once the rank reaches ``bound``: a row is reduced by the pivot
+    rows keyed by its leading column until it vanishes or leads a new one."""
     pivots: dict[int, dict[int, int]] = {}  # leading column -> row, scaled to lead 1
-    for entries in matrix:
-        row = {c: v % p for c, v in enumerate(entries) if v % p}
+    rows = iter(matrix)
+    while len(pivots) != bound and (entries := next(rows, None)) is not None:
+        cells = entries.items() if isinstance(entries, dict) else enumerate(entries)
+        row = {c: v % p for c, v in cells if v % p}
         while row:
             lead = min(row)
             if lead not in pivots:
@@ -193,24 +198,28 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_groups(matrices: dict[int, BoundaryMatrix], counts: dict[int, int],
-                    d: int, dims: range) -> dict[int, HomologyGroup]:
+def homology_groups(matrices: dict[int, BoundaryMatrix | Iterable[dict[int, int]]],
+                    counts: dict[int, int], d: int, dims: range) -> dict[int, HomologyGroup]:
     """H_n for each n of ``dims`` (consecutive): ker of matrix n modulo
-    image of matrix n+1, the n=0 kernel being everything.  Each matrix
-    from ``dims.start`` through ``dims.stop`` is reduced once, over Z
-    (``d`` 0) or F_d; a missing or empty matrix has rank 0."""
-    rank, torsion = {}, {}
+    image of matrix n+1, the n=0 kernel being everything.  Each matrix (or
+    its rows) from ``dims.start`` through ``dims.stop`` is reduced once,
+    over Z (``d`` 0), or over F_d up to dim ker of matrix k-1 once rank
+    k-1 is known; a missing or empty matrix has rank 0."""
+    rank, torsion = {0: 0}, {}  # there is no matrix 0
     for k in range(dims.start, dims.stop + 1):
         if k not in counts:
             raise ValueError(f"chains not enumerated through dimension {dims.stop}")
         if k and counts[k] and k not in matrices:
             raise ValueError(f"need the boundary matrix at dimension {k}")
-        entries = matrices[k].entries if k in matrices else []
+        m = matrices.get(k) if counts[k] else None
+        full = isinstance(m, BoundaryMatrix)
         rank[k], torsion[k] = 0, ()
-        if entries and d:
-            rank[k] = fp_rank(entries, d)
-        elif entries:
-            factors, rank[k] = smith_normal_form(entries)
+        if m is not None and d:
+            below = counts[k - 1] - rank[k - 1] if k - 1 in rank else None
+            rank[k] = fp_rank(m.entries if full else m, d, below)
+        elif m is not None:
+            factors, rank[k] = smith_normal_form(m.entries if full else [
+                [row.get(j, 0) for j in range(counts[k - 1])] for row in m])
             torsion[k] = tuple(f for f in factors if f > 1)
     return {n: HomologyGroup(counts[n] - rank[n] - rank[n + 1], torsion[n + 1])
             for n in dims}
@@ -269,8 +278,8 @@ def inequality_report(trs: Trs, d: int, n: int,
     if chains is None:
         chains = enumerate_chains(trs, n + 1)
     counts = {k: len(v) for k, v in chains.items()}
-    matrices = boundary_matrices(trs, chains, n + 1, d)
-    return inequalities(n, d, counts, homology_groups(matrices, counts, d, range(n + 1)))
+    rows = boundary_rows(trs, chains, n + 1, d)
+    return inequalities(n, d, counts, homology_groups(rows, counts, d, range(n + 1)))
 
 
 def inequalities(n: int, d: int, counts: dict[int, int],
@@ -280,8 +289,6 @@ def inequalities(n: int, d: int, counts: dict[int, int],
     weak_lhs = counts[n]
     weak_rhs = groups[n].generators
     strong_lhs = sum((-1) ** (n - i) * counts[i] for i in range(n + 1))
-    strong_rhs = groups[n].generators + sum(
-        (-1) ** (n - i) * groups[i].rank for i in range(n)
-    )
+    strong_rhs = weak_rhs + sum((-1) ** (n - i) * groups[i].rank for i in range(n))
     return InequalityReport(n, d, counts, groups, weak_lhs, weak_rhs,
                             strong_lhs, strong_rhs)

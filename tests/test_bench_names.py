@@ -21,8 +21,8 @@ def test_traced_kernel_names_resolve(monkeypatch):
 # reads 0) and ``classify`` by name and sums every ``express_*`` kind, so
 # a new memo must not take one of those names, and a renamed
 # ``*_symbolic`` or word-engine kind must fail here
-# (``classify`` is filled only by the public ``classify`` and
-# ``verify_matching``, never by routing)
+# (``classify`` is filled only by the public ``classify`` and the
+# tests' ``verify_matching``, never by routing)
 TERM_CACHE_KINDS = {
     "certify", "nf", "composite", "extensions", "max_redex", "merge", "factor",
 }

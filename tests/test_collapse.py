@@ -17,6 +17,8 @@ from eqhom.parser import parse_presentation, parse_srs
 from eqhom.rewrite import BudgetExceeded, degree, max_redex, op_morphism
 from eqhom.unify import match_term, unify_terms
 
+from conftest import verify_matching
+
 
 class Table:
     """A complex given by its chains, split partners and integer boundaries."""
@@ -71,12 +73,12 @@ def test_matching_failures_raise():
 def test_verify_matching_refuses_each_failure(splits, boundaries, message):
     cx = Table({"T"}, splits, boundaries)
     with pytest.raises(MatchingError, match=message):
-        collapse.verify_matching(sorted(set(splits) | set(boundaries)), cx)
+        verify_matching(sorted(set(splits) | set(boundaries)), cx)
 
 
 def test_verify_matching_accepts_a_matched_pair():
     cx = Table({"T", "c"}, {"r": "p"}, {"T": {"r": 1}, "p": {"r": -1, "c": 2}})
-    collapse.verify_matching(["T", "c", "r", "p"], cx)
+    verify_matching(["T", "c", "r", "p"], cx)
     assert cx.caches["classify"]["r"] == collapse.CellClass("redundant", "p", -1)
 
 

@@ -538,9 +538,15 @@ def test_symbolic_resolution_to_dim_5_matches_its_pinned_digest(capsys, data_dir
         "7d29d0597f801e97353d79da531d3f06e149bf6ecbb98282c1a2ce55f162a59d")
 
 
-@pytest.mark.skipif(os.environ.get("EQHOM_SLOW") != "1",
-                    reason="takes about 6 s; set EQHOM_SLOW=1 to run it")
 def test_homology_to_dim_4_matches_its_pinned_digest(capsys, data_dir):
     test_cli_stdout_matches_its_pinned_digest(
         capsys, data_dir, ("homology", "group.lwv", "--max-dim", "4"),
         "4a2cbbf234532007aec0b042fcaca81d3f45f68092add6be9ba8504ea1a3b376")
+
+
+@pytest.mark.skipif(os.environ.get("EQHOM_SLOW") != "1",
+                    reason="takes about 20 s; set EQHOM_SLOW=1 to run it")
+def test_homology_to_dim_5_matches_its_pinned_digest(capsys, data_dir):
+    test_cli_stdout_matches_its_pinned_digest(
+        capsys, data_dir, ("homology", "group.lwv", "--max-dim", "5"),
+        "f039421fa0d7dfced30bc17fa774c31ea4abc70a8bf2fba7c15529a2c609ad6e")

@@ -8,7 +8,7 @@ import pytest
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
-from eqhom import homology
+from eqhom import cli, homology
 from eqhom.chains import enumerate_chains
 from eqhom.cli import cli_dispatch
 from eqhom.homology import (
@@ -16,8 +16,10 @@ from eqhom.homology import (
     PRIME_TEST_LIMIT,
     CoefficientError,
     boundary_matrices,
+    boundary_rows,
     fp_rank,
     homology_group,
+    homology_groups,
     inequality_report,
     is_prime,
     matrix_product,
@@ -254,6 +256,65 @@ def test_each_matrix_is_reduced_once(monkeypatch, capsys, data_dir):
     calls.clear()
     assert cli_dispatch(["monoid", "homology", str(data_dir / "s3.srs"), "--max-dim", "8"]) == 0
     assert calls == {"smith_normal_form": 9}
+    capsys.readouterr()
+
+
+def _saturated(trs, chains, top, p, dims):
+    """``homology_groups`` over the lazy rows of ``boundary_rows``, and the
+    number of rows it read of each matrix."""
+    read = Counter()
+
+    def counted(k, rows):
+        for row in rows:
+            read[k] += 1
+            yield row
+
+    rows = {k: counted(k, r) for k, r in boundary_rows(trs, chains, top, p).items()}
+    return homology_groups(rows, {k: len(v) for k, v in chains.items()}, p, dims), read
+
+
+def test_the_stop_rule_keeps_every_group_on_every_fixture(data_dir):
+    # equal groups from H_0 up mean equal ranks of every matrix, since
+    # rank d_{n+1} = c_n - rank d_n - dim H_n; a range from 2 reads its
+    # first matrix with no bound
+    tops = {"group.lwv": 3}
+    seen, unread = set(), 0
+    for path in sorted(data_dir.glob("*.lwv")):
+        trs = parse_presentation(path.read_text())
+        if not check_complete(trs).certified:
+            continue
+        top = tops.get(path.name, 4)
+        chains = enumerate_chains(trs, top + 1)
+        counts = {k: len(v) for k, v in chains.items()}
+        for p in [p for p in (2, 3, 5, 7) if degree(trs) % p == 0]:
+            full = boundary_matrices(trs, chains, top + 1, p)
+            for dims in (range(top + 1), range(2, top + 1)):
+                groups, read = _saturated(trs, chains, top + 1, p, dims)
+                assert groups == homology_groups(full, counts, p, dims), (path.name, p, dims)
+                # no row may be skipped without a bound, or where a nonzero
+                # H_{k-1} keeps rank k below the kernel
+                for k in range(dims.start, dims.stop + 1):
+                    unbounded = k == dims.start > 1
+                    if unbounded or k - 1 in dims and groups[k - 1].rank:
+                        assert read[k] == counts[k], (path.name, p, dims, k)
+                unread += sum(counts[k] - read[k] for k in range(max(dims.start, 1), top + 2))
+        seen.add(path.name)
+    assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv"}
+    assert unread > 0
+
+
+def test_homology_over_a_prime_routes_only_the_rows_it_needs(monkeypatch, capsys, data_dir):
+    # the cells routed by homology and inequality over Z/2 on group theory;
+    # --json prints every entry of every matrix and routes them all
+    systems = []
+    parse = cli.parse_presentation
+    monkeypatch.setattr(cli, "parse_presentation",
+                        lambda text: systems.append(parse(text)) or systems[-1])
+    group = str(data_dir / "group.lwv")
+    for argv in (["homology", group, "--max-dim", "3"], ["inequality", group, "--dim", "3"],
+                 ["homology", group, "--max-dim", "3", "--json"]):
+        assert cli_dispatch(argv) == 0
+    assert [len(trs.cache("express_count")) for trs in systems] == [501, 501, 1414]
     capsys.readouterr()
 
 

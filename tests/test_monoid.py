@@ -30,7 +30,7 @@ from eqhom.monoid import (
 from eqhom.parser import parse_srs
 from eqhom.rewrite import BudgetExceeded, CompletenessError, check_complete
 
-from conftest import as_unary_trs
+from conftest import as_unary_trs, verify_matching
 
 A = "a"
 
@@ -347,7 +347,7 @@ def test_every_routed_cell_of_s3_is_matched(data_dir):
     srs = parse_srs((data_dir / "s3.srs").read_text())
     word_boundary_matrices(srs, enumerate_word_chains(srs, 6), 6)
     routed = srs.cache("express_count")
-    collapse.verify_matching(routed, _Words(srs))
+    verify_matching(routed, _Words(srs))
     assert set(routed) <= set(srs.cache("classify"))
 
 
@@ -506,7 +506,7 @@ def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
     srs = _srs(sides)
     assume(check_complete_srs(srs).certified)
     words = monoid_homology(srs, 3)
-    collapse.verify_matching(srs.cache("express_count"), _Words(srs))
+    verify_matching(srs.cache("express_count"), _Words(srs))
     _assert_scans_agree_with_the_definitions(srs, 2, 2, 4)
     trs = as_unary_trs(srs)
     chains = enumerate_chains(trs, 4)

@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from eqhom import collapse
 from eqhom.chains import (
     Cell,
     composite,
@@ -27,6 +26,8 @@ from eqhom.parser import parse_presentation, parse_srs
 from eqhom.rewrite import Rule, Trs, degree, max_redex, op_morphism
 from eqhom.terms import App, Morphism, Signature, Var, compose_raw, is_partial_permutation
 from eqhom.unify import match_tuple
+
+from conftest import verify_matching
 
 
 def xv(name):
@@ -272,7 +273,7 @@ def test_group_classification_counters_through_dim_four(data_dir):
     chains = enumerate_chains(trs, 4)
     boundary_matrices(trs, chains, 4, degree(trs))
     routed_cells = trs.cache("express_count")
-    collapse.verify_matching(routed_cells, _Terms(trs))
+    verify_matching(routed_cells, _Terms(trs))
     kinds = Counter(classify(c, trs).kind for c in routed_cells)
     routed = sum(len(v) for k, v in trs.caches.items() if k.startswith("express_"))
     assert (kinds["critical"], kinds["redundant"], kinds["collapsible"], routed) \
