@@ -23,7 +23,6 @@ from .chains import Cell, enumerate_chains
 from .collapse import MatchingError
 from .homology import (
     CoefficientError,
-    boundary_matrices,
     boundary_rows,
     homology_groups,
     inequalities,
@@ -87,7 +86,7 @@ def _load(path: str, parse):
 def _resolve_modulus(trs: Trs, coeff: str) -> int:
     """``auto`` is the least prime dividing the degree, else the degree: 0
     (Z) for degree 0, and 1 for degree 1, which admits no modulus, so
-    ``boundary_matrices`` refuses it once the system is certified."""
+    ``validate_modulus`` refuses it when ``boundary_rows`` is called."""
     if coeff == "auto":
         d = degree(trs)
         return next((p for p in range(2, isqrt(d) + 1) if d % p == 0), d)
@@ -164,9 +163,10 @@ def _cmd_homology(args) -> int:
     d = _resolve_modulus(trs, args.coeff)
     chains = enumerate_chains(trs, args.max_dim + 1)
     counts = {k: len(v) for k, v in chains.items()}
-    # --json prints every entry; the groups alone need only the rows that count
-    matrices = (boundary_matrices if args.json else boundary_rows)(trs, chains, args.max_dim + 1, d)
-    groups = homology_groups(matrices, counts, d, range(args.max_dim + 1))
+    rows = boundary_rows(trs, chains, args.max_dim + 1, d)
+    if args.json:  # it prints every entry; the groups alone need only the rows that count
+        rows = {n: list(r) for n, r in rows.items()}
+    groups = homology_groups(rows, counts, d, range(args.max_dim + 1))
     if args.json:
         payload = {
             "coefficients": d,
@@ -179,7 +179,7 @@ def _cmd_homology(args) -> int:
                 for n in range(args.max_dim + 1)
             ],
             "matrices": [
-                {"dim": n, "entries": matrices[n].entries}
+                {"dim": n, "entries": rows[n]}
                 for n in range(1, args.max_dim + 2)
             ],
         }

@@ -28,7 +28,8 @@ is replaced by ``-ε`` times the rest of the boundary of ``p``, routed in
 turn, on an explicit stack; ``ε``, the coefficient of ``c`` in the
 boundary of ``p``, must still be a unit.  Termination holds for a
 certified system; a budget of one step per cell routed turns a
-non-terminating matching into ``BudgetExceeded``.  Routing memoises the
+non-terminating matching, or a differential that routes more cells than
+the budget, into ``BudgetExceeded``.  Routing memoises the
 expression of each routed cell in the system's cache ``express_<name>``
 after the ring's ``name``; the ``classify`` cache is filled only by
 ``classify``.  ``matrix_rows`` routes a counting matrix one row at a
@@ -41,9 +42,9 @@ A ring supplies ``one``, ``element``, ``mul`` and ``unit``; ``element``
 and ``mul`` take the system as their last argument.  Coefficients, ints
 or ``FormalSum``s, add with ``+``, scale with ``* k``, are zero exactly
 when falsy, and sums keep no zero.  Counting differentials of the chains
-form integer matrices, rows indexed by the chains of a dimension,
-columns by the chains one dimension down: sparse rows from
-``matrix_rows``, or dense ones from ``assemble_matrices``.
+form integer matrices: one row (a ``list[int]``) per chain of a
+dimension, one column per chain one dimension down, read lazily from
+``matrix_rows`` or all at once by ``assemble_matrices``.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
         if cell is not None:
             counter[0] -= 1
             if counter[0] < 0:
-                raise BudgetExceeded("routing budget exhausted; matching may not terminate")
+                raise BudgetExceeded(f"routing budget exhausted: one differential "
+                                     f"routed more than {counter[1]} cells")
             chain, partner = cx.match(cell)
             if partner is not None:
                 bd = cx.boundary(partner)
@@ -230,7 +232,7 @@ def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
 def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
     ring = cx.ring
-    counter = [budget]
+    counter = [budget, budget]  # steps left, budget
     out: Boundary = {}
     for face, coeff in cx.boundary(cell).items():
         for crit, w in _express(face, cx, counter).items():
@@ -239,12 +241,12 @@ def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) ->
 
 
 def matrix_rows(differential: Callable[[Any], Boundary], rows: list, cols: list,
-                modulus: int = 0) -> Iterator[dict[int, int]]:
-    """The differentials of ``rows`` as sparse ``{col: value}`` over ``cols``,
-    reduced modulo ``modulus`` unless it is 0, each routed when it is read."""
+                modulus: int = 0) -> Iterator[list[int]]:
+    """The differentials of ``rows`` as integer rows over ``cols``, reduced
+    modulo ``modulus`` unless it is 0, each routed when it is read."""
     col_index = {c: j for j, c in enumerate(cols)}
     for cell in rows:
-        row = {}
+        row = [0] * len(cols)
         for target, coeff in differential(cell).items():
             j = col_index.get(target)
             if j is None:
@@ -257,11 +259,8 @@ def matrix_rows(differential: Callable[[Any], Boundary], rows: list, cols: list,
 def assemble_matrices(differential: Callable[[Any], Boundary], chains: dict[int, list],
                       max_dim: int, modulus: int = 0) -> dict[int, BoundaryMatrix]:
     """Matrices of the counting differentials for dimensions 1..max_dim,
-    every row of ``matrix_rows`` filled in."""
-    out: dict[int, BoundaryMatrix] = {}
-    for n in range(1, max_dim + 1):
-        rows, cols = chains[n], chains[n - 1]
-        entries = [[row.get(j, 0) for j in range(len(cols))]
-                   for row in matrix_rows(differential, rows, cols, modulus)]
-        out[n] = BoundaryMatrix(n, list(rows), list(cols), entries, modulus)
-    return out
+    every row of ``matrix_rows`` read."""
+    return {n: BoundaryMatrix(n, list(chains[n]), list(chains[n - 1]),
+                              list(matrix_rows(differential, chains[n], chains[n - 1], modulus)),
+                              modulus)
+            for n in range(1, max_dim + 1)}

@@ -3,16 +3,17 @@ homology groups and the two Morse inequalities.
 
 Tensoring the collapsed resolution with the counting module turns each
 differential into an integer matrix (reduced modulo ``d`` when ``d`` is a
-prime); rows are indexed by the chains of the dimension, columns by the
-chains one dimension down.  Homology in dimension n is the kernel of the
-n-th matrix modulo the image of the (n+1)-st.  ``homology_groups`` reads
-the groups of either engine off its matrices and reduces each matrix
-once: over the integers a strike-out Smith normal form gives the rank
-and a divisibility chain of invariant factors; over a prime field
-``fp_rank`` eliminates one sparse row at a time and gives a dimension.
-Rank d_{n+1} is at most dim ker d_n = c_n - rank d_n, where its image
-lies, so over a prime field the rows of ``boundary_rows`` are routed only
-until it gets there.
+prime): one ``list[int]`` row per chain of the dimension, one column per
+chain one dimension down, read lazily from ``boundary_rows`` or all at
+once as ``BoundaryMatrix.entries``.  Homology in dimension n is the
+kernel of the n-th matrix modulo the image of the (n+1)-st.
+``homology_groups`` reads the groups of either engine off these rows and
+reduces each matrix once: over the integers a strike-out Smith normal
+form gives the rank and a divisibility chain of invariant factors; over
+a prime field ``fp_rank`` eliminates one row at a time and gives a
+dimension.  Rank d_{n+1} is at most dim ker d_n = c_n - rank d_n, where
+its image lies, so over a prime field no row is read, and no lazy row
+routed, once the rank gets there.
 
 ``s`` of a group is its minimum number of generators (rank plus the
 number of nontrivial invariant factors).  Over a prime field ``rank`` is
@@ -97,8 +98,8 @@ def boundary_matrices(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,
 
 
 def boundary_rows(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,
-                  d: int) -> dict[int, Iterable[dict[int, int]]]:
-    """``boundary_matrices`` as sparse rows, each routed when it is read."""
+                  d: int) -> dict[int, Iterable[list[int]]]:
+    """The rows of ``boundary_matrices``, each routed when it is read."""
     validate_modulus(d, degree(trs))
     return {n: matrix_rows(lambda cell: morse_differential(cell, trs, "count"),
                            chains[n], chains[n - 1], d) for n in range(1, max_dim + 1)}
@@ -113,7 +114,7 @@ def matrix_product(a: BoundaryMatrix, b: BoundaryMatrix) -> Matrix:
     return [[v % a.modulus for v in row] for row in out] if a.modulus else out
 
 
-def smith_normal_form(matrix: Matrix) -> tuple[list[int], int]:
+def smith_normal_form(matrix: Iterable[list[int]]) -> tuple[list[int], int]:
     """Invariant factors (nonneg, divisibility chain, 1s included) and rank.
 
     Strike-out elimination in exact integers, safe for arbitrarily large
@@ -152,15 +153,14 @@ def smith_normal_form(matrix: Matrix) -> tuple[list[int], int]:
             del row[j]
 
 
-def fp_rank(matrix: Iterable, p: int, bound: int | None = None) -> int:
-    """Rank over F_p, one row (a list, or sparse ``{col: value}``) at a time,
-    none read once the rank reaches ``bound``: a row is reduced by the pivot
-    rows keyed by its leading column until it vanishes or leads a new one."""
+def fp_rank(matrix: Iterable[list[int]], p: int, bound: int | None = None) -> int:
+    """Rank over F_p, one row at a time, none read once the rank reaches
+    ``bound``: a row, kept sparse, is reduced by the pivot rows keyed by its
+    leading column until it vanishes or leads a new one."""
     pivots: dict[int, dict[int, int]] = {}  # leading column -> row, scaled to lead 1
     rows = iter(matrix)
     while len(pivots) != bound and (entries := next(rows, None)) is not None:
-        cells = entries.items() if isinstance(entries, dict) else enumerate(entries)
-        row = {c: v % p for c, v in cells if v % p}
+        row = {c: v % p for c, v in enumerate(entries) if v % p}
         while row:
             lead = min(row)
             if lead not in pivots:
@@ -198,13 +198,13 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_groups(matrices: dict[int, BoundaryMatrix | Iterable[dict[int, int]]],
-                    counts: dict[int, int], d: int, dims: range) -> dict[int, HomologyGroup]:
+def homology_groups(matrices: dict[int, Iterable[list[int]]], counts: dict[int, int],
+                    d: int, dims: range) -> dict[int, HomologyGroup]:
     """H_n for each n of ``dims`` (consecutive): ker of matrix n modulo
-    image of matrix n+1, the n=0 kernel being everything.  Each matrix (or
-    its rows) from ``dims.start`` through ``dims.stop`` is reduced once,
-    over Z (``d`` 0), or over F_d up to dim ker of matrix k-1 once rank
-    k-1 is known; a missing or empty matrix has rank 0."""
+    image of matrix n+1, the n=0 kernel being everything.  The rows of each
+    matrix from ``dims.start`` through ``dims.stop`` are reduced once, over
+    Z (``d`` 0), or over F_d up to dim ker of matrix k-1 once rank k-1 is
+    known; a missing or empty matrix has rank 0."""
     rank, torsion = {0: 0}, {}  # there is no matrix 0
     for k in range(dims.start, dims.stop + 1):
         if k not in counts:
@@ -212,14 +212,12 @@ def homology_groups(matrices: dict[int, BoundaryMatrix | Iterable[dict[int, int]
         if k and counts[k] and k not in matrices:
             raise ValueError(f"need the boundary matrix at dimension {k}")
         m = matrices.get(k) if counts[k] else None
-        full = isinstance(m, BoundaryMatrix)
         rank[k], torsion[k] = 0, ()
         if m is not None and d:
             below = counts[k - 1] - rank[k - 1] if k - 1 in rank else None
-            rank[k] = fp_rank(m.entries if full else m, d, below)
+            rank[k] = fp_rank(m, d, below)
         elif m is not None:
-            factors, rank[k] = smith_normal_form(m.entries if full else [
-                [row.get(j, 0) for j in range(counts[k - 1])] for row in m])
+            factors, rank[k] = smith_normal_form(m)
             torsion[k] = tuple(f for f in factors if f > 1)
     return {n: HomologyGroup(counts[n] - rank[n] - rank[n + 1], torsion[n + 1])
             for n in dims}
@@ -228,7 +226,8 @@ def homology_groups(matrices: dict[int, BoundaryMatrix | Iterable[dict[int, int]
 def homology_group(matrices: dict[int, BoundaryMatrix], n: int, d: int,
                    chain_counts: dict[int, int]) -> HomologyGroup:
     """H_n alone, from the matrices at n and n+1."""
-    return homology_groups(matrices, chain_counts, d, range(n, n + 1))[n]
+    rows = {k: m.entries for k, m in matrices.items()}
+    return homology_groups(rows, chain_counts, d, range(n, n + 1))[n]
 
 
 @dataclass

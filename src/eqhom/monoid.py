@@ -294,4 +294,5 @@ def monoid_homology(srs: Srs, max_dim: int) -> dict[int, HomologyGroup]:
     chains = enumerate_word_chains(srs, max_dim + 1)
     counts = {k: len(v) for k, v in chains.items()}
     matrices = word_boundary_matrices(srs, chains, max_dim + 1)
-    return homology_groups(matrices, counts, 0, range(max_dim + 1))
+    return homology_groups({n: m.entries for n, m in matrices.items()}, counts, 0,
+                           range(max_dim + 1))

@@ -101,7 +101,7 @@ def test_deep_routing_does_not_recurse():
     line = Table({"T", "c"}, splits, boundaries)
     assert morse_differential("T", line) == {"c": 3 * (-1) ** n}
     assert len(line.caches["express_count"]) == n + 1
-    with pytest.raises(BudgetExceeded, match="routing budget exhausted"):
+    with pytest.raises(BudgetExceeded, match=rf"^routing budget exhausted: .*\b{n}\b"):
         morse_differential("T", Table({"T", "c"}, splits, boundaries), budget=n)
 
 

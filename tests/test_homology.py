@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ from eqhom.homology import (
     BoundaryMatrix,
     PRIME_TEST_LIMIT,
     CoefficientError,
+    HomologyGroup,
     boundary_matrices,
     boundary_rows,
     fp_rank,
@@ -210,19 +212,51 @@ def test_sparse_fp_rank_agrees_with_dense_elimination_and_snf(p):
         _assert_fp_ranks_agree(a, p, a)
 
 
-def _fixture_matrices(data_dir):
-    """Every certified fixture's boundary matrices at each admissible
-    modulus: 0 and the primes up to 7 for degree 0, else the primes
-    dividing the degree; the string systems' at the primes up to 7."""
+def _guarded(rows, p, bound, read):
+    """``rows`` one at a time, counted in ``read``; reading a row once the
+    rows before it have rank ``bound`` over F_p fails the test."""
+    for i, row in enumerate(rows):
+        assert _dense_fp_rank(rows[:i], p) != bound, f"row {i} read at rank {bound}"
+        read[0] += 1
+        yield row
+
+
+@pytest.mark.parametrize("bound, rank, read", [
+    (0, 0, 0),  # reads nothing
+    (1, 1, 2),
+    (2, 2, 4),  # the rows after the one that reaches it stay unread
+    (3, 3, 6),  # hit by the last row
+    (4, 3, 6),  # never reached: every row is read
+    (None, 3, 6),
+])
+def test_fp_rank_reads_no_row_past_its_bound(bound, rank, read):
+    # over F_3 the rows read so far have rank 0, 1, 1, 2, 2, 3
+    rows = [[0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 1, 1], [1, 0, 2], [1, 1, 1]]
+    count = [0]
+    assert fp_rank(_guarded(rows, 3, bound, count), 3, bound) == rank
+    assert count[0] == read
+
+
+def _certified_fixtures(data_dir):
+    """Every certified term fixture, its top dimension and its admissible
+    moduli: 0 and the primes up to 7 for degree 0, else the primes up to 7
+    dividing the degree."""
     tops = {"group.lwv": 3}
     for path in sorted(data_dir.glob("*.lwv")):
         trs = parse_presentation(path.read_text())
-        if not check_complete(trs).certified:
-            continue
-        top = tops.get(path.name, 4)
+        if check_complete(trs).certified:
+            deg = degree(trs)
+            moduli = [0] * (deg == 0) + [p for p in (2, 3, 5, 7) if deg % p == 0]
+            yield path, trs, tops.get(path.name, 4), moduli
+
+
+def _fixture_matrices(data_dir):
+    """Every certified fixture's boundary matrices at each admissible
+    modulus through its top dimension; the string systems' at the primes
+    up to 7."""
+    for path, trs, top, moduli in _certified_fixtures(data_dir):
         chains = enumerate_chains(trs, top)
-        deg = degree(trs)
-        for d in [0] * (deg == 0) + [p for p in (2, 3, 5, 7) if deg % p == 0]:
+        for d in moduli:
             for n, mat in boundary_matrices(trs, chains, top, d).items():
                 yield (path.name, n, d), mat.entries, [d] if d else [2, 3, 5, 7]
     for path in sorted(data_dir.glob("*.srs")):
@@ -240,6 +274,30 @@ def test_sparse_fp_rank_agrees_on_every_fixture_boundary(data_dir):
         seen.add(where[0])
     assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv",
                          "respelled.srs", "s3.srs", "z2.srs"}
+
+
+def test_json_and_text_homology_read_the_same_rows(capsys, data_dir):
+    # --json prints the rows it reads whole; the text command reads them lazily
+    seen = set()
+    for path, trs, top, moduli in _certified_fixtures(data_dir):
+        chains = enumerate_chains(trs, top)
+        for d in moduli:
+            argv = ["homology", str(path), "--max-dim", str(top - 1), "--coeff", str(d)]
+            assert cli_dispatch(argv + ["--json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            full = boundary_matrices(trs, chains, top, d)
+            assert ({m["dim"]: m["entries"] for m in data["matrices"]}
+                    == {n: m.entries for n, m in full.items()}), (path.name, d)
+            assert cli_dispatch(argv) == 0
+            text = capsys.readouterr().out.splitlines()[1:top + 1]
+            records = [(r["dim"], HomologyGroup(r["H"]["rank"], tuple(r["H"]["torsion"])),
+                        r["chains"]) for r in data["homology"]]
+            assert text == [f"H_{n}: {g.describe(d)}   ({c} chain(s))"
+                            for n, g, c in records], (path.name, d)
+            seen.add((path.name, d))
+    assert seen == {(name, d) for name in ("abelian_unit.lwv", "involution.lwv",
+                                           "involution3.lwv") for d in (0, 2, 3, 5, 7)} | {
+        ("group.lwv", 2)}
 
 
 def test_each_matrix_is_reduced_once(monkeypatch, capsys, data_dir):
@@ -287,7 +345,7 @@ def test_the_stop_rule_keeps_every_group_on_every_fixture(data_dir):
         chains = enumerate_chains(trs, top + 1)
         counts = {k: len(v) for k, v in chains.items()}
         for p in [p for p in (2, 3, 5, 7) if degree(trs) % p == 0]:
-            full = boundary_matrices(trs, chains, top + 1, p)
+            full = {k: m.entries for k, m in boundary_matrices(trs, chains, top + 1, p).items()}
             for dims in (range(top + 1), range(2, top + 1)):
                 groups, read = _saturated(trs, chains, top + 1, p, dims)
                 assert groups == homology_groups(full, counts, p, dims), (path.name, p, dims)
