@@ -5,17 +5,18 @@ engine.
 A letter is one character (``parse_srs`` codes names in sorted order) and
 a word is a ``str``.  One compiled search of the left sides, in rule order,
 finds the leftmost redex, first-declared rule first, for ``reduce_word``,
-``is_irreducible_word`` and ``chain_tails``.
+``is_irreducible_word``, ``chain_tails`` and the split of a cell.
 
 Cells are tuples of nonempty irreducible words.  A cell is a chain when
 every consecutive concatenation first becomes reducible exactly at its
 right end.  The boundary is that of the normalized bar resolution: act
 by the first word, merge adjacent words, drop the last word.  A
 non-chain cell splits the entry after its longest chain prefix at the
-earliest reducible point; the cells with a face that splits back to
-them are the collapsible ones.  The adapter's ``match`` scans the chain
-prefix once per cell and hands it to the split; like every adapter, it
-keeps no state between calls.  The collapse along this matching
+earliest reducible point, the end of the leftmost redex in a reduced
+system; the cells with a face that splits back to them are the
+collapsible ones.  The adapter's ``match`` scans the chain prefix once
+per cell and hands it to the split; like every adapter, it keeps no
+state between calls.  The collapse along this matching
 (``eqhom.collapse``) has one free generator per chain, and the integral
 homology of its trivial coefficients is the monoid's homology.
 
@@ -200,15 +201,17 @@ def longest_word_chain_prefix(cell: WordCell, srs: Srs) -> int:
 
 def _split_word_cell(cell: WordCell, srs: Srs, i: int) -> WordCell | None:
     """Split the entry ``u`` after the chain prefix, of length ``i`` < dim,
-    where ``prev + u`` first becomes reducible (the least end of a left
-    side's first occurrence, past the chain entry ``prev``): the matched
-    partner one dimension up, or None."""
+    where ``prev + u`` first becomes reducible past the chain entry
+    ``prev``: the matched partner one dimension up, or None.  Requires a
+    reduced system: a redex ending before the leftmost one would lie
+    inside it, so the cut is the leftmost redex's end."""
     u = cell[i]
     if i == 0:
         return (u[:1], u[1:]) + cell[1:] if len(u) >= 2 else None
     prev = cell[i - 1]
     w = prev + u
-    cut = min((j + len(r.lhs) for r in srs.rules if (j := w.find(r.lhs)) >= 0), default=len(w))
+    redex = srs.redex.search(w)
+    cut = redex.end() if redex else len(w)
     return cell[:i] + (w[len(prev):cut], w[cut:]) + cell[i + 1:] if cut < len(w) else None
 
 

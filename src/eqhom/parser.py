@@ -125,9 +125,8 @@ def parse_presentation(text: str) -> Trs:
     """Parse a ``.lwv`` presentation into a rewrite system."""
     sorts: dict[str, int] = {}  # each name with the line declaring it
     ops: list[tuple[str, tuple[str, ...], str]] = []
-    op_lines: dict[str, int] = {}
     vars_: dict[str, str] = {}
-    var_lines: dict[str, int] = {}
+    symbols: dict[str, int] = {}  # operations and variables share one namespace in terms
     rule_specs: list[tuple[str, str, int]] = []
     rule_lines: dict[str, int] = {}
     order: list[str] | None = None
@@ -155,7 +154,7 @@ def parse_presentation(text: str) -> Trs:
             for s in (*args, result):
                 if s not in sorts:
                     raise ParseError("undeclared-name", f"sort {s!r} not declared", lineno)
-            _declare(op_lines, name, lineno, "operation")
+            _declare(symbols, name, lineno, "operation")
             ops.append((name, args, result))
         elif head == "var":
             m = re.fullmatch(r"([\w\s]+):\s*(\w+)", rest)
@@ -165,7 +164,7 @@ def parse_presentation(text: str) -> Trs:
             if sort not in sorts:
                 raise ParseError("undeclared-name", f"sort {sort!r} not declared", lineno)
             for n in names:
-                _declare(var_lines, n, lineno, "variable")
+                _declare(symbols, n, lineno, "variable")
                 vars_[n] = sort
         elif head == "rule":
             m = re.fullmatch(r"(\w+)\s*:\s*(.+)", rest)

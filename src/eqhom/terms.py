@@ -23,9 +23,11 @@ returning the selection as a morphism.  All higher-level cell machinery
 stores canonical morphisms only, so structural equality is semantic
 equality.
 
-A morphism is checked against its context where it enters, by
-``Morphism(context, terms)`` and ``canonicalize``; the morphisms the engine
-derives from valid ones are built unchecked, by ``Morphism.derived``.
+Terms and morphisms are checked where they enter: applications by
+``Signature.app``, morphisms by ``Morphism(context, terms)`` and
+``canonicalize``, composability by ``compose_raw``.  What the engine
+derives from them is built unchecked, by ``Morphism.derived``,
+``substitute`` and ``replace_at``, which trust their callers.
 
 All values are immutable; every function is pure and thread-safe.  An
 application and a morphism compute their hash once, at construction,
@@ -134,16 +136,12 @@ def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
 
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
-    """Replace the subterm of ``t`` at ``p`` by ``s`` (sorts must agree)."""
+    """Replace the subterm of ``t`` at ``p``, a position of ``t``, by ``s``,
+    a term of its sort; unchecked."""
     if not p:
-        if t.sort != s.sort:
-            raise TermError("replacement changes sort")
         return s
-    if not (isinstance(t, App) and 1 <= p[0] <= len(t.args)):
-        raise TermError(f"invalid position {p} in {t!r}")
-    i = p[0]
     args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], p[1:], s)
+    args[p[0] - 1] = replace_at(args[p[0] - 1], p[1:], s)
     return App(t.op, tuple(args), t.sort)
 
 
@@ -172,14 +170,10 @@ def var_count(t: Term, name: str) -> int:
 
 
 def substitute(t: Term, assignment: Mapping[str, Term]) -> Term:
-    """Simultaneous substitution; every variable of ``t`` must be assigned."""
+    """Simultaneous substitution; unchecked: ``assignment`` gives every
+    variable of ``t`` a term of its sort."""
     if isinstance(t, Var):
-        if t.name not in assignment:
-            raise TermError(f"unbound variable {t.name!r}")
-        image = assignment[t.name]
-        if image.sort != t.sort:
-            raise TermError(f"sort mismatch substituting {image!r} for {t!r}")
-        return image
+        return assignment[t.name]
     return App(t.op, tuple(substitute(a, assignment) for a in t.args), t.sort)
 
 

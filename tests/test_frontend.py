@@ -462,7 +462,13 @@ def test_cli_rejects_negative_dimensions(capsys, data_dir, argv):
     ("sorts.lwv", "sorts X\nsorts Y X\nop e : -> X\n", "sort 'X'", 2),
     ("ops.lwv", "sorts X\nop e : -> X\nop f : X -> X\nop e : -> X\n", "operation 'e'", 4),
     ("vars.lwv", "sorts A B\nvar x y : A\nvar x : B\n", "variable 'x'", 3),
-], ids=["srs-letters", "srs-rules", "lwv-rules", "lwv-sorts", "lwv-ops", "lwv-vars"])
+    # an operation and a variable share the namespace of terms, in either order
+    ("op-var.lwv", "sorts X\nop e : -> X\nop f : X -> X\nvar e : X\nrule r : f(e) -> e\n",
+     "variable 'e' already declared at line 2", 4),
+    ("var-op.lwv", "sorts X\nvar e : X\nop f : X -> X\nop e : -> X\nrule r : f(e) -> e\n",
+     "operation 'e' already declared at line 2", 4),
+], ids=["srs-letters", "srs-rules", "lwv-rules", "lwv-sorts", "lwv-ops", "lwv-vars",
+        "lwv-op-then-var", "lwv-var-then-op"])
 def test_cli_reports_a_duplicate_name_in_one_line(capsys, tmp_path, name, text, duplicate, line):
     path = tmp_path / name
     path.write_text(text)
