@@ -28,12 +28,7 @@ from .homology import (
     inequalities,
     inequality_report,
 )
-from .monoid import (
-    certify_srs,
-    enumerate_word_chains,
-    monoid_homology,
-    render_word,
-)
+from .monoid import enumerate_word_chains, monoid_homology, render_word
 from .morse import morse_differential
 from .parser import ParseError, parse_presentation, parse_srs, print_presentation
 from .rewrite import (
@@ -207,7 +202,6 @@ def _cmd_inequality(args) -> int:
 
 def _cmd_monoid(args) -> int:
     srs = _load(args.file, parse_srs)
-    certify_srs(srs)
     if args.what == "chains":
         chains = enumerate_word_chains(srs, args.max_dim)
         for dim, cells in sorted(chains.items()):

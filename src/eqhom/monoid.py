@@ -5,7 +5,7 @@ engine.
 A letter is one character (``parse_srs`` codes names in sorted order) and
 a word is a ``str``.  One compiled search of the left sides, in rule order,
 finds the leftmost redex, first-declared rule first, for ``reduce_word``,
-``is_irreducible_word``, ``chain_tails`` and the split of a cell.
+``is_irreducible_word``, ``chain_tails`` and the adapter's ``match``.
 
 Cells are tuples of nonempty irreducible words.  A cell is a chain when
 every consecutive concatenation first becomes reducible exactly at its
@@ -14,11 +14,12 @@ by the first word, merge adjacent words, drop the last word.  A
 non-chain cell splits the entry after its longest chain prefix at the
 earliest reducible point, the end of the leftmost redex in a reduced
 system; the cells with a face that splits back to them are the
-collapsible ones.  The adapter's ``match`` scans the chain prefix once
-per cell and hands it to the split; like every adapter, it keeps no
-state between calls.  The collapse along this matching
-(``eqhom.collapse``) has one free generator per chain, and the integral
-homology of its trivial coefficients is the monoid's homology.
+collapsible ones.  The adapter's ``match`` decides both in one pass over
+the cell, one redex search per entry, and like every adapter keeps no
+state between calls; ``chain_tails`` serves enumeration only.  The
+collapse along this matching (``eqhom.collapse``) has one free generator
+per chain, and the integral homology of its trivial coefficients is the
+monoid's homology.
 
 Coefficients come from a ring (``eqhom.collapse``): mode ``"symbolic"``
 is the monoid ring, ``FormalSum``s over irreducible words, and ``"count"``
@@ -37,7 +38,6 @@ from typing import Union
 
 from . import collapse, rewrite
 from .collapse import (
-    DEFAULT_ROUTE_BUDGET,
     BoundaryMatrix,
     CellClass,
     FormalSum,
@@ -189,32 +189,6 @@ def enumerate_word_chains(srs: Srs, max_dim: int) -> dict[int, list[WordCell]]:
     return chains
 
 
-def longest_word_chain_prefix(cell: WordCell, srs: Srs) -> int:
-    """Number of leading entries that form a chain: a letter, then tails
-    (nonempty and irreducible by construction)."""
-    for k, w in enumerate(cell):
-        if not (w in chain_tails(cell[k - 1], srs) if k
-                else len(w) == 1 and is_irreducible_word(w, srs)):
-            return k
-    return len(cell)
-
-
-def _split_word_cell(cell: WordCell, srs: Srs, i: int) -> WordCell | None:
-    """Split the entry ``u`` after the chain prefix, of length ``i`` < dim,
-    where ``prev + u`` first becomes reducible past the chain entry
-    ``prev``: the matched partner one dimension up, or None.  Requires a
-    reduced system: a redex ending before the leftmost one would lie
-    inside it, so the cut is the leftmost redex's end."""
-    u = cell[i]
-    if i == 0:
-        return (u[:1], u[1:]) + cell[1:] if len(u) >= 2 else None
-    prev = cell[i - 1]
-    w = prev + u
-    redex = srs.redex.search(w)
-    cut = redex.end() if redex else len(w)
-    return cell[:i] + (w[len(prev):cut], w[cut:]) + cell[i + 1:] if cut < len(w) else None
-
-
 class _MonoidRing:
     """The monoid ring of a system: the product concatenates and reduces
     (``reduce_word``, looked up as a module global at call time)."""
@@ -242,17 +216,37 @@ _RINGS = {"count": collapse.Integers(), "symbolic": _MonoidRing()}
 
 class _Words:
     """The word complex of ``srs`` over the ring of ``mode``, as
-    ``eqhom.collapse`` sees it; kernels are module globals at call time."""
+    ``eqhom.collapse`` sees it; kernels are module globals at call time.
+    ``match`` needs a reduced system, as certification ensures."""
 
     def __init__(self, srs: Srs, mode: str = "count"):
         self.system = srs
         self.ring = collapse.ring_of(mode, _RINGS)
 
     def match(self, cell: WordCell) -> tuple[bool, WordCell | None]:
-        prefix = longest_word_chain_prefix(cell, self.system)
-        if prefix == len(cell):
+        """One pass, one leftmost-redex search per entry: a chain starts
+        with an irreducible letter, and each next entry ``u`` after
+        ``prev`` is a chain entry iff the leftmost redex of ``prev + u``
+        starts inside ``prev`` and ends at the end.  The first entry
+        that fails is split where that redex ends, if before the end (a
+        redex ending earlier would lie inside it); a failed first entry
+        is split after its first letter."""
+        if not cell:
             return True, None
-        return False, _split_word_cell(cell, self.system, prefix)
+        head = cell[0]
+        if len(head) != 1 or not is_irreducible_word(head, self.system):
+            return False, ((head[:1], head[1:]) + cell[1:] if len(head) >= 2 else None)
+        search = self.system.redex.search
+        for i in range(1, len(cell)):
+            prev = cell[i - 1]
+            w = prev + cell[i]
+            redex = search(w)
+            if redex and redex.start() < len(prev) and redex.end() == len(w):
+                continue
+            cut = redex.end() if redex else len(w)
+            return False, (cell[:i] + (w[len(prev):cut], w[cut:]) + cell[i + 1:]
+                           if cut < len(w) else None)
+        return True, None
 
     def boundary(self, cell: WordCell) -> dict[WordCell, WordCoeff]:
         return word_boundary(cell, self.system, self.ring.name)
@@ -280,9 +274,9 @@ def word_boundary(cell: WordCell, srs: Srs, mode: str = "count") -> dict[WordCel
     return acc
 
 
-def word_morse_differential(cell: WordCell, srs: Srs, mode: str = "count",
-                            budget: int = DEFAULT_ROUTE_BUDGET) -> dict[WordCell, WordCoeff]:
-    return collapse.morse_differential(cell, _Words(srs, mode), budget)
+def word_morse_differential(cell: WordCell, srs: Srs,
+                            mode: str = "count") -> dict[WordCell, WordCoeff]:
+    return collapse.morse_differential(cell, _Words(srs, mode))
 
 
 def word_boundary_matrices(srs: Srs, chains: dict[int, list[WordCell]],

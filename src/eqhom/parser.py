@@ -220,7 +220,8 @@ def parse_presentation(text: str) -> Trs:
 def print_presentation(trs: Trs) -> str:
     """Render a system back into ``.lwv`` text (round-trips structurally)."""
     sig = trs.signature
-    lines = ["sorts " + " ".join(sig.sorts)]
+    # the parser refuses a sorts line without names
+    lines = ["sorts " + " ".join(sig.sorts)] if sig.sorts else []
     for name, args, result in sig.ops:
         arg_str = (" ".join(args) + " ") if args else ""
         lines.append(f"op {name} : {arg_str}-> {result}")
@@ -237,7 +238,7 @@ def print_presentation(trs: Trs) -> str:
         lines.append(f"budget steps {trs.step_budget}")
     if trs.join_budget != DEFAULT_JOIN_BUDGET:
         lines.append(f"budget join {trs.join_budget}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def parse_srs(text: str) -> Srs:

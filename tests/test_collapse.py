@@ -8,11 +8,7 @@ from eqhom import collapse
 from eqhom.chains import chain_extensions, enumerate_chains, longest_chain_prefix
 from eqhom.collapse import MatchingError, assemble_matrices, morse_differential
 from eqhom.homology import boundary_matrices
-from eqhom.monoid import (
-    enumerate_word_chains,
-    longest_word_chain_prefix,
-    word_boundary_matrices,
-)
+from eqhom.monoid import _Words, enumerate_word_chains, word_boundary_matrices
 from eqhom.parser import parse_presentation, parse_srs
 from eqhom.rewrite import BudgetExceeded, degree, max_redex, op_morphism
 from eqhom.unify import match_term, unify_terms
@@ -130,7 +126,8 @@ def _count_calls(monkeypatch, fn) -> list[int]:
 
 
 def test_routing_scans_each_chain_prefix_once(monkeypatch, data_dir):
-    # one ``match`` per routed cell, and one prefix scan per ``match``
+    # one ``match`` per routed cell: the term adapter scans the chain
+    # prefix once per ``match``, and the word adapter is one pass itself
     trs = parse_presentation((data_dir / "group.lwv").read_text())
     term_chains = enumerate_chains(trs, 3)
     scans = _count_calls(monkeypatch, longest_chain_prefix)
@@ -139,9 +136,16 @@ def test_routing_scans_each_chain_prefix_once(monkeypatch, data_dir):
 
     srs = parse_srs((data_dir / "s3.srs").read_text())
     word_chains = enumerate_word_chains(srs, 5)
-    scans = _count_calls(monkeypatch, longest_word_chain_prefix)
+    matches = [0]
+    match = _Words.match
+
+    def counted(cx, cell):
+        matches[0] += 1
+        return match(cx, cell)
+
+    monkeypatch.setattr(_Words, "match", counted)
     word_boundary_matrices(srs, word_chains, 5)
-    assert scans[0] == len(srs.cache("express_count")) == 349
+    assert matches[0] == len(srs.cache("express_count")) == 349
 
 
 def test_a_none_or_false_result_is_computed_once(monkeypatch, data_dir):

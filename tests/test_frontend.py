@@ -203,6 +203,18 @@ def test_cli_reduce(capsys, data_dir):
     assert "r4" not in out
 
 
+@pytest.mark.parametrize("name", ["empty", "unreduced"])
+def test_cli_reduce_output_parses_and_checks(capsys, data_dir, tmp_path, name):
+    # a system with no sorts prints no sorts line: an empty one does not parse
+    given, reduced = tmp_path / "given.lwv", tmp_path / "reduced.lwv"
+    given.write_text("" if name == "empty" else (data_dir / f"{name}.lwv").read_text())
+    code, out, _ = _run(capsys, "reduce", str(given))
+    assert code == 0
+    reduced.write_text(out)
+    code, _, err = _run(capsys, "check", str(reduced))
+    assert (code, err) == (0, "")
+
+
 def test_cli_monoid(capsys, data_dir):
     path = str(data_dir / "z2.srs")
     code, out, _ = _run(capsys, "monoid", "chains", path, "--max-dim", "3")
@@ -297,9 +309,11 @@ def test_cli_check_reports_a_rewrite_cycle(capsys, tmp_path):
 @pytest.mark.parametrize("name, text, argv, names", [
     ("grow.srs", "letters a b\nrule r : a -> b b a\n", ("monoid", "homology"),
      "reduced: FAILED; rhs of r not in normal form\n"),
+    *[("contain.srs", "letters a b\nrule r : a b ->\nrule s : a ->\n", ("monoid", what),
+       "reduced: FAILED; lhs of r reducible by another rule\n") for what in ("chains", "homology")],
     ("bad.lwv", NONCONFLUENT, ("homology",),
      "locally confluent: FAILED; unjoinable: <r1/r2@ε: a vs b>; "),
-], ids=["srs-unreduced", "lwv-nonconfluent"])
+], ids=["srs-unreduced", "srs-contained-chains", "srs-contained-homology", "lwv-nonconfluent"])
 def test_cli_names_the_failed_checks_of_uncertified_input_in_one_line(
         capsys, tmp_path, name, text, argv, names):
     # only the failed checks, stripped: no flag hint and no unrun probe

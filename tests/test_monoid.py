@@ -12,7 +12,6 @@ from eqhom.homology import boundary_matrices, homology_group, smith_normal_form
 from eqhom.monoid import (
     Srs,
     SrsRule,
-    _split_word_cell,
     _Words,
     certify_srs,
     chain_tails,
@@ -20,7 +19,6 @@ from eqhom.monoid import (
     classify_word_cell,
     enumerate_word_chains,
     is_irreducible_word,
-    longest_word_chain_prefix,
     monoid_homology,
     reduce_word,
     word_boundary,
@@ -328,7 +326,7 @@ def _reachable_cells(srs, max_dim):
 
 
 def is_word_chain(cell, srs):
-    return longest_word_chain_prefix(cell, srs) == len(cell)
+    return _prefix_by_definition(cell, srs) == len(cell)
 
 
 def test_matching_is_a_partial_matching(z2_srs, s3_srs):
@@ -399,8 +397,8 @@ def _merges_by_rescan(cell, srs):
         if not is_irreducible_word(merged, srs):
             continue
         target = cell[:j - 1] + (merged,) + cell[j + 1:]
-        prefix = longest_word_chain_prefix(target, srs)
-        if prefix == j - 1 and _split_word_cell(target, srs, prefix) == cell:
+        prefix = _prefix_by_definition(target, srs)
+        if prefix == j - 1 and _split_by_definition(target, srs, prefix) == cell:
             yield target
 
 
@@ -463,21 +461,22 @@ def _split_by_definition(cell, srs, i):
 
 
 def _assert_scans_agree_with_the_definitions(srs, max_len, max_dim, routed_dim):
-    """Tails, chain prefixes and splits against their by-definition
-    versions, on every cell of words up to ``max_len`` letters (reducible
-    and empty ones included) through ``max_dim``, and on every cell that
-    routing meets through ``d_routed_dim``."""
+    """Tails, and the adapter's ``match`` (chain or not, and the split),
+    against their by-definition versions, on every cell of words up to
+    ``max_len`` letters (reducible and empty ones included) through
+    ``max_dim``, and on every cell that routing meets through
+    ``d_routed_dim``."""
     words = ["".join(w) for n in range(max_len + 1) for w in product(srs.alphabet, repeat=n)]
     cells = {c for d in range(1, max_dim + 1) for c in product(words, repeat=d)}
     word_boundary_matrices(srs, enumerate_word_chains(srs, routed_dim), routed_dim)
     cells |= set(srs.cache("express_count"))
     for w in words + [w for cell in cells for w in cell]:
         assert chain_tails(w, srs) == _tails_by_definition(w, srs), w
+    words_cx = _Words(srs)
     for cell in cells:
-        prefix = longest_word_chain_prefix(cell, srs)
-        assert prefix == _prefix_by_definition(cell, srs), cell
-        if prefix < len(cell):
-            assert _split_word_cell(cell, srs, prefix) == _split_by_definition(cell, srs, prefix)
+        prefix = _prefix_by_definition(cell, srs)
+        expected = (prefix == len(cell), _split_by_definition(cell, srs, prefix))
+        assert words_cx.match(cell) == expected, cell
 
 
 def test_word_scans_agree_with_the_definitions(data_dir):
