@@ -1,10 +1,10 @@
 """Arithmetic in the presented coefficient ringoid.
 
 Coefficients of the collapsed resolution are integer combinations of
-monomials, ``RingoidElement``s: ``collapse.FormalSum``s over the
-monomials, put in a canonical order only to be printed.  A monomial is a
-composable list of generator derivatives, written left to right with the
-rightmost factor acting first::
+monomials, ``RingoidElement``s: ``{monomial: nonzero int}``, put in a
+canonical order only to be printed.  A monomial is a composable list of
+generator derivatives, written left to right with the rightmost factor
+acting first::
 
     d_{i1}(f1)_{s1} ... d_{ik}(fk)_{sk} a*
 
@@ -23,18 +23,16 @@ composes onto such a tail, so it needs only the normal form.
 the sum of one monomial per occurrence of the chosen context variable
 (the defining recursion of the presented ringoid).  Deciding equality
 modulo the presentation's relations is out of scope: element equality is
-syntactic, and the only relation-aware maps are ``signed_monomial_count``
-(each monomial counts 1) and ``vanishes`` (per-tail counts, which is the
-image of an element under the counting module and therefore zero for
-every element of the relation ideal when the count is taken modulo the
-system's degree).
+syntactic.  Counting each monomial as 1, modulo the system's degree,
+is zero on the relation ideal; the count mode of ``eqhom.morse`` computes
+that image directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .collapse import FormalSum
 from .rewrite import Trs, normal_form_morphism
 from .terms import (
     Context,
@@ -67,10 +65,25 @@ def _mono_key(m: Monomial) -> tuple:
     )
 
 
-class RingoidElement(FormalSum):
-    """Integer combination of monomials, ``{monomial: nonzero int}``."""
+class RingoidElement(dict):
+    """Integer combination of monomials, ``{monomial: nonzero int}``; never
+    mutated once built."""
 
     __slots__ = ()
+
+    @classmethod
+    def collect(cls, pairs: Iterable[tuple[Monomial, int]]) -> "RingoidElement":
+        """The sum of ``pairs``, duplicates merged and zeros dropped."""
+        out: dict = {}
+        for m, k in pairs:
+            out[m] = out.get(m, 0) + k
+        return cls({m: k for m, k in out.items() if k})
+
+    def __add__(self, other: dict) -> "RingoidElement":
+        return self.collect((*self.items(), *other.items()))
+
+    def __mul__(self, k: int) -> "RingoidElement":
+        return RingoidElement({m: c * k for m, c in self.items()} if k else ())
 
     @property
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
@@ -137,26 +150,6 @@ def multiply(a: RingoidElement, b: RingoidElement, trs: Trs) -> RingoidElement:
 
     return RingoidElement.collect((product(ma, mb), ca * cb)
                                   for ma, ca in a.items() for mb, cb in b.items())
-
-
-def signed_monomial_count(a: RingoidElement, d: int) -> int:
-    """Image of the element under the counting module: every monomial
-    maps to 1, reduced modulo ``d`` (exact integer when ``d`` is 0)."""
-    total = sum(a.values())
-    if d == 0:
-        return total
-    return total % d
-
-
-def tail_counts(a: RingoidElement) -> FormalSum:
-    """The signed monomial count of each tail with a nonzero count."""
-    return FormalSum.collect((m.tail, c) for m, c in a.items())
-
-
-def vanishes(a: RingoidElement, d: int) -> bool:
-    """Zero as far as the counting module can see: the signed monomial
-    count of every tail component is 0 modulo ``d``."""
-    return all((c if d == 0 else c % d) == 0 for c in tail_counts(a).values())
 
 
 def render_monomial(m: Monomial) -> str:

@@ -35,22 +35,21 @@ after the ring's ``name``; the ``classify`` cache is filled only by
 ``classify``.  ``matrix_rows`` routes a counting matrix one row at a
 time, in chain order, so that a reader that stops early routes no more.
 
-Coefficients live in a stateless ring object, one shared instance per
-engine and mode (``Integers`` or a subclass for ``"count"``, the
-engine's symbolic ring for ``"symbolic"``), which ``ring_of`` looks up.
-A ring supplies ``one``, ``element``, ``mul`` and ``unit``; ``element``
-and ``mul`` take the system as their last argument.  Coefficients, ints
-or ``FormalSum``s, add with ``+``, scale with ``* k``, are zero exactly
-when falsy, and sums keep no zero.  Counting differentials of the chains
-form integer matrices: one row (a ``list[int]``) per chain of a
-dimension, one column per chain one dimension down, read lazily from
-``matrix_rows`` or all at once by ``assemble_matrices``.
+Coefficients live in a stateless ring object that the adapter shares
+(``Integers``, a subclass, or the term engine's ringoid).  A ring
+supplies ``one``, ``element``, ``mul`` and ``unit``; ``element`` and
+``mul`` take the system as their last argument.  Coefficients add with
+``+``, scale with ``* k``, are zero exactly when falsy, and sums keep no
+zero.  Counting differentials of the chains form integer matrices: one
+row (a ``list[int]``) per chain of a dimension, one column per chain one
+dimension down, read lazily from ``matrix_rows`` or all at once by
+``assemble_matrices``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Hashable, Iterator, Protocol
 
 from .rewrite import BudgetExceeded
 
@@ -83,8 +82,8 @@ class BoundaryMatrix:
 
 class Integers:
     """The counting ring.  ``one`` (a critical cell's coefficient in its own
-    expression) and ``element`` (a restriction or a monoid element) count
-    1; ``unit`` is a unit's sign or a ``MatchingError``."""
+    expression) and ``element`` (a restriction) count 1; ``unit`` is a
+    unit's sign or a ``MatchingError``."""
 
     name = "count"
 
@@ -100,34 +99,6 @@ class Integers:
         if c not in (1, -1):
             raise MatchingError(f"matched coefficient {c!r} is not a unit")
         return c
-
-
-class FormalSum(dict):
-    """``{basis element: nonzero int}``, an element of a free abelian group
-    such as a monoid ring or a presented ringoid; never mutated once built."""
-
-    __slots__ = ()
-
-    @classmethod
-    def collect(cls, pairs: Iterable[tuple[Hashable, int]]) -> "FormalSum":
-        """The sum of ``pairs``, duplicates merged and zeros dropped."""
-        out: dict = {}
-        for b, k in pairs:
-            out[b] = out.get(b, 0) + k
-        return cls({b: k for b, k in out.items() if k})
-
-    def __add__(self, other: dict) -> "FormalSum":
-        return self.collect((*self.items(), *other.items()))
-
-    def __mul__(self, k: int) -> "FormalSum":
-        return type(self)({b: c * k for b, c in self.items()} if k else ())
-
-
-def ring_of(mode: str, rings: dict):
-    """The ring of coefficient ``mode`` among an engine's shared ``rings``."""
-    if mode not in rings:
-        raise ValueError(f"unknown coefficient mode {mode!r}: expected 'count' or 'symbolic'")
-    return rings[mode]
 
 
 class Complex(Protocol):

@@ -21,10 +21,9 @@ collapse along this matching (``eqhom.collapse``) has one free generator
 per chain, and the integral homology of its trivial coefficients is the
 monoid's homology.
 
-Coefficients come from a ring (``eqhom.collapse``): mode ``"symbolic"``
-is the monoid ring, ``FormalSum``s over irreducible words, and ``"count"``
-maps every monoid element to 1.  The first face acts by the first word
-through the ring's ``element``, so the boundary has one code path.
+Coefficients are integer counts (``eqhom.collapse.Integers``): every
+monoid element maps to 1, so the first face, which acts by the first
+word, has coefficient 1 like the others up to sign.
 
 Certification is the term engine's (``eqhom.rewrite``), on words: overlap
 critical pairs, ``reduce_word``, and rule sides and letter powers as probes.
@@ -34,17 +33,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Union
 
 from . import collapse, rewrite
-from .collapse import (
-    BoundaryMatrix,
-    CellClass,
-    FormalSum,
-    MatchingError,
-    add_term,
-    assemble_matrices,
-)
+from .collapse import BoundaryMatrix, CellClass, add_term, assemble_matrices
 from .homology import HomologyGroup, homology_groups
 from .rewrite import BudgetExceeded, CompletenessReport, Memoised, memoised
 
@@ -90,7 +81,6 @@ class Srs(Memoised):
 
 
 WordCell = tuple[Word, ...]
-WordCoeff = Union[int, FormalSum]  # count, or a monoid-ring element
 
 
 def render_word(w: Word, srs: Srs) -> str:
@@ -189,39 +179,15 @@ def enumerate_word_chains(srs: Srs, max_dim: int) -> dict[int, list[WordCell]]:
     return chains
 
 
-class _MonoidRing:
-    """The monoid ring of a system: the product concatenates and reduces
-    (``reduce_word``, looked up as a module global at call time)."""
-
-    name = "symbolic"
-
-    def one(self, cell: WordCell) -> FormalSum:
-        return FormalSum({"": 1})
-
-    def element(self, w: Word, srs: Srs) -> FormalSum:
-        return FormalSum({reduce_word(w, srs): 1})
-
-    def mul(self, a: FormalSum, b: FormalSum, srs: Srs) -> FormalSum:
-        return FormalSum.collect((reduce_word(wa + wb, srs), ka * kb)
-                                 for wa, ka in a.items() for wb, kb in b.items())
-
-    def unit(self, c: FormalSum | None) -> int:
-        if c not in ({"": 1}, {"": -1}):
-            raise MatchingError(f"matched coefficient {c!r} is not a unit")
-        return c[""]
-
-
-_RINGS = {"count": collapse.Integers(), "symbolic": _MonoidRing()}
-
-
 class _Words:
-    """The word complex of ``srs`` over the ring of ``mode``, as
-    ``eqhom.collapse`` sees it; kernels are module globals at call time.
-    ``match`` needs a reduced system, as certification ensures."""
+    """The word complex of ``srs`` over the integers, as ``eqhom.collapse``
+    sees it; kernels are module globals at call time.  ``match`` needs a
+    reduced system, as certification ensures."""
 
-    def __init__(self, srs: Srs, mode: str = "count"):
+    ring = collapse.Integers()
+
+    def __init__(self, srs: Srs):
         self.system = srs
-        self.ring = collapse.ring_of(mode, _RINGS)
 
     def match(self, cell: WordCell) -> tuple[bool, WordCell | None]:
         """One pass, one leftmost-redex search per entry: a chain starts
@@ -248,40 +214,36 @@ class _Words:
                            if cut < len(w) else None)
         return True, None
 
-    def boundary(self, cell: WordCell) -> dict[WordCell, WordCoeff]:
-        return word_boundary(cell, self.system, self.ring.name)
+    def boundary(self, cell: WordCell) -> dict[WordCell, int]:
+        return word_boundary(cell, self.system)
 
 
 def classify_word_cell(cell: WordCell, srs: Srs) -> CellClass:
     return collapse.classify(cell, _Words(srs))
 
 
-def word_boundary(cell: WordCell, srs: Srs, mode: str = "count") -> dict[WordCell, WordCoeff]:
+def word_boundary(cell: WordCell, srs: Srs) -> dict[WordCell, int]:
     """Bar-resolution boundary with identity entries dropped: act by the
     first word, merge adjacent words, drop the last word."""
-    ring = collapse.ring_of(mode, _RINGS)
     n = len(cell)
     if n < 1:
         raise ValueError("boundary needs dimension at least 1")
-    one = ring.one(cell)
-    signed = (one, one * -1)  # face j has sign (-1)^j
-    acc: dict[WordCell, WordCoeff] = {cell[1:]: ring.element(cell[0], srs)}
+    acc: dict[WordCell, int] = {cell[1:]: 1}
     for j in range(1, n):
         merged = reduce_word(cell[j - 1] + cell[j], srs)
         if merged:  # an identity entry is a degenerate face
-            add_term(acc, cell[:j - 1] + (merged,) + cell[j + 1:], signed[j % 2])
-    add_term(acc, cell[:n - 1], signed[n % 2])
+            add_term(acc, cell[:j - 1] + (merged,) + cell[j + 1:], (-1) ** j)
+    add_term(acc, cell[:n - 1], (-1) ** n)
     return acc
 
 
-def word_morse_differential(cell: WordCell, srs: Srs,
-                            mode: str = "count") -> dict[WordCell, WordCoeff]:
-    return collapse.morse_differential(cell, _Words(srs, mode))
+def word_morse_differential(cell: WordCell, srs: Srs) -> dict[WordCell, int]:
+    return collapse.morse_differential(cell, _Words(srs))
 
 
 def word_boundary_matrices(srs: Srs, chains: dict[int, list[WordCell]],
                            max_dim: int) -> dict[int, BoundaryMatrix]:
-    return assemble_matrices(lambda cell: word_morse_differential(cell, srs, "count"),
+    return assemble_matrices(lambda cell: word_morse_differential(cell, srs),
                              chains, max_dim)
 
 

@@ -26,7 +26,8 @@ Coefficients come from a ring (``eqhom.collapse``) with two face hooks,
 so the boundary has one code path: mode ``"symbolic"`` is the presented
 ringoid, where ``derivatives`` expands ∂_i(head) along the rest of the
 cell and ``element`` is the restriction α*; mode ``"count"`` counts each
-monomial 1, so ∂_i(head) counts the occurrences of x_i.
+monomial 1, so ∂_i(head) counts the occurrences of x_i.  ``ring_of``
+maps a mode to its shared ring and refuses any other string.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _phi(entries: tuple[Morphism, ...], k: int,
 
 def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     """Signed boundary of a cell over cells one dimension down."""
-    ring = collapse.ring_of(mode, _RINGS)
+    ring = ring_of(mode)
     n = cell.dim
     if n < 1:
         raise ValueError("boundary needs dimension at least 1")
@@ -217,13 +218,20 @@ class _Ringoid:
 _RINGS = {"count": _Counts(), "symbolic": _Ringoid()}
 
 
+def ring_of(mode: str):
+    """The shared ring of coefficient ``mode``."""
+    if mode not in _RINGS:
+        raise ValueError(f"unknown coefficient mode {mode!r}: expected 'count' or 'symbolic'")
+    return _RINGS[mode]
+
+
 class _Terms:
     """The term complex of ``trs`` over the ring of ``mode``, as
     ``eqhom.collapse`` sees it; kernels are module globals at call time."""
 
     def __init__(self, trs: Trs, mode: str = "count"):
         self.system = trs
-        self.ring = collapse.ring_of(mode, _RINGS)
+        self.ring = ring_of(mode)
 
     def match(self, cell: Cell) -> tuple[bool, Cell | None]:
         prefix = longest_chain_prefix(cell, self.system)

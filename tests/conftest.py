@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,24 @@ def verify_matching(cells, cx):
             raise MatchingError(
                 f"{cls.kind} cell {cell!r} and its partner {cls.partner!r} "
                 f"are not matched to each other: {back!r}")
+
+
+def signed_monomial_count(a, d):
+    """Image of a ringoid element under the counting module: every
+    monomial maps to 1, reduced modulo ``d`` (exact integer when ``d`` is 0)."""
+    total = sum(a.values())
+    return total % d if d else total
+
+
+def tail_counts(a):
+    """The signed monomial count of each tail with a nonzero count."""
+    out = Counter()
+    for m, c in a.items():
+        out[m.tail] += c
+    return {tail: c for tail, c in out.items() if c}
+
+
+def vanishes(a, d):
+    """Zero as far as the counting module can see: the signed monomial
+    count of every tail component is 0 modulo ``d``."""
+    return all((c % d if d else c) == 0 for c in tail_counts(a).values())

@@ -7,7 +7,7 @@ import random
 import time
 
 from eqhom.chains import Cell, enumerate_chains
-from eqhom.coeff import ZERO as EL_ZERO, expand_derivative, multiply, signed_monomial_count, vanishes
+from eqhom.coeff import ZERO as EL_ZERO, expand_derivative, multiply
 from eqhom.homology import boundary_matrices, homology_group, smith_normal_form
 from eqhom.monoid import enumerate_word_chains, monoid_homology
 from eqhom.morse import classify, morse_differential, normalized_boundary
@@ -23,6 +23,8 @@ from eqhom.terms import (
     variables,
 )
 from eqhom.unify import match_term, mgu
+
+from conftest import signed_monomial_count, vanishes
 
 
 def criterion(number, label):

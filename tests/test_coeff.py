@@ -9,10 +9,7 @@ from eqhom.coeff import (
     expand_derivative,
     identity_element,
     multiply,
-    signed_monomial_count,
     star,
-    tail_counts,
-    vanishes,
 )
 from eqhom.rewrite import normal_form, random_term
 from eqhom.terms import (
@@ -24,6 +21,8 @@ from eqhom.terms import (
     substitute,
     variables,
 )
+
+from conftest import signed_monomial_count, tail_counts, vanishes
 
 X = "X"
 

@@ -282,8 +282,8 @@ def test_cli_reports_a_matching_failure_in_one_line(capsys, data_dir, monkeypatc
     # doubled boundaries give the router a matched coefficient of 2
     original = monoid.word_boundary
 
-    def doubled(cell, srs, mode="count"):
-        return {face: 2 * c for face, c in original(cell, srs, mode).items()}
+    def doubled(cell, srs):
+        return {face: 2 * c for face, c in original(cell, srs).items()}
 
     monkeypatch.setattr(monoid, "word_boundary", doubled)
     code, _, err = _run(capsys, "monoid", "homology", str(data_dir / "s3.srs"),

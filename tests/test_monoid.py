@@ -68,12 +68,10 @@ def test_chain_counts_match_presentation(z2_srs):
 
 
 def test_boundary_and_differential_low_dimensions(z2_srs):
-    assert word_morse_differential((A,), z2_srs, "count") == {}
-    assert word_morse_differential((A, A), z2_srs, "count") == {(A,): 2}
-    sym = word_morse_differential((A, A), z2_srs, "symbolic")
-    assert sym == {(A,): {A: 1, "": 1}}
-    assert word_morse_differential((A, A, A), z2_srs, "count") == {}
-    bd = word_boundary((A, A), z2_srs, "count")
+    assert word_morse_differential((A,), z2_srs) == {}
+    assert word_morse_differential((A, A), z2_srs) == {(A,): 2}
+    assert word_morse_differential((A, A, A), z2_srs) == {}
+    bd = word_boundary((A, A), z2_srs)
     assert bd == {(A,): 2}  # the a.(a) face and the dropped-tail face add up
 
 
@@ -82,73 +80,30 @@ def test_dd_zero_through_dim_five(z2_srs):
         chains = enumerate_word_chains(srs, 5)
         for n in range(2, 6):
             for cell in chains[n]:
-                acc = {}
-                for mid, c1 in word_morse_differential(cell, srs, "count").items():
-                    for tgt, c2 in word_morse_differential(mid, srs, "count").items():
-                        acc[tgt] = acc.get(tgt, 0) + _ct(c1) * _ct(c2)
-                assert all(v == 0 for v in acc.values())
-
-
-def test_symbolic_dd_zero_through_dim_five(z2_srs, s3_srs):
-    # d∘d = 0 over the monoid ring; coefficients multiply independently of
-    # the ring under test: concatenate, then reduce from scratch.  Routing
-    # on a a -> a, a b a -> a multiplies elements that do not commute, so
-    # that system also pins the order of the ring's product.
-    absorbing = Srs(("a", "b"), (SrsRule("r1", "aa", "a"), SrsRule("r2", "aba", "a")))
-    products = 0
-    for srs in (z2_srs, nat2(), s3_srs, absorbing):
-        chains = enumerate_word_chains(srs, 5)
-        for n in range(2, 6):
-            for cell in chains[n]:
                 acc = Counter()
-                for mid, c1 in word_morse_differential(cell, srs, "symbolic").items():
-                    for tgt, c2 in word_morse_differential(mid, srs, "symbolic").items():
-                        for (w1, k1), (w2, k2) in product(c1.items(), c2.items()):
-                            acc[tgt, _reduce_from_scratch(w1 + w2, srs)] += k1 * k2
-                            products += 1
-                assert not any(acc.values()), cell
-    assert products > 400
+                for mid, c1 in word_morse_differential(cell, srs).items():
+                    for tgt, c2 in word_morse_differential(mid, srs).items():
+                        acc[tgt] += c1 * c2
+                assert not any(acc.values())
 
 
-def test_an_unknown_mode_is_refused_before_any_memo(data_dir):
-    srs = parse_srs((data_dir / "z2.srs").read_text())
-    kinds = set(srs.caches)
-    for call in (word_morse_differential, word_boundary):
-        with pytest.raises(ValueError, match="'cnt'.*'count' or 'symbolic'"):
-            call((A, A), srs, "cnt")
-    assert set(srs.caches) == kinds
-
-
-@pytest.mark.parametrize("mode", ["count", "symbolic"])
-def test_a_missing_matched_coefficient_is_a_matching_error(data_dir, monkeypatch, mode):
+@pytest.mark.parametrize("ring", ["count"])
+def test_a_missing_matched_coefficient_is_a_matching_error(data_dir, monkeypatch, ring):
     # every split partner loses its faces, so the router finds no matched
-    # coefficient; both rings refuse it as a non-unit
+    # coefficient and the word engine's ring refuses it as a non-unit;
+    # routing memoises under that ring's name
     srs = parse_srs((data_dir / "s3.srs").read_text())
     chains = enumerate_word_chains(srs, 3)
     original = monoid.word_boundary
 
-    def chains_only(cell, srs, mode="count"):
-        return original(cell, srs, mode) if is_word_chain(cell, srs) else {}
+    def chains_only(cell, srs):
+        return original(cell, srs) if is_word_chain(cell, srs) else {}
 
     monkeypatch.setattr(monoid, "word_boundary", chains_only)
     with pytest.raises(collapse.MatchingError, match="coefficient None is not a unit"):
         for cell in chains[2] + chains[3]:
-            word_morse_differential(cell, srs, mode)
-
-
-def test_symbolic_differential_counts_to_count_mode(z2_srs, s3_srs):
-    # the counting map sends every monoid element to 1
-    for srs in (z2_srs, nat2(), s3_srs):
-        chains = enumerate_word_chains(srs, 4)
-        for n in range(1, 5):
-            for cell in chains[n]:
-                sym = word_morse_differential(cell, srs, "symbolic")
-                counted = {t: _ct(c) for t, c in sym.items() if _ct(c)}
-                assert counted == word_morse_differential(cell, srs, "count")
-
-
-def _ct(c):
-    return c if isinstance(c, int) else sum(c.values())
+            word_morse_differential(cell, srs)
+    assert _Words.ring.name == ring and "express_" + ring in srs.caches
 
 
 def _bar_complex_oracle(elements, mult, identity, max_dim):
@@ -316,7 +271,7 @@ def _reachable_cells(srs, max_dim):
         if cell in seen or len(cell) == 0:
             continue
         seen.add(cell)
-        for face in word_boundary(cell, srs, "count"):
+        for face in word_boundary(cell, srs):
             if face not in seen:
                 frontier.append(face)
         cls = classify_word_cell(cell, srs)
