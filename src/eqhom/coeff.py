@@ -17,15 +17,17 @@ and tails are stored in normal form over the context ``x1..xn`` of their
 domain sorts, so equality of monomials is structural.  The three
 constructors (``identity_element``, ``star``, and ``expand_derivative``
 on its subscript) rename a context to ``x1..xn`` once; ``multiply``
-composes onto such a tail, so it needs only the normal form.
+composes onto such a tail, so it needs only the normal form.  ``star``
+and ``multiply`` compose and normalise in ``rewrite.normal_form_morphism``.
 
 ``expand_derivative`` rewrites the derivative of a composite term into
 the sum of one monomial per occurrence of the chosen context variable
-(the defining recursion of the presented ringoid).  Deciding equality
-modulo the presentation's relations is out of scope: element equality is
-syntactic.  Counting each monomial as 1, modulo the system's degree,
-is zero on the relation ideal; the count mode of ``eqhom.morse`` computes
-that image directly.
+(the defining recursion of the presented ringoid).  It composes the head
+with the subscript once; a node's factor subscript is its arguments in
+that composite, normalised.  Deciding equality modulo the presentation's
+relations is out of scope: element equality is syntactic.  Counting each
+monomial as 1, modulo the system's degree, is zero on the relation ideal;
+the count mode of ``eqhom.morse`` computes that image directly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .rewrite import Trs, normal_form_morphism
+from .rewrite import Trs, normal_form, normal_form_morphism
 from .terms import (
     Context,
     Morphism,
@@ -109,7 +111,7 @@ def identity_element(context: Context) -> RingoidElement:
 def star(alpha: Morphism, trs: Trs) -> RingoidElement:
     """The restriction generator along ``alpha`` as an element."""
     renamed = identity(canonical_context(alpha.domain_sorts))
-    return RingoidElement({Monomial((), normal_form_morphism(alpha, renamed, trs)): 1})
+    return RingoidElement({Monomial((), normal_form_morphism((alpha, renamed), trs)): 1})
 
 
 def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> RingoidElement:
@@ -121,19 +123,16 @@ def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> Ri
     """
     target = tm.context[i - 1][0]
     tail = identity(canonical_context(subscript.domain_sorts))
-    subscript = compose_raw(subscript, tail)
+    composite = compose_raw(tm, compose_raw(subscript, tail)).term
 
-    def rec(t: Term) -> list[tuple[Factor, ...]]:
+    def rec(t: Term, c: Term) -> list[tuple[Factor, ...]]:
         if isinstance(t, Var):
             return [()] if t.name == target else []
-        out: list[tuple[Factor, ...]] = []
-        sub = normal_form_morphism(Morphism.derived(tm.context, t.args), subscript, trs)
-        for j, arg in enumerate(t.args, 1):
-            head: Factor = (t.op, j, sub)
-            out.extend((head,) + rest for rest in rec(arg))
-        return out
+        sub = Morphism.derived(tail.context, tuple(normal_form(a, trs) for a in c.args))
+        return [((t.op, j, sub),) + rest
+                for j, (arg, c_arg) in enumerate(zip(t.args, c.args), 1) for rest in rec(arg, c_arg)]
 
-    return RingoidElement.collect((Monomial(factors, tail), 1) for factors in rec(tm.term))
+    return RingoidElement.collect((Monomial(factors, tail), 1) for factors in rec(tm.term, composite))
 
 
 def multiply(a: RingoidElement, b: RingoidElement, trs: Trs) -> RingoidElement:
@@ -144,9 +143,9 @@ def multiply(a: RingoidElement, b: RingoidElement, trs: Trs) -> RingoidElement:
     the tails compose in the theory.
     """
     def product(ma: Monomial, mb: Monomial) -> Monomial:
-        moved = tuple((op, idx, normal_form_morphism(sub, ma.tail, trs))
+        moved = tuple((op, idx, normal_form_morphism((sub, ma.tail), trs))
                       for op, idx, sub in mb.factors)
-        return Monomial(ma.factors + moved, normal_form_morphism(mb.tail, ma.tail, trs))
+        return Monomial(ma.factors + moved, normal_form_morphism((mb.tail, ma.tail), trs))
 
     return RingoidElement.collect((product(ma, mb), ca * cb)
                                   for ma, ca in a.items() for mb, cb in b.items())

@@ -6,9 +6,10 @@ split partner that defines its matching.  The collapse itself
 The boundary of a cell is a signed sum of faces: face 0 differentiates
 the head entry (one summand per component of the second entry, or per
 variable of a lone head, with a derivative coefficient), the middle
-faces compose adjacent entries and re-normalize, and the last face drops
-the tail entry and emits its restriction as a coefficient.  Faces that
-are not valid cells are repaired: a face containing a variable-selection entry dies, and
+faces compose adjacent entries and re-normalize in the kernel the ringoid
+shares (``rewrite.normal_form_morphism``), and the last face drops the
+tail entry and emits its restriction as a coefficient.  Faces that are
+not valid cells are repaired: a face containing a variable-selection entry dies, and
 otherwise the leftmost non-canonical entry is factored into its
 essential part, pushing the leftover selection rightward until it either
 dies, is absorbed, or falls off the end as a restriction coefficient.
@@ -63,12 +64,6 @@ from .unify import match_tuple
 
 Coeff = Union[int, RingoidElement]
 Boundary = dict[Cell, Coeff]
-
-
-@memoised("merge")
-def _merge(pair: tuple[Morphism, Morphism], trs: Trs) -> Morphism:
-    """Normal form of the composite of two adjacent entries, memoised per pair."""
-    return normal_form_morphism(*pair, trs)
 
 
 @memoised("factor")
@@ -137,7 +132,7 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
 
     # middle faces: compose adjacent entries and re-normalize
     for j in range(1, n):
-        merged = _merge(entries[j - 1:j + 1], trs)
+        merged = normal_form_morphism(entries[j - 1:j + 1], trs)
         repaired = _phi(entries[: j - 1] + (merged,) + entries[j + 1 :], j - 1, trs)
         if repaired is not None:
             sign = -1 if j % 2 else 1

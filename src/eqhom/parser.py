@@ -19,7 +19,8 @@ is coded as one character, in sorted order (the ``Srs`` keeps the names)::
     letters a b
     rule s1 : a a ->     # words are space-separated, empty right side = ε
 
-Errors carry line and column numbers and a kind tag.
+Errors carry a kind tag, the line number and, in a term, the 1-based
+column of the offending token in the source line (0 elsewhere).
 """
 
 from __future__ import annotations
@@ -42,27 +43,29 @@ class ParseError(Exception):
 
 
 class _TermParser:
-    def __init__(self, text: str, line: int, sig: Signature, vars_: dict[str, str]):
+    """Parses ``text[pos:]`` as a term; an error carries the column in ``text`` of its token."""
+
+    def __init__(self, text: str, line: int, sig: Signature, vars_: dict[str, str], pos: int):
         self.text = text
         self.line = line
-        self.pos = 0
+        self.pos = pos
         self.sig = sig
         self.vars = vars_
 
-    def error(self, kind: str, message: str):
-        raise ParseError(kind, message, self.line, self.pos + 1)
+    def error(self, kind: str, message: str, at: int | None = None):
+        raise ParseError(kind, message, self.line, (self.pos if at is None else at) + 1)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def ident(self) -> str:
+    def ident(self) -> tuple[str, int]:
         self.skip_ws()
         m = IDENT.match(self.text, self.pos)
         if not m:
             self.error("syntax-error", f"expected identifier, found {self.text[self.pos:self.pos+8]!r}")
         self.pos = m.end()
-        return m.group()
+        return m.group(), m.start()
 
     def expect(self, ch: str):
         self.skip_ws()
@@ -75,10 +78,10 @@ class _TermParser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def term(self) -> Term:
-        name = self.ident()
+        name, at = self.ident()
         if self.peek() == "(":
             if not self.sig.is_op(name):
-                self.error("undeclared-name", f"unknown operation {name!r}")
+                self.error("undeclared-name", f"unknown operation {name!r}", at)
             self.expect("(")
             args = []
             if self.peek() != ")":
@@ -90,14 +93,14 @@ class _TermParser:
             try:
                 return self.sig.app(name, *args)
             except TermError as exc:
-                self.error("sort-error", str(exc))
+                self.error("sort-error", str(exc), at)
         if name in self.vars:
             return Var(name, self.vars[name])
         if self.sig.is_op(name):
             if self.sig.arg_sorts(name):
-                self.error("sort-error", f"operation {name!r} needs arguments")
+                self.error("sort-error", f"operation {name!r} needs arguments", at)
             return self.sig.app(name)
-        self.error("undeclared-name", f"unknown name {name!r}")
+        self.error("undeclared-name", f"unknown name {name!r}", at)
 
     def parse_whole(self) -> Term:
         t = self.term()
@@ -127,7 +130,7 @@ def parse_presentation(text: str) -> Trs:
     ops: list[tuple[str, tuple[str, ...], str]] = []
     vars_: dict[str, str] = {}
     symbols: dict[str, int] = {}  # operations and variables share one namespace in terms
-    rule_specs: list[tuple[str, str, int]] = []
+    rule_specs: list[tuple[str, str, int, int, int]] = []  # name, raw line, body span, line
     rule_lines: dict[str, int] = {}
     order: list[str] | None = None
     order_line = 0
@@ -146,7 +149,7 @@ def parse_presentation(text: str) -> Trs:
             for name in names:
                 _declare(sorts, name, lineno, "sort")
         elif head == "op":
-            m = re.fullmatch(r"(\w+)\s*:\s*([\w\s]*)->\s*(\w+)", rest)
+            m = re.fullmatch(rf"({IDENT.pattern})\s*:\s*([\w\s]*)->\s*(\w+)", rest)
             if not m:
                 raise ParseError("syntax-error", f"bad op declaration {rest!r}", lineno)
             name, arg_str, result = m.group(1), m.group(2), m.group(3)
@@ -157,7 +160,7 @@ def parse_presentation(text: str) -> Trs:
             _declare(symbols, name, lineno, "operation")
             ops.append((name, args, result))
         elif head == "var":
-            m = re.fullmatch(r"([\w\s]+):\s*(\w+)", rest)
+            m = re.fullmatch(rf"({IDENT.pattern}(?:\s+{IDENT.pattern})*)\s*:\s*(\w+)", rest)
             if not m:
                 raise ParseError("syntax-error", f"bad var declaration {rest!r}", lineno)
             names, sort = m.group(1).split(), m.group(2)
@@ -171,7 +174,8 @@ def parse_presentation(text: str) -> Trs:
             if not m:
                 raise ParseError("syntax-error", f"bad rule {rest!r}", lineno)
             _declare(rule_lines, m.group(1), lineno, "rule")
-            rule_specs.append((m.group(1), m.group(2), lineno))
+            end = len(raw) - len(raw.lstrip()) + len(line)  # the body ends the stripped line
+            rule_specs.append((m.group(1), raw, end - len(m.group(2)), end, lineno))
         elif head == "order":
             order, order_line = rest.split(), lineno
         elif head == "budget":
@@ -185,13 +189,12 @@ def parse_presentation(text: str) -> Trs:
     sig = Signature(tuple(sorts), tuple(ops))
 
     rules = []
-    for name, body, lineno in rule_specs:
-        arrow = body.find("->")
+    for name, raw, start, end, lineno in rule_specs:
+        arrow = raw.find("->", start, end)
         if arrow < 0:
             raise ParseError("syntax-error", "rule needs ->", lineno)
-        lhs_text, rhs_text = body[:arrow].strip(), body[arrow + 2 :].strip()
-        lhs = _TermParser(lhs_text, lineno, sig, vars_).parse_whole()
-        rhs = _TermParser(rhs_text, lineno, sig, vars_).parse_whole()
+        lhs = _TermParser(raw[:arrow], lineno, sig, vars_, start).parse_whole()
+        rhs = _TermParser(raw[:end], lineno, sig, vars_, arrow + 2).parse_whole()
         if isinstance(lhs, Var):
             raise ParseError("variable-on-lhs-root", f"rule {name}: left side is a variable", lineno)
         if lhs.sort != rhs.sort:

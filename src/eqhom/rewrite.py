@@ -8,10 +8,10 @@ confluence (every critical pair joins) plus a budgeted termination probe;
 the report says which parts passed.
 
 Normal forms are computed with a deterministic leftmost-innermost
-strategy.  For a certified system the normal form is unique regardless,
-and results are memoized per system (idempotent values, so last-write-wins
-caching is safe under concurrent use); ``memoised`` memoises every
-single-key kernel of both engines.
+strategy, unique for a certified system, and memoized per system
+(idempotent values, so last-write-wins caching is safe under concurrent
+use).  ``memoised`` memoises every single-key kernel of both engines;
+``normal_form_morphism``, compose then normalise, per morphism pair.
 
 Redexes are indexed by (position, rule rank) pairs ordered
 lexicographically: a proper prefix precedes its extensions and siblings
@@ -220,8 +220,10 @@ def _innermost(u: Term, trs: Trs, budget: list[int]) -> Term:
             u, fresh = App(app.op, tuple(done), app.sort), False
 
 
-def normal_form_morphism(f: Morphism, g: Morphism, trs: Trs) -> Morphism:
-    """The composite ``compose_raw(f, g)`` with each term in normal form."""
+@memoised("merge")
+def normal_form_morphism(pair: tuple[Morphism, Morphism], trs: Trs) -> Morphism:
+    """``compose_raw(f, g)`` of ``pair = (f, g)``, each term in normal form; memoised per pair."""
+    f, g = pair
     return Morphism.derived(g.context, tuple(normal_form(t, trs) for t in compose_raw(f, g).terms))
 
 

@@ -14,6 +14,7 @@ from eqhom.coeff import (
 from eqhom.rewrite import normal_form, random_term
 from eqhom.terms import (
     Morphism,
+    TermError,
     Var,
     canonical_context,
     compose_raw,
@@ -45,6 +46,14 @@ def test_derivative_of_a_variable(ab_trs):
     sub = id_for(tm)
     assert expand_derivative(1, tm, sub, ab_trs) == identity_element(sub.context)
     assert expand_derivative(2, tm, sub, ab_trs) == EL_ZERO
+
+
+def test_a_variable_head_must_compose_with_its_subscript(ab_trs):
+    # the head has no operation node: only composing the whole head with
+    # the subscript sees that the subscript's codomain is one sort short
+    tm = Morphism((("x1", X), ("x2", X)), (xv("x1"),))
+    with pytest.raises(TermError, match="cannot compose"):
+        expand_derivative(1, tm, identity((("x1", X),)), ab_trs)
 
 
 def test_derivative_counts_occurrences(ab_trs):

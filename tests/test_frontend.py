@@ -72,6 +72,26 @@ def test_parse_error_kinds():
     assert err.value.kind == "syntax-error"
 
 
+@pytest.mark.parametrize("rule, message", [
+    ("rule r : f(x) -> f(,x)", "syntax-error at line 4:20: expected identifier, found ',x)'"),
+    ("   rule r :    f(q) -> x", "undeclared-name at line 4:18: unknown name 'q'"),
+    ("rule r : f(x x) -> x", "syntax-error at line 4:14: expected ')'"),
+])
+def test_a_term_error_names_the_column_of_its_token_in_the_source_line(rule, message):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"sorts X\nop f : X -> X\nvar x : X\n{rule}\n")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("declaration", ["op 1 : -> X", "var x 2y : X", "op é : -> X"])
+def test_a_name_no_term_can_spell_is_refused_where_it_is_declared(declaration):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"sorts X\n{declaration}\n")
+    assert (err.value.kind, err.value.line) == ("syntax-error", 2)
+    trs = parse_presentation("sorts X\nop _e1 : -> X\nvar y_2 z : X\nrule r : _e1 -> _e1\n")
+    assert trs.rules[0].lhs == trs.signature.app("_e1")
+
+
 def test_parse_print_round_trip(ab_trs, group_trs, unreduced_trs):
     for trs in (ab_trs, group_trs, unreduced_trs):
         assert parse_presentation(print_presentation(trs)) == trs

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from eqhom import cli
 from eqhom.chains import (
     Cell,
     composite,
@@ -269,6 +270,22 @@ def test_group_classification_counters_through_dim_four(data_dir):
     routed = sum(len(v) for k, v in trs.caches.items() if k.startswith("express_"))
     assert (kinds["critical"], kinds["redundant"], kinds["collapsible"], routed) \
         == (53, 1007, 354, 1414)
+
+
+def test_the_merge_memo_holds_faces_and_ringoid_pairs_but_no_derivative_nodes(
+        monkeypatch, capsys, data_dir):
+    # `resolution group.lwv --max-dim 4` in each mode: the count mode
+    # merges faces only; the symbolic mode adds the restrictions and the
+    # ringoid products.  A memo entry per derivative node would make 1 759.
+    systems = []
+    parse = cli.parse_presentation
+    monkeypatch.setattr(cli, "parse_presentation",
+                        lambda text: systems.append(parse(text)) or systems[-1])
+    for mode in ("count", "symbolic"):
+        argv = ["resolution", str(data_dir / "group.lwv"), "--max-dim", "4", "--mode", mode]
+        assert cli.cli_dispatch(argv) == 0
+    capsys.readouterr()
+    assert [len(trs.cache("merge")) for trs in systems] == [511, 1_043]
 
 
 def test_shared_memos_under_threads(data_dir):
