@@ -16,9 +16,9 @@ composing it into their subscripts, and composes the tails.  Subscripts
 and tails are stored in normal form over the context ``x1..xn`` of their
 domain sorts, so equality of monomials is structural.  The three
 constructors (``identity_element``, ``star``, and ``expand_derivative``
-on its subscript) rename a context to ``x1..xn`` once; ``multiply``
-composes onto such a tail, so it needs only the normal form.  ``star``
-and ``multiply`` compose and normalise in ``rewrite.normal_form_morphism``.
+on its subscript) take morphisms already over such contexts and rename
+nothing; ``star`` takes a normal form.  ``multiply`` composes onto such
+a tail in ``rewrite.normal_form_morphism``.
 
 ``expand_derivative`` rewrites the derivative of a composite term into
 the sum of one monomial per occurrence of the chosen context variable
@@ -41,7 +41,6 @@ from .terms import (
     Morphism,
     Term,
     Var,
-    canonical_context,
     compose_raw,
     identity,
     is_identity,
@@ -105,13 +104,12 @@ ZERO = RingoidElement()
 
 
 def identity_element(context: Context) -> RingoidElement:
-    return RingoidElement({Monomial((), identity(canonical_context(s for _, s in context))): 1})
+    return RingoidElement({Monomial((), identity(context)): 1})
 
 
-def star(alpha: Morphism, trs: Trs) -> RingoidElement:
+def star(alpha: Morphism) -> RingoidElement:
     """The restriction generator along ``alpha`` as an element."""
-    renamed = identity(canonical_context(alpha.domain_sorts))
-    return RingoidElement({Monomial((), normal_form_morphism((alpha, renamed), trs)): 1})
+    return RingoidElement({Monomial((), alpha): 1})
 
 
 def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> RingoidElement:
@@ -122,8 +120,8 @@ def expand_derivative(i: int, tm: Morphism, subscript: Morphism, trs: Trs) -> Ri
     variable in the term.
     """
     target = tm.context[i - 1][0]
-    tail = identity(canonical_context(subscript.domain_sorts))
-    composite = compose_raw(tm, compose_raw(subscript, tail)).term
+    tail = identity(subscript.context)
+    composite = compose_raw(tm, subscript).term
 
     def rec(t: Term, c: Term) -> list[tuple[Factor, ...]]:
         if isinstance(t, Var):

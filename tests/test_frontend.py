@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import inspect
 import json
 import os
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqhom
 from eqhom import monoid
@@ -21,6 +25,8 @@ from eqhom.parser import (
     parse_srs,
     print_presentation,
 )
+
+from conftest import DATA
 
 ABELIAN = """\
 sorts X
@@ -382,6 +388,47 @@ def test_cli_reports_a_term_past_the_recursion_limit_in_one_line(capsys, tmp_pat
     code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (3, "")
     assert err == "error: recursion limit exceeded: a term is nested too deeply\n"
+
+
+_FIXTURES = {p.name: p.read_text() for p in sorted(DATA.iterdir())}
+_LINES = sorted({line for text in _FIXTURES.values() for line in text.splitlines(keepends=True)})
+_CHARS = sorted(set("".join(_FIXTURES.values())))
+# (command words, options) around the input path
+_FUZZED = [(("check",), ()), (("homology",), ("--max-dim", "2")),
+           (("resolution",), ("--max-dim", "2")), (("monoid", "homology"), ("--max-dim", "3"))]
+
+
+@st.composite
+def _mutant(draw):
+    """A fixture with a few characters or lines deleted, inserted or duplicated."""
+    text = _FIXTURES[draw(st.sampled_from(sorted(_FIXTURES)))]
+    for _ in range(draw(st.integers(1, 4))):
+        by_line = draw(st.booleans())
+        parts = text.splitlines(keepends=True) if by_line else list(text)
+        i = draw(st.integers(0, len(parts) - 1))
+        edit = draw(st.sampled_from(["delete", "insert", "duplicate"]))
+        if edit == "delete":
+            del parts[i]
+        elif edit == "insert":
+            parts.insert(i, draw(st.sampled_from(_LINES if by_line else _CHARS)))
+        else:
+            parts.insert(i, parts[i])
+        text = "".join(parts)
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_mutant())
+def test_mutated_fixtures_exit_with_a_documented_code_and_one_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "mutant"
+    path.write_text(text)
+    for words, options in _FUZZED:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_dispatch([*words, str(path), *options])
+        assert 0 <= code <= 4, (words, text)
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), \
+            (words, text, err.getvalue())
 
 
 def test_coeff_auto_takes_the_least_prime_dividing_the_degree(capsys, tmp_path):

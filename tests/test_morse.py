@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from eqhom import cli
+from eqhom import cli, morse
 from eqhom.chains import (
     Cell,
     composite,
@@ -275,8 +275,8 @@ def test_group_classification_counters_through_dim_four(data_dir):
 def test_the_merge_memo_holds_faces_and_ringoid_pairs_but_no_derivative_nodes(
         monkeypatch, capsys, data_dir):
     # `resolution group.lwv --max-dim 4` in each mode: the count mode
-    # merges faces only; the symbolic mode adds the restrictions and the
-    # ringoid products.  A memo entry per derivative node would make 1 759.
+    # merges faces only; the symbolic mode adds the ringoid products.  A
+    # restriction is already a normal form and derivative nodes stay out.
     systems = []
     parse = cli.parse_presentation
     monkeypatch.setattr(cli, "parse_presentation",
@@ -285,7 +285,34 @@ def test_the_merge_memo_holds_faces_and_ringoid_pairs_but_no_derivative_nodes(
         argv = ["resolution", str(data_dir / "group.lwv"), "--max-dim", "4", "--mode", mode]
         assert cli.cli_dispatch(argv) == 0
     capsys.readouterr()
-    assert [len(trs.cache("merge")) for trs in systems] == [511, 1_043]
+    assert [len(trs.cache("merge")) for trs in systems] == [511, 957]
+
+
+def test_each_boundary_builds_the_ringoid_unit_at_most_once(monkeypatch, capsys, data_dir):
+    # the middle faces share one unit, built at the first face that survives
+    ring = morse.ring_of("symbolic")
+    one, boundary = type(ring).one, morse.normalized_boundary
+    units, inside = [], []
+
+    def counted_one(self, cell):
+        if inside:  # routing builds a chain's own unit outside any boundary
+            units[-1] += 1
+        return one(self, cell)
+
+    def counted_boundary(*args):
+        units.append(0)
+        inside.append(True)
+        try:
+            return boundary(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(type(ring), "one", counted_one)
+    monkeypatch.setattr(morse, "normalized_boundary", counted_boundary)
+    argv = ["resolution", str(data_dir / "group.lwv"), "--max-dim", "3", "--mode", "symbolic"]
+    assert cli.cli_dispatch(argv) == 0
+    capsys.readouterr()
+    assert max(units) == 1
 
 
 def test_shared_memos_under_threads(data_dir):

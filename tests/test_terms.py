@@ -4,9 +4,10 @@ from dataclasses import fields
 
 import pytest
 
+from eqhom import morse
 from eqhom.chains import Cell, enumerate_chains
 from eqhom.cli import cli_dispatch
-from eqhom.coeff import expand_derivative
+from eqhom.coeff import expand_derivative, identity_element, star
 from eqhom.homology import boundary_matrices
 from eqhom.morse import morse_differential
 from eqhom.parser import parse_presentation, parse_srs
@@ -28,6 +29,7 @@ from eqhom.terms import (
     TermError,
     Var,
     _checked_variables,
+    canonical_context,
     canonicalize,
     compose_raw,
     essential_from_terms,
@@ -42,6 +44,7 @@ from eqhom.terms import (
     var_count,
     variables,
 )
+from eqhom.unify import match_term
 
 from conftest import as_unary_trs
 
@@ -421,12 +424,14 @@ def test_the_engine_builds_no_checked_morphism(capsys, data_dir, monkeypatch, ar
     assert checked == []
 
 
-def _substitute_fits(t, assignment):
+# Each condition takes the system the pipeline runs, then the kernel's arguments.
+
+def _substitute_fits(system, t, assignment):
     return all(v.name in assignment and assignment[v.name].sort == v.sort
                for v in variables(t))
 
 
-def _replace_at_fits(t, p, s):
+def _replace_at_fits(system, t, p, s):
     for i in p:
         if not (isinstance(t, App) and 1 <= i <= len(t.args)):
             return False
@@ -434,13 +439,29 @@ def _replace_at_fits(t, p, s):
     return t.sort == s.sort
 
 
-def _expand_derivative_fits(i, tm, subscript, trs):
-    return 1 <= i <= len(tm.context) and subscript.codomain_sorts == tm.domain_sorts
+def _numbered(context):
+    return context == canonical_context(s for _, s in context)
+
+
+def _expand_derivative_fits(system, i, tm, subscript, trs):
+    return (1 <= i <= len(tm.context) and subscript.codomain_sorts == tm.domain_sorts
+            and _numbered(tm.context) and _numbered(subscript.context))
+
+
+def _identity_element_fits(system, context):
+    return _numbered(context)
+
+
+def _star_fits(system, alpha):
+    return _numbered(alpha.context) and not any(
+        isinstance(sub, App) and match_term(rule.lhs, sub) is not None
+        for t in alpha.terms for _, sub in subterms(t) for rule in system.rules)
 
 
 # the kernels that trust their callers, each with the condition its callers keep
 TRUSTING = [(substitute, _substitute_fits), (replace_at, _replace_at_fits),
-            (expand_derivative, _expand_derivative_fits)]
+            (expand_derivative, _expand_derivative_fits),
+            (identity_element, _identity_element_fits), (star, _star_fits)]
 
 
 def _rewrites(trs):
@@ -465,15 +486,37 @@ def _pipeline(trs):
 
 
 def test_the_trusting_kernels_only_see_arguments_that_fit(data_dir, monkeypatch):
-    calls, misfits = {}, []
+    calls, misfits, running, partners = {}, [], [None], []
 
     def checking(fn, fits):
         def wrapper(*args):
             calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
-            if not fits(*args):
+            if not fits(running[-1], *args):
                 misfits.append((fn.__name__, args))
             return fn(*args)
         return wrapper
+
+    def run(trs):
+        running.append(trs)
+        _pipeline(trs)
+        # the split's halves, as every routed cell's entries, are canonical and no selection
+        routed = [c for kind, memo in trs.caches.items() if kind.startswith("express_")
+                  for c in memo]
+        assert routed
+        for cell in routed + partners:
+            assert all(is_canonical(e) and not is_partial_permutation(e)
+                       for e in cell.entries), cell
+        partners.clear()
+
+    split = morse._try_split
+
+    def recorded_split(*args):
+        partner = split(*args)
+        if partner is not None:
+            partners.append(partner)
+        return partner
+
+    monkeypatch.setattr(morse, "_try_split", recorded_split)
 
     for fn, fits in TRUSTING:  # rebound in every module that imported it, recursion included
         wrapper = checking(fn, fits)
@@ -488,8 +531,8 @@ def test_the_trusting_kernels_only_see_arguments_that_fit(data_dir, monkeypatch)
         if not check_complete(trs).certified:
             _rewrites(trs)
             trs = reduce_trs(trs)
-        _pipeline(trs)
-    _pipeline(as_unary_trs(parse_srs((data_dir / "s3.srs").read_text())))
+        run(trs)
+    run(as_unary_trs(parse_srs((data_dir / "s3.srs").read_text())))
     assert set(calls) == {fn.__name__ for fn, _ in TRUSTING}, calls
     assert misfits == []
 
