@@ -1,6 +1,9 @@
 """Algebraic discrete Morse theory: the collapse of a bar-type complex
 along a matching (Sköldberg, Trans. AMS 2006; Jöllenbeck & Welker,
-Mem. AMS 2009), shared by the term and the word engine.
+Mem. AMS 2009).  The router's one pipeline client is the term engine;
+the word engine computes the same collapse directly on its chains
+(Anick's resolution, ``eqhom.monoid``) and keeps its routed adapter
+only as the tests' oracle.
 
 An engine supplies its complex through a small adapter (``Complex``):
 ``match``, which tells from one scan of a cell whether it is a chain

@@ -5,25 +5,43 @@ engine.
 A letter is one character (``parse_srs`` codes names in sorted order) and
 a word is a ``str``.  One compiled search of the left sides, in rule order,
 finds the leftmost redex, first-declared rule first, for ``reduce_word``,
-``is_irreducible_word``, ``chain_tails`` and the adapter's ``match``.
+``is_irreducible_word``, ``chain_tails``, the lift's cut and the
+oracle's ``match``.
 
 Cells are tuples of nonempty irreducible words.  A cell is a chain when
 every consecutive concatenation first becomes reducible exactly at its
-right end.  The boundary is that of the normalized bar resolution: act
-by the first word, merge adjacent words, drop the last word.  A
-non-chain cell splits the entry after its longest chain prefix at the
-earliest reducible point, the end of the leftmost redex in a reduced
-system; the cells with a face that splits back to them are the
-collapsible ones.  The adapter's ``match`` decides both in one pass over
-the cell, one redex search per entry, and like every adapter keeps no
-state between calls; ``chain_tails`` serves enumeration only.  The
-collapse along this matching (``eqhom.collapse``) has one free generator
-per chain, and the integral homology of its trivial coefficients is the
-monoid's homology.
+right end; ``chain_tails`` extends chains for enumeration.
 
-Coefficients are integer counts (``eqhom.collapse.Integers``): every
-monoid element maps to 1, so the first face, which acts by the first
-word, has coefficient 1 like the others up to sign.
+The lift.  The algebraic-Morse collapse of the normalized bar resolution
+along the matching below is Anick's resolution (Anick, Trans. AMS 1986;
+Jöllenbeck & Welker, Mem. AMS 2009, ch. 5), computed here on the chains
+alone: a free right ZM-module with one generator per chain, whose
+elements are integer sums over (chain, normal word) pairs.  With
+s_n = (-1)^n, its differential comes from Kobayashi's contracting
+homotopy ``i`` (JPAA 1990):
+
+* ``d(x) = s_1·()⊗x - s_1·()⊗1`` for a letter, and
+  ``d((c', t)) = s_n·c'⊗t - s_n·i(d(c')·t)`` for an n-chain;
+* ``i(c⊗w)`` is 0 when ``last(c) + w`` has no redex; otherwise the
+  leftmost redex ends inside ``w`` at the cut ``w = u·v``, and
+  ``i(c⊗w) = s_{n+1}·(c, u)⊗v + i(i(d(c)·u)·v)``;
+* ``i(()⊗w) = s_1·Σ_k (w_k)⊗w_{k+1…}``, one term per letter.
+
+``anick_differential`` memoises ``d`` per chain and ``i`` per (chain,
+word) pair, not on the 0-chain, whose closed form would hold a word's
+every suffix; its recursion runs on an explicit stack.  The count rows
+send every word to 1, and the integral homology of this trivial
+coefficient is the monoid's homology.
+
+The routed oracle.  The bar boundary acts by the first word, merges
+adjacent words and drops the last word.  A non-chain cell splits the
+entry after its longest chain prefix at the earliest reducible point,
+the end of the leftmost redex in a reduced system; the cells with a
+face that splits back to them are the collapsible ones.  The adapter
+``_Words`` decides both in one pass, one redex search per entry, and
+``word_morse_differential`` routes a chain's boundary through
+``eqhom.collapse`` over integer counts.  The tests check the lift
+against it entry for entry; no command runs it.
 
 Certification is the term engine's (``eqhom.rewrite``), on words: overlap
 critical pairs, ``reduce_word``, and rule sides and letter powers as probes.
@@ -241,10 +259,92 @@ def word_morse_differential(cell: WordCell, srs: Srs) -> dict[WordCell, int]:
     return collapse.morse_differential(cell, _Words(srs))
 
 
+Lifted = dict[tuple[WordCell, Word], int]  # Σ k·(chain ⊗ normal word), in the right ZM-module
+
+
+def _contract(x: Lifted, v: Word, srs: Srs):
+    """``i(x·v)``, yielding the key ``(c, w)`` of each term off the 0-chain
+    and receiving its value; ``i(()⊗w) = -Σ_k (w_k)⊗w_{k+1…}``, one term
+    per letter, is summed in place."""
+    out: Lifted = {}
+    for (c, w), k in x.items():
+        w = reduce_word(w + v, srs)
+        if c:
+            for key, j in (yield c, w).items():
+                add_term(out, key, k * j)
+        else:
+            for p in range(len(w)):
+                add_term(out, ((w[p],), w[p + 1:]), -k)
+    return out
+
+
+def _lift_entry(key, srs: Srs):
+    """One entry of the lift: ``d(c)`` for a chain ``key = c``, ``i(c⊗w)``
+    for ``key = (c, w)``.  A generator that yields the keys of the entries
+    it needs and is sent their values."""
+    if isinstance(key[0], str):
+        head, t = key[:-1], key[-1]
+        s = -1 if len(key) % 2 else 1
+        if not head:
+            return {((), t): s, ((), ""): -s}
+        lower = yield from _contract((yield head), t, srs)
+        out = {(head, t): s}
+        for term, k in lower.items():
+            add_term(out, term, -s * k)
+        return out
+    c, w = key
+    redex = srs.redex.search(c[-1] + w)
+    if redex is None:
+        return {}
+    cut = redex.end() - len(c[-1])
+    below = yield from _contract((yield c), w[:cut], srs)
+    out = yield from _contract(below, w[cut:], srs)
+    add_term(out, (c + (w[:cut],), w[cut:]), 1 if len(c) % 2 else -1)
+    return out
+
+
+def anick_differential(cell: WordCell, srs: Srs) -> Lifted:
+    """``d(cell)`` in Anick's resolution, the free right ZM-module on the
+    chains (memoised with every entry it needs, read-only).  Each entry
+    is a generator on an explicit stack, so the depth of ``i`` is bounded
+    by ``collapse.DEFAULT_ROUTE_BUDGET``, one step per entry computed,
+    and not by Python's recursion limit."""
+    cache = srs.cache("anick")  # by hand: d per chain, i per (chain, word) pair
+    value = cache.get(cell)
+    if value is not None:
+        return value
+    budget = left = collapse.DEFAULT_ROUTE_BUDGET
+    stack = [(cell, _lift_entry(cell, srs))]
+    while True:
+        key, steps = stack[-1]
+        try:
+            need = steps.send(value)
+        except StopIteration as done:
+            cache[key] = value = done.value
+            stack.pop()
+            if not stack:
+                return value
+            continue
+        value = cache.get(need)
+        if value is None:
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(f"lift budget exhausted: one differential "
+                                     f"computed more than {budget} entries")
+            stack.append((need, _lift_entry(need, srs)))
+
+
 def word_boundary_matrices(srs: Srs, chains: dict[int, list[WordCell]],
                            max_dim: int) -> dict[int, BoundaryMatrix]:
-    return assemble_matrices(lambda cell: word_morse_differential(cell, srs),
-                             chains, max_dim)
+    """Counting matrices of Anick's resolution: a chain's row sums the
+    coefficients of its ``anick_differential`` per chain."""
+    def counted(cell: WordCell) -> dict[WordCell, int]:
+        row: dict[WordCell, int] = {}
+        for (c, _), k in anick_differential(cell, srs).items():
+            add_term(row, c, k)
+        return row
+
+    return assemble_matrices(counted, chains, max_dim)
 
 
 def monoid_homology(srs: Srs, max_dim: int) -> dict[int, HomologyGroup]:

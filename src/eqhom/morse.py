@@ -159,12 +159,10 @@ def _try_split(cell: Cell, trs: Trs, prefix: int) -> Cell | None:
     u = chain_extensions(T, trs).get(max_redex(compose_raw(T, t).term, trs))
     if u is None:
         return None
+    # t unifies T at the redex with the rule's left side, so it is an instance of u, their mgu
     binding = match_tuple(u.terms, t.terms)
-    if binding is None:
-        return None
+    # w is no selection: canonical t = u∘w would be u, a chain entry past the prefix
     w = Morphism.derived(t.context, tuple(binding[name] for name, _ in u.context))
-    if is_partial_permutation(w):
-        return None
     return Cell(cell.sort, entries[:prefix] + (u, w) + entries[prefix + 1:])
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from eqhom.collapse import MatchingError, classify
+from eqhom.collapse import MatchingError, assemble_matrices, classify
+from eqhom.monoid import word_morse_differential
 from eqhom.parser import parse_presentation, parse_srs
 
 DATA = Path(__file__).parent / "data"
@@ -51,6 +52,13 @@ def as_unary_trs(srs):
     lines = ["sorts X"] + [f"op {c} : X -> X" for c in srs.alphabet] + ["var x : X"]
     lines += [f"rule {r.name} : {term(r.lhs)} -> {term(r.rhs)}" for r in srs.rules]
     return parse_presentation("\n".join(lines) + "\n")
+
+
+def routed_word_matrices(srs, chains, max_dim):
+    """The word engine's counting matrices by routing the bar cells of
+    ``srs`` (``word_morse_differential``): the oracle of the lift that
+    ``word_boundary_matrices`` computes, filling the ``express_count`` memo."""
+    return assemble_matrices(lambda cell: word_morse_differential(cell, srs), chains, max_dim)
 
 
 _FLIP = {"redundant": "collapsible", "collapsible": "redundant"}

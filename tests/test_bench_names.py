@@ -28,7 +28,7 @@ TERM_CACHE_KINDS = {
 }
 GROUP_HOMOLOGY_CACHE_KINDS = TERM_CACHE_KINDS | {"express_count"}
 GROUP_RESOLUTION_CACHE_KINDS = TERM_CACHE_KINDS | {"express_symbolic"}
-S3_MONOID_CACHE_KINDS = {"certify", "nf", "tails", "express_count"}
+S3_MONOID_CACHE_KINDS = {"certify", "nf", "tails", "anick"}
 
 TRACED_RUNS = [
     pytest.param("group-count", "homology_pipeline", "group.lwv", 2,

@@ -8,12 +8,12 @@ from eqhom import collapse
 from eqhom.chains import chain_extensions, enumerate_chains, longest_chain_prefix
 from eqhom.collapse import MatchingError, assemble_matrices, morse_differential
 from eqhom.homology import boundary_matrices
-from eqhom.monoid import _Words, enumerate_word_chains, word_boundary_matrices
+from eqhom.monoid import _Words, enumerate_word_chains
 from eqhom.parser import parse_presentation, parse_srs
 from eqhom.rewrite import BudgetExceeded, degree, max_redex, op_morphism
 from eqhom.unify import match_term, unify_terms
 
-from conftest import verify_matching
+from conftest import routed_word_matrices, verify_matching
 
 
 class Table:
@@ -144,7 +144,7 @@ def test_routing_scans_each_chain_prefix_once(monkeypatch, data_dir):
         return match(cx, cell)
 
     monkeypatch.setattr(_Words, "match", counted)
-    word_boundary_matrices(srs, word_chains, 5)
+    routed_word_matrices(srs, word_chains, 5)
     assert matches[0] == len(srs.cache("express_count")) == 349
 
 

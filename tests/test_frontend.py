@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqhom
-from eqhom import monoid
+from eqhom import collapse, morse
 from eqhom.cli import _parser, cell_json, cli_dispatch, emit_json
 from eqhom.chains import enumerate_chains
 from eqhom.homology import inequality_report
@@ -306,17 +306,25 @@ def test_cli_reports_unreadable_input_in_one_line(capsys, tmp_path, argv):
 
 def test_cli_reports_a_matching_failure_in_one_line(capsys, data_dir, monkeypatch):
     # doubled boundaries give the router a matched coefficient of 2
-    original = monoid.word_boundary
+    original = morse.normalized_boundary
 
-    def doubled(cell, srs):
-        return {face: 2 * c for face, c in original(cell, srs).items()}
+    def doubled(cell, trs, mode="count"):
+        return {face: 2 * c for face, c in original(cell, trs, mode).items()}
 
-    monkeypatch.setattr(monoid, "word_boundary", doubled)
-    code, _, err = _run(capsys, "monoid", "homology", str(data_dir / "s3.srs"),
-                        "--max-dim", "3")
+    monkeypatch.setattr(morse, "normalized_boundary", doubled)
+    code, _, err = _run(capsys, "homology", str(data_dir / "group.lwv"), "--max-dim", "2")
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error: matched coefficient") and "not a unit" in err
+
+
+def test_cli_reports_an_exhausted_lift_budget_in_one_line(capsys, data_dir, monkeypatch):
+    # the word engine's lift reads its budget at call time, one step per entry computed
+    monkeypatch.setattr(collapse, "DEFAULT_ROUTE_BUDGET", 5)
+    code, out, err = _run(capsys, "monoid", "homology", str(data_dir / "s3.srs"),
+                          "--max-dim", "3")
+    assert (code, out) == (3, "")
+    assert err == "error: lift budget exhausted: one differential computed more than 5 entries\n"
 
 
 def test_cli_check_reports_a_rewrite_cycle(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import product
 
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from eqhom import collapse, monoid
 from eqhom.chains import enumerate_chains
-from eqhom.homology import boundary_matrices, homology_group, smith_normal_form
+from eqhom.homology import boundary_matrices, homology_group, homology_groups, smith_normal_form
 from eqhom.monoid import (
     Srs,
     SrsRule,
     _Words,
+    anick_differential,
     certify_srs,
     chain_tails,
     check_complete_srs,
@@ -28,7 +30,7 @@ from eqhom.monoid import (
 from eqhom.parser import parse_srs
 from eqhom.rewrite import BudgetExceeded, CompletenessError, check_complete
 
-from conftest import as_unary_trs, verify_matching
+from conftest import as_unary_trs, routed_word_matrices, verify_matching
 from test_group_homology import GROUPS
 
 A = "a"
@@ -299,7 +301,7 @@ def test_matching_is_a_partial_matching(z2_srs, s3_srs):
 
 def test_every_routed_cell_of_s3_is_matched(data_dir):
     srs = parse_srs((data_dir / "s3.srs").read_text())
-    word_boundary_matrices(srs, enumerate_word_chains(srs, 6), 6)
+    routed_word_matrices(srs, enumerate_word_chains(srs, 6), 6)
     routed = srs.cache("express_count")
     verify_matching(routed, _Words(srs))
     assert set(routed) <= set(srs.cache("classify"))
@@ -343,6 +345,113 @@ def test_term_engine_agrees_with_word_engine(z2_srs, s3_srs):
             assert (got.rank, got.torsion) == (words[n].rank, words[n].torsion), (srs, n)
 
 
+def _assert_lift_counts_what_routing_counts(srs, top):
+    """``word_boundary_matrices`` (the lift) against the routed oracle on
+    a system with cold memos, every matrix through ``d_top``."""
+    srs = Srs(srs.alphabet, srs.rules)
+    chains = enumerate_word_chains(srs, top)
+    lifted = word_boundary_matrices(srs, chains, top)
+    routed = routed_word_matrices(srs, chains, top)
+    for n in range(1, top + 1):
+        assert lifted[n].entries == routed[n].entries, (srs, n)
+
+
+def test_the_lift_counts_what_routing_counts_on_the_fixtures(data_dir):
+    paths = sorted(data_dir.glob("*.srs"))
+    assert len(paths) >= 3
+    for path in paths:
+        _assert_lift_counts_what_routing_counts(parse_srs(path.read_text()), 6)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_the_lift_counts_what_routing_counts_on_groups(name):
+    _assert_lift_counts_what_routing_counts(GROUPS[name][0], 6)
+
+
+def test_the_lift_counts_what_routing_counts_on_random_finite_monoids():
+    rng = random.Random(29)
+    seen = set()
+    while len(seen) < 60:
+        k = rng.randint(2, 4)
+        srs, elements, _, _ = _shortlex_system(
+            *[tuple(rng.randrange(k) for _ in range(k)) for _ in range(2)])
+        if len(elements) > 8 or srs.rules in seen:
+            continue
+        seen.add(srs.rules)
+        _assert_lift_counts_what_routing_counts(srs, 6)
+
+
+def _times(x, v, srs):
+    """Right multiplication of a lifted element by the word ``v``."""
+    out = Counter()
+    for (c, w), k in x.items():
+        out[c, reduce_word(w + v, srs)] += k
+    return out
+
+
+def test_the_lift_squares_to_zero_over_zm(data_dir):
+    # d(c ⊗ w) = d(c)·w on the uncounted (chain, word) elements, before
+    # the count rows send every word to 1
+    systems = [parse_srs(p.read_text()) for p in sorted(data_dir.glob("*.srs"))]
+    systems += [nat2()] + [GROUPS[name][0] for name in ("Q8", "D12", "Z2xZ6")]
+    words = 0
+    for srs in systems:
+        chains = enumerate_word_chains(srs, 6)
+        for n in range(2, 7):
+            for cell in chains[n]:
+                acc = Counter()
+                for (c, w), k in anick_differential(cell, srs).items():
+                    words += bool(w)
+                    for key, j in _times(anick_differential(c, srs), w, srs).items():
+                        acc[key] += k * j
+                assert not any(acc.values()), (srs, cell)
+    assert words > 500
+
+
+def test_the_lift_runs_on_an_explicit_stack(monkeypatch):
+    # Z/n x Z as <a, b | a^n, b a = a b>: i((b)⊗a^k) contracts into
+    # i((b)⊗a^(k-1)), one entry of the lift per letter, all open at once
+    n = 150
+    srs = Srs(("a", "b"), (SrsRule("r", "a" * n, ""), SrsRule("c", "ba", "ab")))
+    chains = enumerate_word_chains(srs, 3)
+    entry, live = monoid._lift_entry, [0, 0]
+
+    def counted(key, srs):
+        live[0] += 1
+        live[1] = max(live)
+        value = yield from entry(key, srs)
+        live[0] -= 1
+        return value
+
+    monkeypatch.setattr(monoid, "_lift_entry", counted)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        mats = word_boundary_matrices(srs, chains, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert live[1] >= n > 50
+    counts = {k: len(c) for k, c in chains.items()}
+    H = homology_groups({k: m.entries for k, m in mats.items()}, counts, 0, range(3))
+    assert [(H[k].rank, H[k].torsion) for k in range(3)] == [(1, ()), (1, (n,)), (0, (n,))]
+
+
+def test_long_words_lift_on_a_linear_memo():
+    # <a | a^5000>: words of 5 000 letters and more; i(()⊗w) is summed in
+    # place and never memoised, so the memo holds a few entries per letter
+    n = 5_000
+    assert n > sys.getrecursionlimit()
+    srs = Srs((A,), (SrsRule("r", A * n, ""),))
+    H = monoid_homology(srs, 2)
+    assert [(H[k].rank, H[k].torsion) for k in range(3)] == [(1, ()), (0, (n,)), (0, ())]
+    memo = srs.cache("anick")
+    assert not any(key[0] == () for key in memo)
+    assert len(memo) <= n + 5 and sum(map(len, memo.values())) <= n + 10
+
+
 def _merges_by_rescan(cell, srs):
     """The merge partners by definition: every irreducible merge face
     whose chain prefix ends just before the merged entry and that splits
@@ -362,7 +471,7 @@ def test_merges_agree_with_the_rescan_definition(data_dir):
              parse_srs((data_dir / "s3.srs").read_text()))
     collapsible = 0
     for srs in fresh:
-        word_boundary_matrices(srs, enumerate_word_chains(srs, 6), 6)
+        routed_word_matrices(srs, enumerate_word_chains(srs, 6), 6)
         for cell in srs.caches["express_count"]:
             cls = classify_word_cell(cell, srs)
             got = [cls.partner] if cls.kind == "collapsible" else []
@@ -423,7 +532,7 @@ def _assert_scans_agree_with_the_definitions(srs, max_len, max_dim, routed_dim):
     ``d_routed_dim``."""
     words = ["".join(w) for n in range(max_len + 1) for w in product(srs.alphabet, repeat=n)]
     cells = {c for d in range(1, max_dim + 1) for c in product(words, repeat=d)}
-    word_boundary_matrices(srs, enumerate_word_chains(srs, routed_dim), routed_dim)
+    routed_word_matrices(srs, enumerate_word_chains(srs, routed_dim), routed_dim)
     cells |= set(srs.cache("express_count"))
     for w in words + [w for cell in cells for w in cell]:
         assert chain_tails(w, srs) == _tails_by_definition(w, srs), w
@@ -463,6 +572,7 @@ def test_term_engine_agrees_with_word_engine_on_random_systems(sides):
     srs = _srs(sides)
     assume(check_complete_srs(srs).certified)
     words = monoid_homology(srs, 3)
+    routed_word_matrices(srs, enumerate_word_chains(srs, 4), 4)
     verify_matching(srs.cache("express_count"), _Words(srs))
     _assert_scans_agree_with_the_definitions(srs, 2, 2, 4)
     trs = as_unary_trs(srs)
