@@ -28,15 +28,24 @@ differential of a critical cell is its boundary with every face
 rewritten until only critical cells remain: a critical face stays, a
 face that does not split vanishes, and a face ``c`` that splits to ``p``
 is replaced by ``-ε`` times the rest of the boundary of ``p``, routed in
-turn, on an explicit stack; ``ε``, the coefficient of ``c`` in the
-boundary of ``p``, must still be a unit.  Termination holds for a
-certified system; a budget of one step per cell routed turns a
-non-terminating matching, or a differential that routes more cells than
-the budget, into ``BudgetExceeded``.  Routing memoises the
-expression of each routed cell in the system's cache ``express_<name>``
-after the ring's ``name``; the ``classify`` cache is filled only by
-``classify``.  ``matrix_rows`` routes a counting matrix one row at a
-time, in chain order, so that a reader that stops early routes no more.
+turn; ``ε``, the coefficient of ``c`` in the boundary of ``p``, must
+still be a unit.  Termination holds for a certified system.  Routing
+memoises the expression of each routed cell in the system's cache
+``express_<name>`` after the ring's ``name``; the ``classify`` cache is
+filled only by ``classify``.  ``matrix_rows`` routes a counting matrix
+one row at a time, in chain order, so that a reader that stops early
+routes no more.
+
+The evaluator.  ``evaluate`` runs any memoised recursion whose entries
+are generators: an entry yields the key of each value it needs, is sent
+that value, and returns its own, which is never None.  Routing is one
+such entry per cell (``_route``), the word engine's lift
+(``eqhom.monoid``) another.  The entries run post-order on an explicit
+stack, so depth is bounded by the budget and not by Python's recursion
+limit.  The budget rule is one step per memo entry a differential
+writes, its root included; a non-terminating recursion, or a
+differential that writes more entries than the budget, is a
+``BudgetExceeded``.
 
 Coefficients live in a stateless ring object that the adapter shares
 (``Integers``, a subclass, or the term engine's ringoid).  A ring
@@ -150,66 +159,62 @@ def _classify(cell, cx: Complex) -> CellClass:
     raise MatchingError(f"cell {cell!r} is neither critical, redundant nor collapsible")
 
 
-def _express(cell, cx: Complex, counter: list[int]) -> Boundary:
-    """The cell as a combination of critical cells (memoised, read-only).
-
-    A post-order walk on an explicit stack, so that the routing depth is
-    bounded by the budget and not by Python's recursion limit.  A frame
-    is a redundant cell whose partner's faces are being routed in
-    boundary order: ``[cell, out, remaining faces, -ε, coefficient of the
-    face being expressed]``.
-    """
-    ring, system = cx.ring, cx.system
-    cache = system.cache("express_" + ring.name)  # by hand: every routed cell is filled
-    hit = cache.get(cell)
-    if hit is not None:
-        return hit
-    stack: list[list] = []
-    done: Boundary | None = None  # a finished expression, owed to the top frame
+def evaluate(key, entry, arg, cache, counter: list[int], exhausted: str):
+    """The value of ``key``, memoised in ``cache`` with every value it
+    needs, each computed by a generator ``entry(key, arg)`` on an explicit
+    stack (see "The evaluator" above).  ``counter`` is ``[steps left,
+    budget]``, shared by the calls of one differential; a step past the
+    budget raises ``BudgetExceeded(exhausted.format(budget))``."""
+    value = cache.get(key)
+    if value is not None:
+        return value
+    stack: list = []
     while True:
-        if cell is not None:
+        if value is None:  # key is not memoised: start its entry
             counter[0] -= 1
             if counter[0] < 0:
-                raise BudgetExceeded(f"routing budget exhausted: one differential "
-                                     f"routed more than {counter[1]} cells")
-            chain, partner = cx.match(cell)
-            if partner is not None:
-                bd = cx.boundary(partner)
-                stack.append([cell, {}, iter(bd.items()), -ring.unit(bd.get(cell)), None])
-            else:
-                done = cache[cell] = {cell: ring.one(cell)} if chain else {}
-                if not stack:
-                    return done
-            cell = None
-        frame = stack[-1]
-        top, out, faces, neg_eps, coeff = frame
-        if done is not None:
-            for crit, w in done.items():
-                add_term(out, crit, ring.mul(coeff, w, system) * neg_eps)
-            done = None
-        for face, coeff in faces:
-            if face == top:
-                continue
-            hit = cache.get(face)
-            if hit is None:
-                frame[4], cell = coeff, face
-                break
-            for crit, w in hit.items():
-                add_term(out, crit, ring.mul(coeff, w, system) * neg_eps)
-        else:
+                raise BudgetExceeded(exhausted.format(counter[1]))
+            stack.append((key, entry(key, arg)))
+        key, steps = stack[-1]
+        try:
+            key = steps.send(value)
+        except StopIteration as done:
             stack.pop()
-            cache[top] = done = out
+            cache[key] = value = done.value
             if not stack:
-                return out
+                return value
+            continue
+        value = cache.get(key)
+
+
+def _route(cell, cx: Complex):
+    """One entry of routing: ``cell`` as a combination of critical cells.
+    A chain is itself, a cell with no partner vanishes, and a redundant
+    cell is ``-ε`` times the rest of its partner's boundary, each face
+    yielded to be routed in turn."""
+    chain, partner = cx.match(cell)
+    if partner is None:
+        return {cell: cx.ring.one(cell)} if chain else {}
+    ring, system = cx.ring, cx.system
+    bd = cx.boundary(partner)
+    neg_eps = -ring.unit(bd.get(cell))
+    out: Boundary = {}
+    for face, coeff in bd.items():
+        if face != cell:
+            for crit, w in (yield face).items():
+                add_term(out, crit, ring.mul(coeff, w, system) * neg_eps)
+    return out
 
 
 def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
     ring = cx.ring
+    cache = cx.system.cache("express_" + ring.name)  # by hand: written by ``evaluate``
     counter = [budget, budget]  # steps left, budget
+    exhausted = "routing budget exhausted: one differential routed more than {} cells"
     out: Boundary = {}
     for face, coeff in cx.boundary(cell).items():
-        for crit, w in _express(face, cx, counter).items():
+        for crit, w in evaluate(face, _route, cx, cache, counter, exhausted).items():
             add_term(out, crit, ring.mul(coeff, w, cx.system))
     return out
 

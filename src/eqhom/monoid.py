@@ -29,9 +29,9 @@ homotopy ``i`` (JPAA 1990):
 
 ``anick_differential`` memoises ``d`` per chain and ``i`` per (chain,
 word) pair, not on the 0-chain, whose closed form would hold a word's
-every suffix; its recursion runs on an explicit stack.  The count rows
-send every word to 1, and the integral homology of this trivial
-coefficient is the monoid's homology.
+every suffix; ``collapse.evaluate`` runs it under routing's budget rule.
+The count rows send every word to 1, and the integral homology of this
+trivial coefficient is the monoid's homology.
 
 The routed oracle.  The bar boundary acts by the first word, merges
 adjacent words and drops the last word.  A non-chain cell splits the
@@ -305,33 +305,13 @@ def _lift_entry(key, srs: Srs):
 
 def anick_differential(cell: WordCell, srs: Srs) -> Lifted:
     """``d(cell)`` in Anick's resolution, the free right ZM-module on the
-    chains (memoised with every entry it needs, read-only).  Each entry
-    is a generator on an explicit stack, so the depth of ``i`` is bounded
-    by ``collapse.DEFAULT_ROUTE_BUDGET``, one step per entry computed,
-    and not by Python's recursion limit."""
-    cache = srs.cache("anick")  # by hand: d per chain, i per (chain, word) pair
-    value = cache.get(cell)
-    if value is not None:
-        return value
-    budget = left = collapse.DEFAULT_ROUTE_BUDGET
-    stack = [(cell, _lift_entry(cell, srs))]
-    while True:
-        key, steps = stack[-1]
-        try:
-            need = steps.send(value)
-        except StopIteration as done:
-            cache[key] = value = done.value
-            stack.pop()
-            if not stack:
-                return value
-            continue
-        value = cache.get(need)
-        if value is None:
-            left -= 1
-            if left < 0:
-                raise BudgetExceeded(f"lift budget exhausted: one differential "
-                                     f"computed more than {budget} entries")
-            stack.append((need, _lift_entry(need, srs)))
+    chains: ``collapse.evaluate`` over ``_lift_entry`` (memoised with
+    every entry it needs, read-only), one step of
+    ``collapse.DEFAULT_ROUTE_BUDGET`` per entry it writes."""
+    budget = collapse.DEFAULT_ROUTE_BUDGET
+    exhausted = "lift budget exhausted: one differential computed more than {} entries"
+    return collapse.evaluate(cell, _lift_entry, srs, srs.cache("anick"), [budget, budget],
+                             exhausted)
 
 
 def word_boundary_matrices(srs: Srs, chains: dict[int, list[WordCell]],

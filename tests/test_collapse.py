@@ -101,6 +101,76 @@ def test_deep_routing_does_not_recurse():
         morse_differential("T", Table({"T", "c"}, splits, boundaries), budget=n)
 
 
+def test_routing_takes_one_budget_step_per_entry_it_writes():
+    # T -> r0 -> r1 -> r2 -> c: three redundant cells and the chain c are
+    # memoised, so budget 4 routes T and budget 3 does not
+    splits = {f"r{i}": f"p{i}" for i in range(3)}
+    boundaries = {"T": {"r0": 1}, "p0": {"r0": 1, "r1": 1}, "p1": {"r1": 1, "r2": 1},
+                  "p2": {"r2": 1, "c": 1}}
+    line = Table({"T", "c"}, splits, boundaries)
+    assert morse_differential("T", line, budget=4) == {"c": -1}
+    assert len(line.caches["express_count"]) == 4
+    with pytest.raises(BudgetExceeded, match=r"^routing budget exhausted: one differential "
+                                             r"routed more than 3 cells$"):
+        morse_differential("T", Table({"T", "c"}, splits, boundaries), budget=3)
+
+
+def _fibonacci(n, calls):
+    """A toy entry for ``collapse.evaluate``: F(n) from F(n-1) and F(n-2)."""
+    calls[n] = calls.get(n, 0) + 1
+    if n < 2:
+        return n
+    return (yield n - 1) + (yield n - 2)
+
+
+def test_evaluate_computes_a_shared_value_once():
+    # F(8) is needed by F(10) and F(9), and so on down the line
+    calls, cache = {}, {}
+    assert collapse.evaluate(10, _fibonacci, calls, cache, [11, 11], "{}") == 55
+    assert calls == {n: 1 for n in range(11)}
+
+
+def test_evaluate_memoises_every_value_it_computes():
+    cache, counter = {}, [20, 20]
+    collapse.evaluate(10, _fibonacci, {}, cache, counter, "{}")
+    fib = [0, 1]
+    while len(fib) < 11:
+        fib.append(fib[-1] + fib[-2])
+    assert cache == dict(enumerate(fib))
+    assert counter == [20 - 11, 20]  # one step per memo entry written
+    with pytest.raises(BudgetExceeded, match="^more than 10$"):
+        collapse.evaluate(10, _fibonacci, {}, {}, [10, 10], "more than {}")
+
+
+def test_evaluate_returns_a_memoised_root_without_its_entry():
+    def entry(key, arg):
+        raise AssertionError("a memoised root must not be computed")
+
+    counter = [0, 0]
+    assert collapse.evaluate("k", entry, None, {"k": 7}, counter, "{}") == 7
+    assert collapse.evaluate("k", entry, None, {"k": {}}, counter, "{}") == {}
+    assert counter == [0, 0]
+
+
+def test_evaluate_runs_a_deep_line_on_an_explicit_stack():
+    # entry n needs entry n - 1: 10 000 generators open at once
+    def line(n, arg):
+        return 0 if n == 0 else (yield n - 1) + 1
+
+    n = 10_000
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        cache = {}
+        value = collapse.evaluate(n, line, None, cache, [n + 1, n + 1], "{}")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == n and len(cache) == n + 1
+
+
 def test_assembly_refuses_a_target_off_the_chain_list():
     chains = {0: ["a"], 1: ["e"]}
     assert assemble_matrices(lambda c: {"a": 3}, chains, 1, 2)[1].entries == [[1]]

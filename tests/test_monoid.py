@@ -452,6 +452,22 @@ def test_long_words_lift_on_a_linear_memo():
     assert len(memo) <= n + 5 and sum(map(len, memo.values())) <= n + 10
 
 
+def test_the_lift_takes_one_budget_step_per_entry_it_writes(data_dir, monkeypatch):
+    # routing's rule too (tests/test_collapse.py): a differential that
+    # writes k memo entries, its own chain's included, passes with budget k
+    text = (data_dir / "s3.srs").read_text()
+    cell = ("a", "aa", "a", "aa")
+    srs = parse_srs(text)
+    monkeypatch.setattr(collapse, "DEFAULT_ROUTE_BUDGET", 10)
+    d = anick_differential(cell, srs)
+    assert len(srs.cache("anick")) == 10
+    monkeypatch.setattr(collapse, "DEFAULT_ROUTE_BUDGET", 9)
+    with pytest.raises(BudgetExceeded, match=r"^lift budget exhausted: one differential "
+                                             r"computed more than 9 entries$"):
+        anick_differential(cell, parse_srs(text))
+    assert anick_differential(cell, srs) is d  # memoised: read back, no step taken
+
+
 def _merges_by_rescan(cell, srs):
     """The merge partners by definition: every irreducible merge face
     whose chain prefix ends just before the merged entry and that splits
