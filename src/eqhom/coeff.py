@@ -100,9 +100,6 @@ class RingoidElement(dict):
         return "".join(bits) or "0"
 
 
-ZERO = RingoidElement()
-
-
 def identity_element(context: Context) -> RingoidElement:
     return RingoidElement({Monomial((), identity(context)): 1})
 

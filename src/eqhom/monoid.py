@@ -3,10 +3,13 @@ systems, the one-sorted, one-operation-per-letter case of the term
 engine.
 
 A letter is one character (``parse_srs`` codes names in sorted order) and
-a word is a ``str``.  One compiled search of the left sides, in rule order,
-finds the leftmost redex, first-declared rule first, for ``reduce_word``,
-``is_irreducible_word``, ``chain_tails``, the lift's cut and the
-oracle's ``match``.
+a word is a ``str``.  One compiled search, an alternation of lookbehinds on
+the left sides in rule order, finds the redex that ends first for
+``reduce_word``, ``is_irreducible_word``, ``chain_tails``, the lift's cut
+and the oracle's ``match``.  That is the leftmost redex, since in a
+reduced system no left side contains another; of an unreduced system
+only ``is_irreducible_word``'s yes or no is asked, before certification
+stops.
 
 Cells are tuples of nonempty irreducible words.  A cell is a chain when
 every consecutive concatenation first becomes reducible exactly at its
@@ -36,8 +39,8 @@ trivial coefficient is the monoid's homology.
 The routed oracle.  The bar boundary acts by the first word, merges
 adjacent words and drops the last word.  A non-chain cell splits the
 entry after its longest chain prefix at the earliest reducible point,
-the end of the leftmost redex in a reduced system; the cells with a
-face that splits back to them are the collapsible ones.  The adapter
+where its first redex ends; the cells with a face that splits back to
+them are the collapsible ones.  The adapter
 ``_Words`` decides both in one pass, one redex search per entry, and
 ``word_morse_differential`` routes a chain's boundary through
 ``eqhom.collapse`` over integer counts.  The tests check the lift
@@ -77,7 +80,6 @@ class Srs(Memoised):
     rules: tuple[SrsRule, ...]
     step_budget: int = field(default=10_000, compare=False)
     names: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
-    longest_lhs: int = field(init=False, repr=False, compare=False, default=0)
     redex: re.Pattern = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -92,10 +94,10 @@ class Srs(Memoised):
             for c in r.lhs + r.rhs:
                 if c not in self.alphabet:
                     raise ValueError(f"rule {r.name}: letter {c!r} not declared")
-        object.__setattr__(self, "longest_lhs", max((len(r.lhs) for r in self.rules), default=0))
-        # group i + 1 is rule i; with no rules, an empty alternation would match everywhere
+        # a match is where a left side ends, and group i + 1 spans rule i;
+        # with no rules, an empty alternation would match everywhere
         object.__setattr__(self, "redex", re.compile(
-            "|".join(f"({re.escape(r.lhs)})" for r in self.rules) or "(?!)"))
+            "|".join(f"(?<=({re.escape(r.lhs)}))" for r in self.rules) or "(?!)"))
 
 
 WordCell = tuple[Word, ...]
@@ -112,10 +114,7 @@ def reduce_word(w: Word, srs: Srs) -> Word:
     if hit is not None:
         return hit
     given = w
-    # a rewrite at i leaves w[:i] redex-free, so the next leftmost redex
-    # starts no earlier than the last lhs that could reach into the new rhs
-    back = srs.longest_lhs - 1
-    start = 0
+    start = 0  # a rewrite at i leaves w[:i] redex-free: the next redex ends after i
     for _ in range(srs.step_budget):
         hit = cache.get(w)
         if hit is not None:
@@ -126,9 +125,9 @@ def reduce_word(w: Word, srs: Srs) -> Word:
             cache[given] = w
             cache[w] = w
             return w
-        i = redex.start()
+        i = redex.start(redex.lastindex)
         w = w[:i] + srs.rules[redex.lastindex - 1].rhs + w[redex.end():]
-        start = max(0, i - back)
+        start = i + 1
     raise BudgetExceeded(f"word reduction budget exhausted on {render_word(given, srs)}")
 
 
@@ -169,18 +168,17 @@ def certify_srs(srs: Srs) -> CompletenessReport:
 
 @memoised("tails")
 def chain_tails(last: Word, srs: Srs) -> list[Word]:
-    """Words v such that appending v to ``last`` creates a redex ending
-    exactly at the end, with every proper prefix irreducible.  Memoised
-    per ``last``; the returned list is shared, not to be mutated."""
+    """Words v, a proper suffix of a left side, such that the first redex
+    of ``last + v`` ends exactly at its end.  Memoised per ``last``; the
+    returned list is shared, not to be mutated."""
     out = set()
     for rule in srs.rules:
         l = rule.lhs
         for k in range(1, min(len(l), len(last) + 1)):
             if last.endswith(l[:k]):
-                v = l[k:]
-                # every proper prefix of last + v is irreducible iff the longest is
-                if is_irreducible_word(v, srs) and is_irreducible_word(last + v[:-1], srs):
-                    out.add(v)
+                w = last + l[k:]
+                if srs.redex.search(w).end() == len(w):
+                    out.add(l[k:])
     return sorted(out)
 
 
@@ -208,13 +206,12 @@ class _Words:
         self.system = srs
 
     def match(self, cell: WordCell) -> tuple[bool, WordCell | None]:
-        """One pass, one leftmost-redex search per entry: a chain starts
-        with an irreducible letter, and each next entry ``u`` after
-        ``prev`` is a chain entry iff the leftmost redex of ``prev + u``
-        starts inside ``prev`` and ends at the end.  The first entry
-        that fails is split where that redex ends, if before the end (a
-        redex ending earlier would lie inside it); a failed first entry
-        is split after its first letter."""
+        """One pass, one redex search per entry: a chain starts with an
+        irreducible letter, and each next entry ``u`` after ``prev`` is a
+        chain entry iff the first redex of ``prev + u`` starts inside
+        ``prev`` and ends at the end.  The first entry that fails is split
+        where that redex ends, if before the end; a failed first entry is
+        split after its first letter."""
         if not cell:
             return True, None
         head = cell[0]
@@ -225,7 +222,7 @@ class _Words:
             prev = cell[i - 1]
             w = prev + cell[i]
             redex = search(w)
-            if redex and redex.start() < len(prev) and redex.end() == len(w):
+            if redex and redex.start(redex.lastindex) < len(prev) and redex.end() == len(w):
                 continue
             cut = redex.end() if redex else len(w)
             return False, (cell[:i] + (w[len(prev):cut], w[cut:]) + cell[i + 1:]

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from eqhom.coeff import (
-    ZERO as EL_ZERO,
     Monomial,
     RingoidElement,
     expand_derivative,
@@ -45,7 +44,7 @@ def test_derivative_of_a_variable(ab_trs):
     tm = Morphism((("x1", X), ("x2", X)), (xv("x1"),))
     sub = id_for(tm)
     assert expand_derivative(1, tm, sub, ab_trs) == identity_element(sub.context)
-    assert expand_derivative(2, tm, sub, ab_trs) == EL_ZERO
+    assert expand_derivative(2, tm, sub, ab_trs) == RingoidElement()
 
 
 def test_a_variable_head_must_compose_with_its_subscript(ab_trs):
@@ -140,7 +139,7 @@ def test_signed_count_examples(ab_trs):
         1, term_morphism(ab_trs, sig.app("plus", xv("x1"), xv("x1"))),
         identity((("x1", X),)), ab_trs)
     assert signed_monomial_count(two, 0) == 2
-    assert signed_monomial_count(EL_ZERO, 0) == 0
+    assert signed_monomial_count(RingoidElement(), 0) == 0
     diff = two.terms[0][0], two.terms[1][0]
     elem = RingoidElement(((diff[0], 1), (diff[1], -1)))
     assert signed_monomial_count(elem, 0) == 0
@@ -189,7 +188,7 @@ def test_elements_are_formal_sums_independent_of_insertion_order(ab_trs):
     cancelled = forward + RingoidElement({m2: 1})
     assert m2 not in cancelled and cancelled == {m1: 3, m3: 1}
     assert isinstance(cancelled, RingoidElement)
-    assert forward * 0 == EL_ZERO and not forward * 0 and repr(forward * 0) == "0"
+    assert forward * 0 == RingoidElement() and not forward * 0 and repr(forward * 0) == "0"
     assert forward * -2 == {m1: -6, m2: 2, m3: -2}
 
 

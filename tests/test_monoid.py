@@ -648,8 +648,9 @@ def test_a_reduced_system_has_only_overlap_pairs(z2_srs, s3_srs):
 def test_reduce_word_stops_a_growing_word_within_budget():
     # a -> b b a rewrites a forever, two letters longer each step:
     # reduce_word gives up after its step budget with BudgetExceeded and
-    # memoises nothing, and each leftmost search resumes at the last
-    # rewrite (position 0, then 0, 2, 4, ...) rather than rescanning the word
+    # memoises nothing, and each search for where a redex ends resumes just
+    # after the last rewrite's start (position 0, then 1, 3, 5, ...) rather
+    # than rescanning the word
     budget = 500
     srs = Srs(("a", "b"), (SrsRule("r1", "a", "bba"),), budget)
     starts = []
@@ -663,7 +664,7 @@ def test_reduce_word_stops_a_growing_word_within_budget():
     object.__setattr__(srs, "redex", RecordingPattern())
     with pytest.raises(BudgetExceeded, match="word reduction budget exhausted on a$"):
         reduce_word("a", srs)
-    assert starts == [0] + [2 * k for k in range(budget - 1)]
+    assert starts == [0] + [2 * k + 1 for k in range(budget - 1)]
     assert srs.cache("nf") == {}
 
 
@@ -684,12 +685,14 @@ def test_check_complete_srs_skips_the_probes_once_reducedness_fails():
         certify_srs(srs)
 
 
-def _reduce_from_scratch(w, srs):
-    # leftmost redex, rules in declaration order, rescanning from 0
+def _reduce_from_scratch(w, srs, path):
+    # leftmost redex, rules in declaration order, rescanning from 0; each
+    # rule used is counted in the Counter ``path``
     while True:
         for i in range(len(w)):
             rule = next((r for r in srs.rules if w[i:i + len(r.lhs)] == r.lhs), None)
             if rule is not None:
+                path[rule.name] += 1
                 w = w[:i] + rule.rhs + w[i + len(rule.lhs):]
                 break
         else:
@@ -697,9 +700,15 @@ def _reduce_from_scratch(w, srs):
 
 
 def test_reduce_word_matches_a_from_scratch_reducer(z2_srs, s3_srs):
+    # a long left side beside short ones: a rewrite can create a redex
+    # that starts many letters before it
+    long_a = Srs(("a", "b"), (SrsRule("r", "a" * 9, ""), SrsRule("c", "ba", "ab")))
+    d10 = Srs(("a", "b"), (SrsRule("r", "a" * 5, ""), SrsRule("s", "bb", ""),
+                           SrsRule("t", "ba", "aaaab")))
+    assert certify_srs(long_a).certified and certify_srs(d10).certified
     rng = random.Random(41)
-    for srs in (z2_srs, s3_srs, nat2()):
+    for srs in (z2_srs, s3_srs, nat2(), long_a, d10):
         for _ in range(300):
             w = "".join(rng.choices(srs.alphabet, k=rng.randint(0, 14)))
             fresh = Srs(srs.alphabet, srs.rules)  # cold memo for each word
-            assert reduce_word(w, fresh) == _reduce_from_scratch(w, srs), w
+            assert reduce_word(w, fresh) == _reduce_from_scratch(w, srs, Counter()), w

@@ -1,8 +1,8 @@
 """Every name a src module imports is used in that module; the package's
 ``__init__.py`` only re-exports, so it is exempt.  Every top-level
-function and class of src has a caller: src refers to it outside its own
-definition, ``__init__.py`` re-exports it, or the benchmark's tracer
-names it."""
+function, class and assigned name of src (dunder names aside) has a
+reader: src reads it outside its own definition, ``__init__.py``
+re-exports it, or the benchmark's tracer names it."""
 
 import ast
 from pathlib import Path
@@ -41,11 +41,11 @@ def test_src_module_uses_every_import(path):
 
 
 def _names(node, strings: bool = False) -> set[str]:
-    """The names ``node`` mentions: loads, attributes and imports, and
+    """The names ``node`` reads: loads, attributes and imports, and
     string constants when ``strings`` (a docstring is no caller)."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
@@ -56,26 +56,41 @@ def _names(node, strings: bool = False) -> set[str]:
     return out
 
 
+def _defines(node) -> list[str]:
+    """The names a top-level statement defines: a def or class, or the
+    names an assignment stores, dunder names aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [sub.id for t in targets for sub in ast.walk(t)
+                if isinstance(sub, ast.Name) and not sub.id.startswith("__")]
+    return []
+
+
 def uncalled_definitions(modules: dict[str, str], init: str, tracer: str) -> list[str]:
-    """``module.name`` of each top-level def or class in ``modules`` (name
-    to source) that no module mentions outside its own definition and
-    that neither ``init`` re-exports nor ``tracer`` names."""
+    """``module.name`` of each top-level def, class or assigned name in
+    ``modules`` (name to source) that no module reads outside its own
+    definition and that neither ``init`` re-exports nor ``tracer`` names."""
     defined, used = [], _names(ast.parse(init)) | _names(ast.parse(tracer), strings=True)
     for module, source in modules.items():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append(f"{module}.{node.name}")
-                used |= _names(node) - {node.name}
-            else:
-                used |= _names(node)
+            names = _defines(node)
+            defined += [f"{module}.{name}" for name in names]
+            used |= _names(node) - set(names)
     return [d for d in defined if d.rsplit(".", 1)[1] not in used]
 
 
 def test_uncalled_definitions_are_found():
     modules = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n\nclass C:\n    pass\n",
                "b": '"""C and f."""\nfrom .a import g\n\ndef h():\n    return g()\n\nX = h\n'}
-    assert uncalled_definitions(modules, "", "") == ["a.f", "a.C"]
-    assert uncalled_definitions(modules, "from .a import C\n", "TIMED = [(a, 'f')]\n") == []
+    assert uncalled_definitions(modules, "", "") == ["a.f", "a.C", "b.X"]
+    assert uncalled_definitions(modules, "from .a import C\n",
+                                "TIMED = [(a, 'f'), (b, 'X')]\n") == []
+    # a store reads nothing, not even a local's of the same name
+    modules = {"c": "__all__ = ['Y']\nY = 1\nZ: int = Y\nW, V = Z, 2\n"
+                    "def k():\n    W = 3\n    return V\n"}
+    assert uncalled_definitions(modules, "", "TIMED = [(c, 'k')]\n") == ["c.W"]
 
 
 def test_every_src_definition_has_a_caller():
