@@ -39,7 +39,6 @@ from .terms import (
     compose_chain,
     compose_raw,
     essential_from_terms,
-    is_canonical,
     is_partial_permutation,
     render_morphism,
     substitute,
@@ -98,11 +97,10 @@ def redex_less(a: RedexIndex | None, b: RedexIndex | None) -> bool:
 
 
 def valid_entry(m: Morphism, trs: Trs) -> bool:
-    """Usable as a cell entry: canonical, not a selection of variables
-    (which rules out identities), all components in normal form."""
+    """Usable as a cell entry, given a canonical ``m`` (``mgu_extension``
+    builds it so): not a selection of variables (which rules out
+    identities), all components in normal form."""
     if is_partial_permutation(m):
-        return False
-    if not is_canonical(m):
         return False
     return all(is_irreducible(t, trs) for t in m.terms)
 

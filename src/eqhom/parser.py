@@ -13,12 +13,16 @@
     budget join 1000     # optional
 
 Terms use prefix syntax ``f(t1,...,tn)``; constants are written bare.
+A term is read on an explicit stack of open applications, so any depth
+parses.
 ``.srs`` files declare a string rewriting presentation; each letter name
 is coded as one character, in sorted order (the ``Srs`` keeps the names)::
 
     letters a b
     rule s1 : a a ->     # words are space-separated, empty right side = ε
 
+Both formats share one directive reader: it cuts a ``#`` comment, skips
+blank lines, splits off the head word and refuses an unknown directive.
 Errors carry a kind tag, the line number and, in a term, the 1-based
 column of the offending token in the source line (0 elsewhere).
 """
@@ -32,6 +36,7 @@ from .rewrite import Rule, Trs, DEFAULT_JOIN_BUDGET, DEFAULT_STEP_BUDGET
 from .terms import Signature, Term, TermError, Var, render_term, variables
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_WS = re.compile(r"\s*")
 
 
 class ParseError(Exception):
@@ -42,72 +47,53 @@ class ParseError(Exception):
         self.column = column
 
 
-class _TermParser:
-    """Parses ``text[pos:]`` as a term; an error carries the column in ``text`` of its token."""
+def _read_term(text: str, pos: int, line: int, sig: Signature, vars_: dict[str, str]) -> Term:
+    """Read ``text[pos:]`` as one term on an explicit stack of open
+    applications, each a name, its column and the arguments read so far,
+    above a bottom entry that receives the whole term.  An error carries
+    the column in ``text`` of its token."""
+    def error(kind: str, message: str, at: int):
+        raise ParseError(kind, message, line, at + 1)
 
-    def __init__(self, text: str, line: int, sig: Signature, vars_: dict[str, str], pos: int):
-        self.text = text
-        self.line = line
-        self.pos = pos
-        self.sig = sig
-        self.vars = vars_
-
-    def error(self, kind: str, message: str, at: int | None = None):
-        raise ParseError(kind, message, self.line, (self.pos if at is None else at) + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def ident(self) -> tuple[str, int]:
-        self.skip_ws()
-        m = IDENT.match(self.text, self.pos)
+    stack: list[tuple[str, int, list[Term]]] = [("", 0, [])]
+    while True:
+        pos = _WS.match(text, pos).end()
+        m = IDENT.match(text, pos)
         if not m:
-            self.error("syntax-error", f"expected identifier, found {self.text[self.pos:self.pos+8]!r}")
-        self.pos = m.end()
-        return m.group(), m.start()
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error("syntax-error", f"expected {ch!r}")
-        self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def term(self) -> Term:
-        name, at = self.ident()
-        if self.peek() == "(":
-            if not self.sig.is_op(name):
-                self.error("undeclared-name", f"unknown operation {name!r}", at)
-            self.expect("(")
-            args = []
-            if self.peek() != ")":
-                args.append(self.term())
-                while self.peek() == ",":
-                    self.expect(",")
-                    args.append(self.term())
-            self.expect(")")
+            error("syntax-error", f"expected identifier, found {text[pos:pos+8]!r}", pos)
+        name, at, pos = m.group(), pos, _WS.match(text, m.end()).end()
+        if text.startswith("(", pos):
+            if not sig.is_op(name):
+                error("undeclared-name", f"unknown operation {name!r}", at)
+            stack.append((name, at, []))
+            pos = _WS.match(text, pos + 1).end()
+            if not text.startswith(")", pos):
+                continue
+        elif name in vars_:
+            stack[-1][2].append(Var(name, vars_[name]))
+        elif sig.is_op(name):
+            if sig.arg_sorts(name):
+                error("sort-error", f"operation {name!r} needs arguments", at)
+            stack[-1][2].append(sig.app(name))
+        else:
+            error("undeclared-name", f"unknown name {name!r}", at)
+        while True:  # a term has ended: close the applications that end with it
+            pos = _WS.match(text, pos).end()
+            if len(stack) == 1:
+                if pos != len(text):
+                    error("syntax-error", f"trailing input {text[pos:]!r}", pos)
+                return stack[0][2][0]
+            if text.startswith(",", pos):
+                pos += 1
+                break
+            if not text.startswith(")", pos):
+                error("syntax-error", "expected ')'", pos)
+            name, at, args = stack.pop()
             try:
-                return self.sig.app(name, *args)
+                stack[-1][2].append(sig.app(name, *args))
             except TermError as exc:
-                self.error("sort-error", str(exc), at)
-        if name in self.vars:
-            return Var(name, self.vars[name])
-        if self.sig.is_op(name):
-            if self.sig.arg_sorts(name):
-                self.error("sort-error", f"operation {name!r} needs arguments", at)
-            return self.sig.app(name)
-        self.error("undeclared-name", f"unknown name {name!r}", at)
-
-    def parse_whole(self) -> Term:
-        t = self.term()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("syntax-error", f"trailing input {self.text[self.pos:]!r}")
-        return t
+                error("sort-error", str(exc), at)
+            pos += 1
 
 
 def _declare(seen: dict[str, int], name: str, lineno: int, what: str) -> None:
@@ -118,10 +104,18 @@ def _declare(seen: dict[str, int], name: str, lineno: int, what: str) -> None:
     seen[name] = lineno
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+def _directives(text: str, heads: tuple[str, ...]):
+    """Each nonblank line of ``text`` as ``(lineno, head, rest, line)``, with
+    ``line`` cut at ``#`` and right-stripped (its columns are the source's);
+    a ``head`` not in ``heads`` is refused."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].rstrip()
+        head, _, rest = line.lstrip().partition(" ")
+        if not head:
+            continue
+        if head not in heads:
+            raise ParseError("syntax-error", f"unknown directive {head!r}", lineno)
+        yield lineno, head, rest.strip(), line
 
 
 def parse_presentation(text: str) -> Trs:
@@ -130,18 +124,14 @@ def parse_presentation(text: str) -> Trs:
     ops: list[tuple[str, tuple[str, ...], str]] = []
     vars_: dict[str, str] = {}
     symbols: dict[str, int] = {}  # operations and variables share one namespace in terms
-    rule_specs: list[tuple[str, str, int, int, int]] = []  # name, raw line, body span, line
+    rule_specs: list[tuple[str, str, int, int]] = []  # name, cut line, body start, line
     rule_lines: dict[str, int] = {}
     order: list[str] | None = None
     order_line = 0
     budgets = {"steps": DEFAULT_STEP_BUDGET, "join": DEFAULT_JOIN_BUDGET}
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest, line in _directives(
+            text, ("sorts", "op", "var", "rule", "order", "budget")):
         if head == "sorts":
             names = rest.split()
             if not names:
@@ -174,8 +164,7 @@ def parse_presentation(text: str) -> Trs:
             if not m:
                 raise ParseError("syntax-error", f"bad rule {rest!r}", lineno)
             _declare(rule_lines, m.group(1), lineno, "rule")
-            end = len(raw) - len(raw.lstrip()) + len(line)  # the body ends the stripped line
-            rule_specs.append((m.group(1), raw, end - len(m.group(2)), end, lineno))
+            rule_specs.append((m.group(1), line, len(line) - len(m.group(2)), lineno))
         elif head == "order":
             order, order_line = rest.split(), lineno
         elif head == "budget":
@@ -183,18 +172,16 @@ def parse_presentation(text: str) -> Trs:
             if not m:
                 raise ParseError("syntax-error", f"bad budget {rest!r}", lineno)
             budgets[m.group(1)] = int(m.group(2))
-        else:
-            raise ParseError("syntax-error", f"unknown directive {head!r}", lineno)
 
     sig = Signature(tuple(sorts), tuple(ops))
 
     rules = []
-    for name, raw, start, end, lineno in rule_specs:
-        arrow = raw.find("->", start, end)
+    for name, line, start, lineno in rule_specs:
+        arrow = line.find("->", start)
         if arrow < 0:
             raise ParseError("syntax-error", "rule needs ->", lineno)
-        lhs = _TermParser(raw[:arrow], lineno, sig, vars_, start).parse_whole()
-        rhs = _TermParser(raw[:end], lineno, sig, vars_, arrow + 2).parse_whole()
+        lhs = _read_term(line[:arrow], start, lineno, sig, vars_)
+        rhs = _read_term(line, arrow + 2, lineno, sig, vars_)
         if isinstance(lhs, Var):
             raise ParseError("variable-on-lhs-root", f"rule {name}: left side is a variable", lineno)
         if lhs.sort != rhs.sort:
@@ -249,12 +236,7 @@ def parse_srs(text: str) -> Srs:
     letters: dict[str, int] = {}  # each name with the line declaring it
     rule_lines: dict[str, int] = {}
     rules: list[tuple[str, list[str], list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest, _ in _directives(text, ("letters", "rule")):
         if head == "letters":
             names = rest.split()
             if not names:
@@ -277,8 +259,6 @@ def parse_srs(text: str) -> Srs:
             if not lhs:
                 raise ParseError("syntax-error", f"rule {name}: empty left side", lineno)
             rules.append((name, lhs, rhs))
-        else:
-            raise ParseError("syntax-error", f"unknown directive {head!r}", lineno)
     code = {name: chr(ord("a") + i) for i, name in enumerate(sorted(letters))}
     word = lambda names: "".join(code[c] for c in names)
     return Srs(tuple(word(letters)), tuple(SrsRule(n, word(l), word(r)) for n, l, r in rules),

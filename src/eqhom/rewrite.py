@@ -151,16 +151,28 @@ def max_redex(t: Term, trs: Trs) -> RedexIndex | None:
     """Greatest redex index of ``t``; None iff ``t`` is irreducible.
 
     Preorder is lexicographic order on positions, so the first match
-    scanning positions backwards and ranks downwards is the maximum of
-    all redex indices.  Memoised per term.
+    walking reverse preorder (children right to left, then the node) and
+    ranks downwards is the maximum of all redex indices.  The walk keeps
+    each position as a link ``(parent link, index)`` on an explicit stack
+    and spells out only the hit's.  Memoised per term.
     """
     ranked = list(enumerate(trs.rules))[::-1]
-    for p, sub in reversed(list(subterms(t))):
+    stack = [(t, None, False)]  # (subterm, position link, children walked)
+    while stack:
+        sub, link, walked = stack.pop()
         if isinstance(sub, Var):
+            continue
+        if not walked:
+            stack.append((sub, link, True))
+            stack.extend((a, (link, i), False) for i, a in enumerate(sub.args, 1))
             continue
         for rank, rule in ranked:
             if match_term(rule.lhs, sub) is not None:
-                return p, rank
+                p = []
+                while link is not None:
+                    link, i = link
+                    p.append(i)
+                return tuple(reversed(p)), rank
     return None
 
 

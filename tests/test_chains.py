@@ -19,6 +19,7 @@ from eqhom.terms import (
     Morphism,
     Signature,
     Var,
+    is_canonical,
     substitute,
     subterms,
     variables,
@@ -119,6 +120,7 @@ def test_every_chain_is_a_valid_cell(ab_trs, group_trs):
                 assert cell.dim == dim
                 for entry in cell.entries:
                     assert valid_entry(entry, trs)
+                    assert is_canonical(entry)  # valid_entry trusts mgu_extension for it
                 if dim:
                     assert len(cell.entries[0].terms) == 1
 
@@ -190,6 +192,22 @@ def test_max_redex_is_the_maximum_of_redex_set(ab_trs, group_trs):
             assert max_redex(t, trs) == (max(redexes) if redexes else None), t
             reducible += bool(redexes)
         assert 50 < reducible < 400
+
+
+@pytest.mark.parametrize("redexes", ["root", "bottom", "both", "none"])
+def test_max_redex_on_a_chain_2000_deep(redexes):
+    # f(a) is a redex only at the bottom of an f chain, g(x) only at the root
+    sig = Signature(("X",), (("f", ("X",), "X"), ("g", ("X",), "X"),
+                             ("a", (), "X"), ("b", (), "X")))
+    trs = Trs(sig, (Rule("bottom", sig.app("f", sig.app("a")), sig.app("a")),
+                    Rule("root", sig.app("g", x()), x())))
+    t = sig.app("a" if redexes in ("bottom", "both") else "b")
+    for _ in range(1999):
+        t = sig.app("f", t)
+    t = sig.app("g" if redexes in ("root", "both") else "f", t)
+    expected = redex_set(t, trs)
+    assert len(expected) == {"root": 1, "bottom": 1, "both": 2, "none": 0}[redexes]
+    assert max_redex(t, trs) == (max(expected) if expected else None)
 
 
 def test_memoised_max_redex_on_group_composites(data_dir):

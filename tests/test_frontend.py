@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from eqhom.parser import (
     parse_srs,
     print_presentation,
 )
+from eqhom.terms import Var
 
 from conftest import DATA
 
@@ -87,6 +89,18 @@ def test_a_term_error_names_the_column_of_its_token_in_the_source_line(rule, mes
     with pytest.raises(ParseError) as err:
         parse_presentation(f"sorts X\nop f : X -> X\nvar x : X\n{rule}\n")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_parse_reads_a_rule_side_nested_20000_deep(side):
+    deep = "f(" * 20000 + "x" + ")" * 20000
+    rule = f"{deep} -> x" if side == "lhs" else f"f(x) -> {deep}"
+    trs = parse_presentation(f"sorts X\nop f : X -> X\nvar x : X\nrule r : {rule}\n")
+    u = getattr(trs.rules[0], side)
+    for _ in range(20000):
+        assert u.op == "f"
+        (u,) = u.args
+    assert u == Var("x", "X")
 
 
 @pytest.mark.parametrize("declaration", ["op 1 : -> X", "var x 2y : X", "op é : -> X"])
@@ -385,17 +399,36 @@ def test_cli_survives_a_rule_that_nests_its_redex(capsys, tmp_path):
     assert err.count("\n") == 1 and "FAILED (f(f(x)))" in err
 
 
-@pytest.mark.parametrize("depth", [600, 3000])
-@pytest.mark.parametrize("argv", [("check",), ("chains", "--max-dim", "2")],
-                         ids=["check", "chains"])
+@pytest.mark.parametrize("depth", [600, 3000, 20000])
+@pytest.mark.parametrize("argv", [("check",), ("chains", "--max-dim", "2"),
+                                  ("homology", "--max-dim", "2"),
+                                  ("resolution", "--max-dim", "2"), ("reduce",)],
+                         ids=["check", "chains", "homology", "resolution", "reduce"])
 def test_cli_reports_a_term_past_the_recursion_limit_in_one_line(capsys, tmp_path, depth, argv):
-    # 3000 deep fails while parsing the rule, 600 deep while overlapping it
+    # every depth parses, then fails in terms.substitute under critical_pairs
     path = tmp_path / "deep.lwv"
     lhs = "f(" * depth + "x" + ")" * depth
     path.write_text(f"sorts X\nop f : X -> X\nop a : -> X\nvar x : X\nrule r : {lhs} -> x\n")
     code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (3, "")
     assert err == "error: recursion limit exceeded: a term is nested too deeply\n"
+
+
+def test_check_on_a_deep_rule_holds_no_position_per_subterm(tmp_path):
+    # a scan that kept every position of a 6000-deep side peaked near 140 MiB
+    path = tmp_path / "deep.lwv"
+    lhs = "f(" * 6000 + "x" + ")" * 6000
+    path.write_text(f"sorts X\nop f : X -> X\nop a : -> X\nvar x : X\nrule r : {lhs} -> x\n")
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_dispatch(["check", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err.getvalue()) == (3, "error: recursion limit exceeded: a term is nested too deeply\n")
+    assert peak < 20 * 2**20
 
 
 _FIXTURES = {p.name: p.read_text() for p in sorted(DATA.iterdir())}
@@ -408,19 +441,26 @@ _FUZZED = [(("check",), ()), (("homology",), ("--max-dim", "2")),
 
 @st.composite
 def _mutant(draw):
-    """A fixture with a few characters or lines deleted, inserted or duplicated."""
+    """A fixture with a few characters or lines deleted, inserted or duplicated,
+    or one line's span wrapped in a unary operation applied k times."""
     text = _FIXTURES[draw(st.sampled_from(sorted(_FIXTURES)))]
     for _ in range(draw(st.integers(1, 4))):
-        by_line = draw(st.booleans())
+        edit = draw(st.sampled_from(["delete", "insert", "duplicate", "nest"]))
+        by_line = edit == "nest" or draw(st.booleans())
         parts = text.splitlines(keepends=True) if by_line else list(text)
         i = draw(st.integers(0, len(parts) - 1))
-        edit = draw(st.sampled_from(["delete", "insert", "duplicate"]))
         if edit == "delete":
             del parts[i]
         elif edit == "insert":
             parts.insert(i, draw(st.sampled_from(_LINES if by_line else _CHARS)))
-        else:
+        elif edit == "duplicate":
             parts.insert(i, parts[i])
+        else:
+            line = parts[i].rstrip("\n")
+            start = draw(st.integers(0, len(line)))
+            end = draw(st.integers(start, len(line)))
+            op, k = draw(st.sampled_from(["i", "d"])), draw(st.sampled_from([1, 60, 600, 3000]))
+            parts[i] = line[:start] + f"{op}(" * k + line[start:end] + ")" * k + parts[i][end:]
         text = "".join(parts)
     return text
 
