@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .chains import Cell, enumerate_chains
+from .chains import Cell, enumerate_chains, extend_chains
 from .collapse import BoundaryMatrix, Matrix, assemble_matrices, matrix_rows
 from .morse import morse_differential
 from .rewrite import Trs, degree
@@ -101,6 +101,9 @@ def boundary_rows(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,
                   d: int) -> dict[int, Iterable[list[int]]]:
     """The rows of ``boundary_matrices``, each routed when it is read."""
     validate_modulus(d, degree(trs))
+    if max_dim not in chains:  # each top chain built when its row is read; no 1-chain extends a 0-cell
+        chains = {**chains, max_dim: extend_chains(chains[max_dim - 1], trs) if max_dim > 1
+                  else enumerate_chains(trs, 1)[1]}
     return {n: matrix_rows(lambda cell: morse_differential(cell, trs, "count"),
                            chains[n], chains[n - 1], d) for n in range(1, max_dim + 1)}
 
@@ -202,16 +205,16 @@ def homology_groups(matrices: dict[int, Iterable[list[int]]], counts: dict[int, 
                     d: int, dims: range) -> dict[int, HomologyGroup]:
     """H_n for each n of ``dims`` (consecutive): ker of matrix n modulo
     image of matrix n+1, the n=0 kernel being everything.  The rows of each
-    matrix from ``dims.start`` through ``dims.stop`` are reduced once, over
-    Z (``d`` 0), or over F_d up to dim ker of matrix k-1 once rank k-1 is
-    known; a missing or empty matrix has rank 0."""
+    matrix from ``dims.start`` through ``dims.stop`` (the last needs no
+    count) are reduced once, over Z (``d`` 0), or over F_d up to dim ker of
+    matrix k-1 once rank k-1 is known; a missing or empty matrix has rank 0."""
     rank, torsion = {0: 0}, {}  # there is no matrix 0
     for k in range(dims.start, dims.stop + 1):
-        if k not in counts:
-            raise ValueError(f"chains not enumerated through dimension {dims.stop}")
-        if k and counts[k] and k not in matrices:
+        if k < dims.stop and k not in counts:
+            raise ValueError(f"chains not enumerated through dimension {dims.stop - 1}")
+        if k and counts.get(k, 1) and k not in matrices:
             raise ValueError(f"need the boundary matrix at dimension {k}")
-        m = matrices.get(k) if counts[k] else None
+        m = matrices.get(k) if counts.get(k, 1) else None
         rank[k], torsion[k] = 0, ()
         if m is not None and d:
             below = counts[k - 1] - rank[k - 1] if k - 1 in rank else None
@@ -269,13 +272,10 @@ class InequalityReport:
 
 def inequality_report(trs: Trs, d: int, n: int,
                       chains: dict[int, list[Cell]] | None = None) -> InequalityReport:
-    """Instantiate both inequalities at dimension ``n``.
-
-    Needs chains and matrices through dimension n+1 (the strong
-    inequality's homology term at n uses the matrix above it).
-    """
+    """Instantiate both inequalities at dimension ``n``, from the matrices through
+    n+1 (the strong one's H_n reads the top matrix, whose chains are built as read)."""
     if chains is None:
-        chains = enumerate_chains(trs, n + 1)
+        chains = enumerate_chains(trs, n)
     counts = {k: len(v) for k, v in chains.items()}
     rows = boundary_rows(trs, chains, n + 1, d)
     return inequalities(n, d, counts, homology_groups(rows, counts, d, range(n + 1)))

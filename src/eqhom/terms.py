@@ -59,7 +59,7 @@ class Var:
         return f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class App:
     op: str
     args: tuple["Term", ...]
@@ -73,6 +73,31 @@ class App:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, App):
+            return NotImplemented
+        if self._hash != other._hash or self.op != other.op or self.sort != other.sort \
+                or len(self.args) != len(other.args):
+            return False
+        left, right = list(self.args), list(other.args)  # explicit stacks: any depth compares
+        while left:
+            a, b = left.pop(), right.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a.sort != b.sort:
+                return False
+            if a.__class__ is Var:
+                if a.name != b.name:
+                    return False
+            elif a._hash != b._hash or a.op != b.op or len(a.args) != len(b.args):
+                return False
+            else:
+                left += a.args
+                right += b.args
+        return True
 
     def __repr__(self):
         if not self.args:

@@ -4,8 +4,11 @@ import pytest
 
 from eqhom.chains import (
     Cell,
+    cell_key,
+    chain_extensions,
     composite,
     enumerate_chains,
+    extend_chains,
     is_chain,
     longest_chain_prefix,
     max_redex,
@@ -14,7 +17,7 @@ from eqhom.chains import (
 )
 from eqhom.homology import boundary_matrices
 from eqhom.parser import parse_presentation
-from eqhom.rewrite import CompletenessError, Rule, Trs, degree, random_term
+from eqhom.rewrite import CompletenessError, Rule, Trs, check_complete, degree, random_term
 from eqhom.terms import (
     Morphism,
     Signature,
@@ -147,6 +150,24 @@ def test_routed_prefixes_are_the_longest_enumerated_chains(data_dir):
         expected = max(k for k in range(cell.dim + 1)
                        if Cell(cell.sort, cell.entries[:k]) in chains[k])
         assert longest_chain_prefix(cell, trs) == expected, cell
+
+
+def test_extending_each_chain_in_turn_is_the_global_sort(data_dir):
+    # each parent's children sorted, parents in canonical order, against
+    # every extension of the dimension sorted at once
+    seen = set()
+    for path in sorted(data_dir.glob("*.lwv")):
+        trs = parse_presentation(path.read_text())
+        if not check_complete(trs).certified:
+            continue
+        chains = enumerate_chains(trs, 5)
+        for n in range(1, 5):
+            every = [Cell(c.sort, c.entries + (u,)) for c in chains[n]
+                     for u in chain_extensions(composite(c, trs), trs).values()]
+            assert list(extend_chains(chains[n], trs)) == sorted(every, key=cell_key)
+            assert chains[n + 1] == sorted(every, key=cell_key)
+        seen.add(path.name)
+    assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv"}
 
 
 def test_max_redex_monotone_under_composition(ab_trs, group_trs):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqhom
-from eqhom import collapse, morse
+from eqhom import cli, collapse, homology, morse
 from eqhom.cli import _parser, cell_json, cli_dispatch, emit_json
 from eqhom.chains import enumerate_chains
 from eqhom.homology import inequality_report
@@ -227,6 +227,31 @@ def test_cli_inequality(capsys, data_dir):
     code, out, _ = _run(capsys, "inequality", str(data_dir / "group.lwv"), "--dim", "2")
     assert code == 0
     assert "[holds]" in out and "VIOLATED" not in out
+
+
+@pytest.mark.parametrize("argv", [("homology", "--max-dim", "0"), ("homology", "--max-dim", "1"),
+                                  ("homology", "--max-dim", "2"), ("inequality", "--dim", "0")],
+                         ids=" ".join)
+def test_top_chains_built_as_read_print_what_enumerated_ones_print(
+        capsys, monkeypatch, data_dir, argv):
+    # the eager path enumerates the top dimension up front, so boundary_rows
+    # builds no chain; at --max-dim 0 the top chains are the 1-chains
+    def build_none(cells, trs):
+        raise AssertionError("the eager path builds no chain")
+
+    seen = set()
+    for path in sorted(data_dir.glob("*.lwv")):
+        lazy = _run(capsys, argv[0], str(path), *argv[1:])
+        if lazy[0] == 2:  # not certified
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(homology, "extend_chains", build_none)
+            for module in (cli, homology):
+                m.setattr(module, "enumerate_chains", lambda trs, n: enumerate_chains(trs, n + 1))
+            assert _run(capsys, argv[0], str(path), *argv[1:]) == lazy
+        assert lazy[0] == 0, (path.name, lazy)
+        seen.add(path.name)
+    assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv"}
 
 
 def test_cli_resolution(capsys, data_dir):
@@ -628,6 +653,8 @@ PINNED_STDOUT = [
      "102bb0e96ad22e7fc044966e49505ebbd2abc7f7b6eacb2f7bd608d545dc54a3"),
     (("chains", "group.lwv", "--max-dim", "5"),
      "df8b45e752545f74dc4934b02b970e7c46a594e0f2dc8a8eb7ebb0163b1ed7e4"),
+    (("inequality", "group.lwv", "--dim", "3"),
+     "eab2dbed17a5fa370efbb6944bd3dc3887854a456607f0843645f5cd1d51ea65"),
     (("monoid", "homology", "s3.srs", "--max-dim", "8"),
      "a61506b024788d86b13375e65fd942f659c051f3dc30ce807cbb1ea521fb8372"),
     (("monoid", "chains", "s3.srs", "--max-dim", "5"),

@@ -362,8 +362,9 @@ def test_the_stop_rule_keeps_every_group_on_every_fixture(data_dir):
 
 
 def test_homology_over_a_prime_routes_only_the_rows_it_needs(monkeypatch, capsys, data_dir):
-    # the cells routed by homology and inequality over Z/2 on group theory;
-    # --json prints every entry of every matrix and routes them all
+    # the cells routed, and the chains scanned for extensions, by homology
+    # and inequality over Z/2 on group theory; --json prints every entry of
+    # every matrix, so it routes them all and enumerates every 4-chain
     systems = []
     parse = cli.parse_presentation
     monkeypatch.setattr(cli, "parse_presentation",
@@ -373,6 +374,7 @@ def test_homology_over_a_prime_routes_only_the_rows_it_needs(monkeypatch, capsys
                  ["homology", group, "--max-dim", "3", "--json"]):
         assert cli_dispatch(argv) == 0
     assert [len(trs.cache("express_count")) for trs in systems] == [501, 501, 1414]
+    assert [len(trs.cache("extensions")) for trs in systems] == [23, 23, 52]
     capsys.readouterr()
 
 

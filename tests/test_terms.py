@@ -550,3 +550,21 @@ def test_walks_and_degree_survive_a_term_past_the_recursion_limit():
     assert (variables(lhs), var_count(lhs, "x")) == ([v], 2)
     sig = Signature(("X",), (("f", ("X",), "X"), ("g", ("X", "X"), "X")))
     assert degree(Trs(sig, (Rule("r", lhs, v),))) == 1
+
+
+def test_terms_past_the_recursion_limit_compare():
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+
+    def nest(leaf, op="f"):
+        for _ in range(depth):
+            leaf = App(op, (leaf,), "X")
+        return leaf
+
+    v, c = Var("x", "X"), App("c", (), "X")
+    a, b = nest(v), nest(v)
+    assert a is not b and a == b and not a != b
+    assert {a: 1}[b] == 1  # a memo lookup by a distinct equal key
+    for other in (nest(Var("y", "X")), nest(c), nest(v, "g"), App("f", (a,), "X")):
+        assert a != other and not a == other
+    assert a != v and v != a and a.args[0] != c
