@@ -34,7 +34,6 @@ from typing import Iterator
 from .rewrite import (RedexIndex, Rule, Trs, certify, is_irreducible, max_redex, memoised,
                       op_morphism)
 from .terms import (
-    App,
     Morphism,
     Term,
     Var,
@@ -102,7 +101,9 @@ def valid_entry(m: Morphism, trs: Trs) -> bool:
     """Usable as a cell entry, given a canonical ``m`` (``mgu_extension``
     builds it so): not a selection of variables (which rules out
     identities), all components in normal form."""
-    return not is_partial_permutation(m) and all(is_irreducible(t, trs) for t in m.terms)
+    if is_partial_permutation(m):
+        return False
+    return all(is_irreducible(t, trs) for t in m.terms)
 
 
 def mgu_extension(T: Morphism, sub: Term, rule: Rule) -> Morphism | None:
@@ -125,18 +126,24 @@ def mgu_extension(T: Morphism, sub: Term, rule: Rule) -> Morphism | None:
 def sigma_cell_entry(m: Morphism, trs: Trs) -> str | None:
     """The operation symbol when ``m`` applies one symbol to its context
     variables in order, else None."""
-    t = m.terms[0] if len(m.terms) == 1 else None
-    if isinstance(t, App) and t.args == tuple(Var(n, s) for n, s in m.context):
+    if len(m.terms) != 1:
+        return None
+    t = m.terms[0]
+    if isinstance(t, Var):
+        return None
+    if t.args == tuple(Var(n, s) for n, s in m.context):
         return t.op
     return None
 
 
 def longest_chain_prefix(cell: Cell, trs: Trs) -> int:
     """Number of leading entries that form a chain (0..dim)."""
-    if cell.dim and sigma_cell_entry(cell.entries[0], trs) is None:
-        return 0
-    for k in range(1, cell.dim):
-        if cell.entries[k] not in chain_extensions(composite(cell, trs, k), trs).values():
+    for k, entry in enumerate(cell.entries):
+        if k == 0:
+            ok = sigma_cell_entry(entry, trs) is not None
+        else:
+            ok = entry in chain_extensions(composite(cell, trs, k), trs).values()
+        if not ok:
             return k
     return cell.dim
 
@@ -162,9 +169,11 @@ def chain_extensions(T: Morphism, trs: Trs) -> dict[RedexIndex, Morphism]:
             if rule.lhs.op != sub.op or not redex_less(base, (p, rank)):
                 continue
             u = mgu_extension(T, sub, rule)
-            if u is not None and valid_entry(u, trs) and \
-                    max_redex(compose_raw(T, u).term, trs) == (p, rank):
-                out[p, rank] = u
+            if u is None or not valid_entry(u, trs):
+                continue
+            if max_redex(compose_raw(T, u).term, trs) != (p, rank):
+                continue
+            out[p, rank] = u
     return out
 
 
@@ -177,15 +186,22 @@ def enumerate_chains(trs: Trs, max_dim: int) -> dict[int, list[Cell]]:
     sig = trs.signature
     chains: dict[int, list[Cell]] = {0: [Cell(s, ()) for s in sig.sorts]}
     if max_dim >= 1:
-        ops = [Cell(result, (op_morphism(sig, name),)) for name, _, result in sig.ops]
-        chains[1] = sorted((c for c in ops if is_irreducible(c.entries[0].term, trs)), key=cell_key)
+        ops = []
+        for name, _, result in sig.ops:
+            m = op_morphism(sig, name)
+            if is_irreducible(m.term, trs):
+                ops.append(Cell(result, (m,)))
+        chains[1] = sorted(ops, key=cell_key)
     for dim in range(2, max_dim + 1):
         chains[dim] = list(extend_chains(chains[dim - 1], trs))
     return chains
 
 
 def extend_chains(cells: list[Cell], trs: Trs) -> Iterator[Cell]:
-    """The chains one dimension above ``cells`` (chains, dimension 1 up), in canonical order."""
+    """The chains one dimension above ``cells`` (chains of one dimension,
+    1 or more, in canonical order), yielded in canonical order: a child's
+    key is its parent's key plus one entry, so each parent's children,
+    sorted in turn, follow the global sort."""
     for cell in cells:
         us = chain_extensions(composite(cell, trs), trs).values()
         yield from sorted((Cell(cell.sort, cell.entries + (u,)) for u in us), key=cell_key)

@@ -156,7 +156,7 @@ def _cmd_resolution(args) -> int:
 def _cmd_homology(args) -> int:
     trs = _load(args.file, parse_presentation)
     d = _resolve_modulus(trs, args.coeff)
-    chains = enumerate_chains(trs, args.max_dim + 1 if args.json else args.max_dim)
+    chains = enumerate_chains(trs, args.max_dim)
     counts = {k: len(v) for k, v in chains.items()}
     rows = boundary_rows(trs, chains, args.max_dim + 1, d)
     if args.json:  # it prints every entry; the groups alone need only the rows that count

@@ -99,9 +99,13 @@ def boundary_matrices(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,
 
 def boundary_rows(trs: Trs, chains: dict[int, list[Cell]], max_dim: int,
                   d: int) -> dict[int, Iterable[list[int]]]:
-    """The rows of ``boundary_matrices``, each routed when it is read."""
+    """The rows of ``boundary_matrices``, each routed when it is read.
+
+    When ``chains`` stops one below ``max_dim``, each top chain is built
+    when its row is read.
+    """
     validate_modulus(d, degree(trs))
-    if max_dim not in chains:  # each top chain built when its row is read; no 1-chain extends a 0-cell
+    if max_dim not in chains:  # no 1-chain extends a 0-cell
         chains = {**chains, max_dim: extend_chains(chains[max_dim - 1], trs) if max_dim > 1
                   else enumerate_chains(trs, 1)[1]}
     return {n: matrix_rows(lambda cell: morse_differential(cell, trs, "count"),
@@ -272,8 +276,12 @@ class InequalityReport:
 
 def inequality_report(trs: Trs, d: int, n: int,
                       chains: dict[int, list[Cell]] | None = None) -> InequalityReport:
-    """Instantiate both inequalities at dimension ``n``, from the matrices through
-    n+1 (the strong one's H_n reads the top matrix, whose chains are built as read)."""
+    """Instantiate both inequalities at dimension ``n``.
+
+    Needs chains through dimension n and matrices through n+1 (the strong
+    inequality's homology term at n uses the matrix above it, whose
+    chains ``boundary_rows`` builds as it reads their rows).
+    """
     if chains is None:
         chains = enumerate_chains(trs, n)
     counts = {k: len(v) for k, v in chains.items()}
