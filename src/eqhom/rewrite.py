@@ -186,28 +186,28 @@ def normal_form(t: Term, trs: Trs) -> Term:
     Uniqueness holds once the system is certified; without certification
     this is still a deterministic reduction, bounded by the step budget.
     """
-    cache = trs.cache("nf")  # by hand: the result -> result entries serve most hits
+    cache = trs.cache("nf")  # by hand: _innermost reads and writes it at every subterm
     hit = cache.get(t)
-    if hit is not None:
-        return hit
-    result = _innermost(t, trs, [trs.step_budget])
-    cache[t] = cache[result] = result
-    return result
+    return _innermost(t, trs, [trs.step_budget], cache) if hit is None else hit
 
 
-def _innermost(u: Term, trs: Trs, budget: list[int]) -> Term:
+def _innermost(t: Term, trs: Trs, budget: list[int], memo: dict) -> Term:
     """Leftmost-innermost normalisation on an explicit stack, never the
     recursion limit: a frame is an application and the normal forms of its
     first arguments.  A term with normal arguments is rewritten at the
-    root by the first rule that matches; the reduct is normalised afresh."""
+    root by the first rule that matches; the reduct is normalised afresh.
+    ``memo``, term to normal form, is read at each step and gets ``t``
+    and each finished argument, with their normal forms."""
     stack: list[tuple[App, list[Term]]] = []
-    fresh = True  # u's arguments are not known to be normal
+    u, fresh = t, True  # fresh: u's arguments are not known to be normal
     while True:
-        if fresh and isinstance(u, App) and u.args:
+        if (nf := memo.get(u)) is not None:
+            u = nf
+        elif fresh and isinstance(u, App) and u.args:
             stack.append((u, []))
             u = u.args[0]
             continue
-        if isinstance(u, App):
+        elif isinstance(u, App):
             for rule in trs.rules:
                 sigma = match_term(rule.lhs, u)
                 if sigma is not None:
@@ -222,8 +222,10 @@ def _innermost(u: Term, trs: Trs, budget: list[int]) -> Term:
                 u, fresh = substitute(rule.rhs, sigma), True
                 continue
         if not stack:
+            memo[t] = memo[u] = u
             return u
         app, done = stack[-1]
+        memo[app.args[len(done)]] = memo[u] = u
         done.append(u)
         if len(done) < len(app.args):
             u, fresh = app.args[len(done)], True
@@ -282,8 +284,8 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
 
 
 def joinable(a: Term, b: Term, trs: Trs) -> bool:
-    budget = [trs.join_budget]
-    return _innermost(a, trs, budget) == _innermost(b, trs, budget)
+    budget, memo = [trs.join_budget], {}
+    return _innermost(a, trs, budget, memo) == _innermost(b, trs, budget, memo)
 
 
 @dataclass

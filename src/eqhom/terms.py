@@ -29,11 +29,11 @@ Terms and morphisms are checked where they enter: applications by
 derives from them is built unchecked, by ``Morphism.derived``,
 ``substitute`` and ``replace_at``, which trust their callers.
 
-All values are immutable; every function is pure and thread-safe.  An
-application and a morphism compute their hash once, at construction,
-from their parts' hashes, and keep it in a slot that is never written
-again; so hashing never walks a term, and concurrent readers only ever
-read.
+All values are immutable; every function is pure and thread-safe.  One
+process-wide table interns every term for the life of the process: a
+term is the one object with its constructor parts, so equality is
+identity.  Terms and morphisms hash once, at construction, from their
+parts' hashes; so hashing never walks a term.
 """
 
 from __future__ import annotations
@@ -50,54 +50,46 @@ class TermError(Exception):
     """Ill-sorted or structurally invalid term-level input."""
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-    sort: str
+_interned: dict = {}  # constructor parts -> the one term that has them
+
+
+class _Term:
+    __slots__ = ()  # a subclass lists its constructor parts, then _hash
+
+    @classmethod
+    def _intern(cls, parts: tuple):
+        t = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (*parts, hash(parts))):
+            object.__setattr__(t, name, value)
+        return _interned.setdefault(parts, t)  # a racing thread's term wins if it came first
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # takes no value
+
+    def __reduce__(self):  # copy, deepcopy and pickle return the interned term
+        return type(self), tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+
+class Var(_Term):
+    __slots__ = ("name", "sort", "_hash")
+
+    def __new__(cls, name: str, sort: str):
+        return _interned.get((name, sort)) or cls._intern((name, sort))
 
     def __repr__(self):
         return f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class App:
-    op: str
-    args: tuple["Term", ...]
-    sort: str
-    _hash: int = field(init=False, compare=False, repr=False, hash=False)
+class App(_Term):
+    __slots__ = ("op", "args", "sort", "_hash")
 
-    def __post_init__(self):
-        # the generated dataclass hash, so hash-ordered containers iterate
-        # as they would without the slot; the arguments' hashes are cached
-        object.__setattr__(self, "_hash", hash((self.op, self.args, self.sort)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, App):
-            return NotImplemented
-        if self._hash != other._hash or self.op != other.op or self.sort != other.sort \
-                or len(self.args) != len(other.args):
-            return False
-        left, right = list(self.args), list(other.args)  # explicit stacks: any depth compares
-        while left:
-            a, b = left.pop(), right.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a.sort != b.sort:
-                return False
-            if a.__class__ is Var:
-                if a.name != b.name:
-                    return False
-            elif a._hash != b._hash or a.op != b.op or len(a.args) != len(b.args):
-                return False
-            else:
-                left += a.args
-                right += b.args
-        return True
+    def __new__(cls, op: str, args: tuple["Term", ...], sort: str):
+        return _interned.get((op, args, sort)) or cls._intern((op, args, sort))
 
     def __repr__(self):
         if not self.args:
@@ -162,12 +154,14 @@ def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
     """Replace the subterm of ``t`` at ``p``, a position of ``t``, by ``s``,
-    a term of its sort; unchecked."""
-    if not p:
-        return s
-    args = list(t.args)
-    args[p[0] - 1] = replace_at(args[p[0] - 1], p[1:], s)
-    return App(t.op, tuple(args), t.sort)
+    a term of its sort; unchecked.  The path down is kept on a list."""
+    path = []
+    for i in p:
+        path.append(t)
+        t = t.args[i - 1]
+    for u, i in zip(reversed(path), reversed(p)):
+        s = App(u.op, u.args[:i - 1] + (s,) + u.args[i:], u.sort)
+    return s
 
 
 def _leaves(terms: tuple[Term, ...]) -> Iterator[Var]:

@@ -45,10 +45,7 @@ def match_term(pattern: Term, subject: Term) -> Subst | None:
         if isinstance(p, Var):
             if p.sort != s.sort:
                 return None
-            bound = binding.get(p.name)
-            if bound is None:
-                binding[p.name] = s
-            elif bound != s:
+            if binding.setdefault(p.name, s) is not s:  # terms are interned: equal is identical
                 return None
         else:
             if not (isinstance(s, App) and s.op == p.op and len(s.args) == len(p.args)):
@@ -116,13 +113,19 @@ def unify_terms(t: Term, s: Term) -> Subst | None:
                 return None
             stack.extend(zip(a.args, b.args))
 
-    def resolve(u: Term) -> Term:
-        u = walk(u)
-        if isinstance(u, Var):
-            return u
-        return App(u.op, tuple(resolve(x) for x in u.args), u.sort)
-
-    return {name: resolve(image) for name, image in binding.items()}
+    resolved: dict[Term, Term] = {}  # term -> its image, built bottom-up on explicit stacks
+    for image in binding.values():
+        stack = [image]
+        while stack:
+            u = walk(stack[-1])
+            todo = [a for a in u.args if a not in resolved] if isinstance(u, App) else ()
+            if todo:
+                stack += todo
+                continue
+            if isinstance(u, App):
+                u = App(u.op, tuple(resolved[a] for a in u.args), u.sort)
+            resolved[stack.pop()] = u
+    return {name: resolved[image] for name, image in binding.items()}
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from eqhom.rewrite import (
     reduce_trs,
     rewrite_steps,
 )
-from eqhom.terms import Signature, TermError, Var
+from eqhom.terms import Signature, TermError, Var, subterms
 
 SIG = Signature(("X",), (("plus", ("X", "X"), "X"), ("zero", (), "X")))
 ZERO = SIG.app("zero")
@@ -203,6 +203,22 @@ def test_confluence_consequence_random(ab_trs, group_trs):
             ends = _all_normal_forms(t, trs)
             assert len(ends) == 1
             assert ends == {normal_form(t, trs)}
+
+
+def test_the_nf_memo_maps_every_term_it_holds_to_its_normal_form(group_trs):
+    rng = random.Random(34)
+    sig, rules = group_trs.signature, group_trs.rules
+    trs = Trs(sig, rules)
+    terms = [random_term(sig, "G", rng, 5) for _ in range(200)]
+    for t in terms:
+        normal_form(t, trs)
+    memo = trs.cache("nf")
+    # reducible proper subterms are recorded as they are normalised, not only the roots
+    inner = {u for t in terms for p, u in subterms(t) if p} - set(terms)
+    assert any(memo[u] is not u for u in inner & memo.keys())
+    for t, nf in memo.items():
+        assert nf is normal_form(t, Trs(sig, rules))
+        assert is_irreducible(nf, trs) and memo.get(nf) is nf
 
 
 def test_rewrite_steps_agree_with_generalized_subterms(ab_trs):

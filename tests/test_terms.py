@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import sys
+import threading
 from dataclasses import fields
 
 import pytest
@@ -367,11 +370,12 @@ def test_hash_eq_contract():
                          (cell, (cell.sort, cell.entries))):
         assert value._hash == hash(parts)
     for a, b in zip(first, second):
-        assert a is not b
+        # terms are interned; morphisms and cells are built afresh
+        assert (a is b) == isinstance(a, (Var, App))
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) and "_hash" not in repr(a)
         assert not hasattr(a, "__dict__")
-    for value in first:
+    for value in (m, cell):
         cached = [f for f in fields(value) if f.name == "_hash"]
         assert all(not (f.compare or f.repr or f.init) for f in cached)
     # the cached hash is the generated dataclass hash, so hash-ordered
@@ -563,8 +567,73 @@ def test_terms_past_the_recursion_limit_compare():
 
     v, c = Var("x", "X"), App("c", (), "X")
     a, b = nest(v), nest(v)
-    assert a is not b and a == b and not a != b
-    assert {a: 1}[b] == 1  # a memo lookup by a distinct equal key
+    assert a is b and a == b and not a != b  # two builds are one interned object
+    assert {a: 1}[b] == 1
     for other in (nest(Var("y", "X")), nest(c), nest(v, "g"), App("f", (a,), "X")):
         assert a != other and not a == other
     assert a != v and v != a and a.args[0] != c
+
+
+def test_copies_and_pickles_of_a_term_are_the_interned_term():
+    v = Var("x", "X")
+    for t in (v, App("c", (), "X"), App("f", (v, App("g", (v,), "X")), "X")):
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_assigning_or_deleting_a_term_field_raises():
+    v = Var("x", "X")
+    app = App("f", (v,), "X")
+    for t, name, value in ((v, "name", "y"), (v, "sort", "Y"), (app, "op", "g"),
+                           (app, "args", ()), (app, "_hash", 0), (app, "other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert (v.name, app.op, app.args, hash(app)) == ("x", "f", (v,), hash(("f", (v,), "X")))
+
+
+def test_two_threads_building_the_same_terms_get_one_object_each():
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    start = threading.Barrier(2)
+
+    def build(out):  # names of this test's own, so each term is new to the table
+        start.wait()
+        for i in range(999):
+            leaf = Var(f"race_x{i % 7}", "X")
+            out.append(App("race_f", (leaf, App(f"race_c{i}", (), "X")), "X"))
+        deep = Var("race_x", "X")
+        for _ in range(depth):
+            deep = App("race_g", (deep,), "X")
+        out.append(deep)
+
+    built = [[], []]
+    threads = [threading.Thread(target=build, args=(out,)) for out in built]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the two builds interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built[0]) == len(built[1]) == 1000
+    assert all(a is b for a, b in zip(*built))
+
+
+def test_replace_at_past_the_recursion_limit():
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    v, c = Var("x", "X"), App("c", (), "X")
+    t, expected = v, c
+    for _ in range(depth):
+        t, expected = App("g", (c, t), "X"), App("g", (c, expected), "X")
+    assert replace_at(t, (2,) * depth, c) is expected
+    inner = App("g", (v, v), "X")
+    for _ in range(depth - 1):
+        inner = App("g", (c, inner), "X")
+    assert replace_at(t, (2,) * (depth - 1) + (1,), v) is inner
+    assert replace_at(t, (), c) is c and replace_at(t, (1,), c) is t

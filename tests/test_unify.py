@@ -1,6 +1,8 @@
 import random
+import sys
 
 from eqhom.terms import (
+    App,
     Morphism,
     Signature,
     Var,
@@ -9,7 +11,7 @@ from eqhom.terms import (
     subterms,
     variables,
 )
-from eqhom.unify import match_term, mgu
+from eqhom.unify import match_term, mgu, unify_terms
 
 
 def canonical_morphism(m):
@@ -163,3 +165,20 @@ def test_generalized_subterm_occurrences():
     assert got == [((), {"x": plus(x("x"), ZERO)}), ((1,), {"x": x("x")})]
     assert generalized_subterm_occurrences(t, t)[0] == ((), {"x": x("x")})
     assert generalized_subterm_occurrences(plus(ZERO, x("x")), plus(x("x"), ZERO)) == []
+
+
+def test_unify_terms_resolves_images_past_the_recursion_limit():
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    c = App("c", (), "X")
+
+    def nest(leaf):
+        for _ in range(depth):
+            leaf = App("f", (leaf,), "X")
+        return leaf
+
+    # x is bound to f^depth(y) before y is bound to c: resolving x walks the whole image
+    t, s = App("h", (x("x"), x("y")), "X"), App("h", (nest(x("y")), c), "X")
+    for left, right in ((t, s), (s, t)):
+        assert unify_terms(left, right) == {"x": nest(c), "y": c}
+    assert unify_terms(nest(x("x")), nest(nest(x("x")))) is None  # the occurs check
