@@ -28,12 +28,12 @@ reading a prefix (the F_p stop of ``eqhom.homology``) builds no chain past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .rewrite import (RedexIndex, Rule, Trs, certify, is_irreducible, max_redex, memoised,
                       op_morphism)
 from .terms import (
+    Frozen,
     Morphism,
     Term,
     Var,
@@ -49,19 +49,16 @@ from .terms import (
 from .unify import unify_terms
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(Frozen):
     """A tuple of composable canonical morphisms over a base sort."""
 
-    sort: str
-    entries: tuple[Morphism, ...]
-    _hash: int = field(init=False, compare=False, repr=False, hash=False)
+    __slots__ = ("sort", "entries", "_hash")
+    _fields = __slots__[:2]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.sort, self.entries)))
-
-    def __hash__(self):
-        return self._hash
+    def __init__(self, sort: str, entries: tuple[Morphism, ...]):  # hot: no _assign loop
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash((sort, entries)))
 
     @property
     def dim(self) -> int:

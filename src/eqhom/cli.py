@@ -12,10 +12,8 @@ unsupported coefficient modulus.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
 from math import isqrt
 from pathlib import Path
 
@@ -46,6 +44,7 @@ JSON_VERSION = 1
 
 def emit_json(payload: dict) -> str:
     """Deterministic JSON with a leading version field."""
+    import json  # here only: no text command pays for it
     body = {"version": JSON_VERSION}
     body.update(payload)
     return json.dumps(body, indent=2, ensure_ascii=False)
@@ -99,8 +98,8 @@ def _certification_code(report) -> int:
 def _cmd_check(args) -> int:
     trs = _load(args.file, parse_presentation)
     if args.cp_budget or args.term_budget:
-        trs = replace(trs, step_budget=args.term_budget or trs.step_budget,
-                      join_budget=args.cp_budget or trs.join_budget)
+        trs = Trs(trs.signature, trs.rules, args.term_budget or trs.step_budget,
+                  args.cp_budget or trs.join_budget)
     report = check_complete(trs, assume_terminating=args.assume_terminating)
     for line in report.lines():
         print(line)

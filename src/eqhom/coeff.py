@@ -32,12 +32,12 @@ the count mode of ``eqhom.morse`` computes that image directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .rewrite import Trs, normal_form, normal_form_morphism
 from .terms import (
     Context,
+    Frozen,
     Morphism,
     Term,
     Var,
@@ -50,10 +50,12 @@ from .terms import (
 Factor = tuple[str, int, Morphism]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    factors: tuple[Factor, ...]
-    tail: Morphism
+class Monomial(Frozen):
+    __slots__ = ("factors", "tail", "_hash")
+    _fields = __slots__[:2]
+
+    def __init__(self, factors: tuple[Factor, ...], tail: Morphism):
+        self._assign(factors, tail, hash((factors, tail)))
 
     def __repr__(self):
         return render_monomial(self)

@@ -60,10 +60,10 @@ dimension down, read lazily from ``matrix_rows`` or all at once by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterator, Protocol
 
 from .rewrite import BudgetExceeded
+from .terms import Frozen, Record
 
 DEFAULT_ROUTE_BUDGET = 200_000
 
@@ -76,20 +76,18 @@ class MatchingError(Exception):
     input system was not actually complete)."""
 
 
-@dataclass(frozen=True)
-class CellClass:
-    kind: str  # "critical" | "redundant" | "collapsible"
-    partner: Hashable | None = None
-    epsilon: int | None = None
+class CellClass(Frozen):
+    __slots__ = _fields = ("kind", "partner", "epsilon")
+
+    def __init__(self, kind: str, partner: Hashable | None = None, epsilon: int | None = None):
+        self._assign(kind, partner, epsilon)  # kind: "critical" | "redundant" | "collapsible"
 
 
-@dataclass
-class BoundaryMatrix:
-    dim: int
-    rows: list      # chains of dimension dim
-    cols: list      # chains of dimension dim-1
-    entries: Matrix  # entries[row][col]
-    modulus: int
+class BoundaryMatrix(Record):
+    __slots__ = _fields = ("dim", "rows", "cols", "entries", "modulus")
+
+    def __init__(self, dim: int, rows: list, cols: list, entries: Matrix, modulus: int):
+        self._assign(dim, rows, cols, entries, modulus)  # rows: dim-chains, cols: (dim-1)-chains
 
 
 class Integers:

@@ -28,13 +28,13 @@ s(H_2) - rank(H_1) + rank(H_0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .chains import Cell, enumerate_chains, extend_chains
 from .collapse import BoundaryMatrix, Matrix, assemble_matrices, matrix_rows
 from .morse import morse_differential
 from .rewrite import Trs, degree
+from .terms import Frozen, Record
 
 
 class CoefficientError(Exception):
@@ -181,10 +181,11 @@ def fp_rank(matrix: Iterable[list[int]], p: int, bound: int | None = None) -> in
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    rank: int
-    torsion: tuple[int, ...]  # invariant factors > 1, divisibility chain
+class HomologyGroup(Frozen):
+    __slots__ = _fields = ("rank", "torsion")
+
+    def __init__(self, rank: int, torsion: tuple[int, ...]):
+        self._assign(rank, torsion)  # torsion: invariant factors > 1, divisibility chain
 
     @property
     def generators(self) -> int:
@@ -237,16 +238,14 @@ def homology_group(matrices: dict[int, BoundaryMatrix], n: int, d: int,
     return homology_groups(rows, chain_counts, d, range(n, n + 1))[n]
 
 
-@dataclass
-class InequalityReport:
-    dim: int
-    modulus: int
-    chain_counts: dict[int, int]
-    groups: dict[int, HomologyGroup]
-    weak_lhs: int
-    weak_rhs: int
-    strong_lhs: int
-    strong_rhs: int
+class InequalityReport(Record):
+    __slots__ = _fields = ("dim", "modulus", "chain_counts", "groups",
+                           "weak_lhs", "weak_rhs", "strong_lhs", "strong_rhs")
+
+    def __init__(self, dim: int, modulus: int, chain_counts: dict[int, int],
+                 groups: dict[int, HomologyGroup], weak_lhs: int, weak_rhs: int,
+                 strong_lhs: int, strong_rhs: int):
+        self._assign(dim, modulus, chain_counts, groups, weak_lhs, weak_rhs, strong_lhs, strong_rhs)
 
     @property
     def weak_holds(self) -> bool:

@@ -53,51 +53,50 @@ critical pairs, ``reduce_word``, and rule sides and letter powers as probes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import collapse, rewrite
 from .collapse import BoundaryMatrix, CellClass, add_term, assemble_matrices
 from .homology import HomologyGroup, homology_groups
 from .rewrite import BudgetExceeded, CompletenessReport, Memoised, memoised
+from .terms import Frozen
 
 Word = str
 
 
-@dataclass(frozen=True)
-class SrsRule:
-    name: str
-    lhs: Word
-    rhs: Word
+class SrsRule(Frozen):
+    __slots__ = _fields = ("name", "lhs", "rhs")
 
-    def __post_init__(self):
-        if not self.lhs:
-            raise ValueError(f"rule {self.name}: empty left-hand side")
+    def __init__(self, name: str, lhs: Word, rhs: Word):
+        if not lhs:
+            raise ValueError(f"rule {name}: empty left-hand side")
+        self._assign(name, lhs, rhs)
 
 
-@dataclass(frozen=True)
 class Srs(Memoised):
-    alphabet: tuple[str, ...]  # one character each, in declaration order
-    rules: tuple[SrsRule, ...]
-    step_budget: int = field(default=10_000, compare=False)
-    names: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
-    redex: re.Pattern = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("alphabet", "rules", "step_budget", "names", "redex")
+    _fields, _compared = __slots__[:4], __slots__[:2]  # == reads no budget and no names
 
-    def __post_init__(self):
-        if any(len(a) != 1 for a in self.alphabet):
-            raise ValueError(f"letters are one character each: {self.alphabet}")
-        if len(set(self.alphabet)) != len(self.alphabet):
+    def __init__(self, alphabet: tuple[str, ...],  # one character each, in declaration order
+                 rules: tuple[SrsRule, ...], step_budget: int = 10_000, names: dict | None = None):
+        if any(len(a) != 1 for a in alphabet):
+            raise ValueError(f"letters are one character each: {alphabet}")
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("duplicate letters")
-        names = [r.name for r in self.rules]
-        if len(set(names)) != len(names):
+        rule_names = [r.name for r in rules]
+        if len(set(rule_names)) != len(rule_names):
             raise ValueError("duplicate rule names")
-        for r in self.rules:
+        for r in rules:
             for c in r.lhs + r.rhs:
-                if c not in self.alphabet:
+                if c not in alphabet:
                     raise ValueError(f"rule {r.name}: letter {c!r} not declared")
         # a match is where a left side ends, and group i + 1 spans rule i;
         # with no rules, an empty alternation would match everywhere
-        object.__setattr__(self, "redex", re.compile(
-            "|".join(f"(?<=({re.escape(r.lhs)}))" for r in self.rules) or "(?!)"))
+        super().__init__(alphabet, rules, step_budget, {} if names is None else names, re.compile(
+            "|".join(f"(?<=({re.escape(r.lhs)}))" for r in rules) or "(?!)"))
+
+    def with_rules(self, rules: tuple[SrsRule, ...]) -> Srs:
+        """This system with ``rules`` in place of its own, and fresh memos."""
+        return Srs(self.alphabet, rules, self.step_budget, self.names)
 
 
 WordCell = tuple[Word, ...]

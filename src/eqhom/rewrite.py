@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
 from functools import wraps
 from math import gcd
 
 from .terms import (
     App,
+    Frozen,
     Morphism,
     Position,
+    Record,
     Signature,
     Term,
     TermError,
@@ -72,33 +73,33 @@ class CompletenessError(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    lhs: Term
-    rhs: Term
+class Rule(Frozen):
+    __slots__ = _fields = ("name", "lhs", "rhs")
 
-    def __post_init__(self):
-        if isinstance(self.lhs, Var):
-            raise TermError(f"rule {self.name}: left-hand side is a variable")
-        if self.lhs.sort != self.rhs.sort:
-            raise TermError(f"rule {self.name}: sides have different sorts")
-        lhs_vars = {v.name for v in variables(self.lhs)}
-        for v in variables(self.rhs):
+    def __init__(self, name: str, lhs: Term, rhs: Term):
+        if isinstance(lhs, Var):
+            raise TermError(f"rule {name}: left-hand side is a variable")
+        if lhs.sort != rhs.sort:
+            raise TermError(f"rule {name}: sides have different sorts")
+        lhs_vars = {v.name for v in variables(lhs)}
+        for v in variables(rhs):
             if v.name not in lhs_vars:
-                raise TermError(f"rule {self.name}: right-hand variable {v.name} not on the left")
+                raise TermError(f"rule {name}: right-hand variable {v.name} not on the left")
+        self._assign(name, lhs, rhs)
 
     def __repr__(self):
         return f"{self.name}: {render_term(self.lhs)} -> {render_term(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Memoised:
-    """A rewrite system's memo tables, one dict per kind; the base of
-    ``Trs`` and ``monoid.Srs``."""
+class Memoised(Frozen):
+    """A rewrite system's memo tables, one dict per kind, empty at first; the
+    base of ``Trs`` and ``monoid.Srs``, whose constructors pass it their slots' values."""
 
-    caches: defaultdict = field(init=False, repr=False, compare=False,
-                                default_factory=lambda: defaultdict(dict))
+    __slots__ = ("caches",)
+
+    def __init__(self, *values):
+        self._assign(*values)
+        object.__setattr__(self, "caches", defaultdict(dict))
 
     def cache(self, kind: str) -> dict:
         return self.caches[kind]
@@ -120,17 +121,19 @@ def memoised(kind: str):
     return decorate
 
 
-@dataclass(frozen=True)
 class Trs(Memoised):
-    signature: Signature
-    rules: tuple[Rule, ...]
-    step_budget: int = DEFAULT_STEP_BUDGET
-    join_budget: int = DEFAULT_JOIN_BUDGET
+    __slots__ = _fields = ("signature", "rules", "step_budget", "join_budget")
 
-    def __post_init__(self):
-        names = [r.name for r in self.rules]
+    def __init__(self, signature: Signature, rules: tuple[Rule, ...],
+                 step_budget: int = DEFAULT_STEP_BUDGET, join_budget: int = DEFAULT_JOIN_BUDGET):
+        names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise TermError("duplicate rule names")
+        super().__init__(signature, rules, step_budget, join_budget)
+
+    def with_rules(self, rules: tuple[Rule, ...]) -> Trs:
+        """This system with ``rules`` in place of its own, and fresh memos."""
+        return Trs(self.signature, rules, self.step_budget, self.join_budget)
 
 
 def rewrite_steps(t: Term, trs: Trs) -> list[tuple[Rule, Position, Term]]:
@@ -241,15 +244,15 @@ def normal_form_morphism(pair: tuple[Morphism, Morphism], trs: Trs) -> Morphism:
     return Morphism.derived(g.context, tuple(normal_form(t, trs) for t in compose_raw(f, g).terms))
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(Frozen):
     """Two one-step reducts of a minimal overlap of rule left-hand sides."""
 
-    outer: Rule
-    inner: Rule
-    position: Position
-    left: Term   # outer rhs instantiated
-    right: Term  # overlap with the inner redex rewritten in place
+    __slots__ = _fields = ("outer", "inner", "position", "left", "right")
+
+    def __init__(self, outer: Rule, inner: Rule, position: Position,
+                 left: Term,  # outer rhs instantiated
+                 right: Term):  # overlap with the inner redex rewritten in place
+        self._assign(outer, inner, position, left, right)
 
     def __repr__(self):
         at = ".".join(map(str, self.position)) or "ε"
@@ -288,17 +291,19 @@ def joinable(a: Term, b: Term, trs: Trs) -> bool:
     return _innermost(a, trs, budget, memo) == _innermost(b, trs, budget, memo)
 
 
-@dataclass
-class CompletenessReport:
-    reduced: bool
-    reducedness_failures: list[str]
-    locally_confluent: bool | None  # None: the check did not run
-    unjoinable: list  # the engine's critical pairs that did not join
-    termination_probe_ok: bool | None  # None: the probe did not run
-    termination_offender: str | None  # the rendered probe that ran out of budget
-    probe_terms: int
-    budget_exceeded: bool
-    assume_terminating: bool = False
+class CompletenessReport(Record):
+    __slots__ = _fields = ("reduced", "reducedness_failures", "locally_confluent", "unjoinable",
+                           "termination_probe_ok", "termination_offender", "probe_terms",
+                           "budget_exceeded", "assume_terminating")
+
+    def __init__(self, reduced: bool, reducedness_failures: list[str],
+                 locally_confluent: bool | None,  # None: the check did not run
+                 unjoinable: list,  # the engine's critical pairs that did not join
+                 termination_probe_ok: bool | None,  # None: the probe did not run
+                 termination_offender: str | None,  # the rendered probe that ran out of budget
+                 probe_terms: int, budget_exceeded: bool, assume_terminating: bool = False):
+        self._assign(reduced, reducedness_failures, locally_confluent, unjoinable, termination_probe_ok,
+                     termination_offender, probe_terms, budget_exceeded, assume_terminating)
 
     @property
     def complete(self) -> bool:
@@ -327,7 +332,7 @@ class CompletenessReport:
 
 def without(system, rule):
     """``system`` (a ``Trs`` or ``monoid.Srs``) less ``rule``, with fresh memos."""
-    return replace(system, rules=tuple(r for r in system.rules if r is not rule))
+    return system.with_rules(tuple(r for r in system.rules if r is not rule))
 
 
 def reducedness_failures(system, irreducible) -> list[str]:
@@ -427,9 +432,9 @@ def reduce_trs(trs: Trs) -> Trs:
     """Equivalent reduced system: normalize right-hand sides, then drop
     every rule whose left-hand side the remaining rules already reduce."""
     certify(trs, need_reduced=False)
-    stage_two = replace(trs, rules=tuple(
+    stage_two = trs.with_rules(tuple(
         Rule(r.name, r.lhs, normal_form(r.rhs, trs)) for r in trs.rules))
-    return replace(trs, rules=tuple(
+    return trs.with_rules(tuple(
         r for r in stage_two.rules if is_irreducible(r.lhs, without(stage_two, r))))
 
 

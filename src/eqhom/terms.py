@@ -29,17 +29,17 @@ Terms and morphisms are checked where they enter: applications by
 derives from them is built unchecked, by ``Morphism.derived``,
 ``substitute`` and ``replace_at``, which trust their callers.
 
-All values are immutable; every function is pure and thread-safe.  One
-process-wide table interns every term for the life of the process: a
-term is the one object with its constructor parts, so equality is
-identity.  Terms and morphisms hash once, at construction, from their
-parts' hashes; so hashing never walks a term.
+The package's immutable values share the base ``Frozen`` defined here: each is its
+own deep copy (the mutable reports share ``Record``).  Every function is pure and
+thread-safe.  One process-wide table interns every term for the life of the
+process: a term is the one object with its constructor parts, so equality is
+identity.  Terms and morphisms hash once, at construction: no hash walks a term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 Position = tuple[int, ...]
@@ -51,17 +51,39 @@ class TermError(Exception):
 
 
 _interned: dict = {}  # constructor parts -> the one term that has them
+_set = object.__setattr__  # the setter of a value's slots, bound once
 
 
-class _Term:
-    __slots__ = ()  # a subclass lists its constructor parts, then _hash
+class Record:
+    """A class with ``__slots__`` valued by its constructor's parameters, ``_fields``: ``==`` compares
+    them (or ``_compared``, two or more), the repr shows them, copies and pickles rebuild from them."""
 
-    @classmethod
-    def _intern(cls, parts: tuple):
-        t = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (*parts, hash(parts))):
-            object.__setattr__(t, name, value)
-        return _interned.setdefault(parts, t)  # a racing thread's term wins if it came first
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):  # _key, a class attribute, is called as self._key(value)
+        if compared := cls.__dict__.get("_compared", cls._fields):
+            cls._key = attrgetter(*compared)
+
+    def _assign(self, *values):  # the slots, in order; the hottest constructors set theirs directly
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Frozen(Record):
+    """An immutable ``Record``, hashed by the fields it compares: the base of all value classes."""
+
+    __slots__ = ()
+    _hash = property(lambda self: hash(self._key(self)))  # a _hash slot set at construction shadows it
 
     def __hash__(self):
         return self._hash
@@ -71,12 +93,24 @@ class _Term:
 
     __delattr__ = __setattr__  # takes no value
 
-    def __reduce__(self):  # copy, deepcopy and pickle return the interned term
-        return type(self), tuple(getattr(self, name) for name in self.__slots__[:-1])
+    def __deepcopy__(self, memo):
+        return self
+
+
+class _Term(Frozen):
+    __slots__ = ()  # a subclass lists its constructor parts, then _hash
+    __eq__, __hash__ = object.__eq__, Frozen.__hash__  # interned: equal terms are one object
+
+    @classmethod
+    def _intern(cls, parts: tuple):
+        t = object.__new__(cls)
+        t._assign(*parts, hash(parts))
+        return _interned.setdefault(parts, t)  # a racing thread's term wins if it came first
 
 
 class Var(_Term):
     __slots__ = ("name", "sort", "_hash")
+    _fields = __slots__[:2]
 
     def __new__(cls, name: str, sort: str):
         return _interned.get((name, sort)) or cls._intern((name, sort))
@@ -87,6 +121,7 @@ class Var(_Term):
 
 class App(_Term):
     __slots__ = ("op", "args", "sort", "_hash")
+    _fields = __slots__[:3]
 
     def __new__(cls, op: str, args: tuple["Term", ...], sort: str):
         return _interned.get((op, args, sort)) or cls._intern((op, args, sort))
@@ -100,26 +135,24 @@ class App(_Term):
 Term = Union[Var, App]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Operation symbols with declared argument sorts and result sort."""
 
-    sorts: tuple[str, ...]
-    ops: tuple[tuple[str, tuple[str, ...], str], ...]
-    _by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    __slots__ = ("sorts", "ops", "_by_name")
+    _fields = __slots__[:2]
 
-    def __post_init__(self):
-        if len(set(self.sorts)) != len(self.sorts):
+    def __init__(self, sorts: tuple[str, ...], ops: tuple[tuple[str, tuple[str, ...], str], ...]):
+        if len(set(sorts)) != len(sorts):
             raise TermError("duplicate sort names")
         by_name = {}
-        for name, arg_sorts, result in self.ops:
+        for name, arg_sorts, result in ops:
             if name in by_name:
                 raise TermError(f"duplicate operation symbol {name!r}")
             for s in (*arg_sorts, result):
-                if s not in self.sorts:
+                if s not in sorts:
                     raise TermError(f"operation {name!r} references undeclared sort {s!r}")
             by_name[name] = (tuple(arg_sorts), result)
-        object.__setattr__(self, "_by_name", by_name)
+        self._assign(sorts, ops, by_name)
 
     def is_op(self, name: str) -> bool:
         return name in self._by_name
@@ -236,13 +269,15 @@ def _checked_variables(context: Context, terms: tuple[Term, ...]) -> dict[str, s
     return order
 
 
-@dataclass(frozen=True, slots=True)
-class Morphism:
+class Morphism(Frozen):
     """A sorting context together with a tuple of terms over it."""
 
-    context: Context
-    terms: tuple[Term, ...]
-    _hash: int = field(init=False, compare=False, repr=False, hash=False)
+    __slots__ = ("context", "terms", "_hash")
+    _fields = __slots__[:2]
+
+    def __init__(self, context: Context, terms: tuple[Term, ...]):
+        self._assign(context, terms)
+        self.__post_init__()  # read on the class, where a tracer may wrap it
 
     def __post_init__(self):
         _checked_variables(self.context, self.terms)
@@ -252,13 +287,10 @@ class Morphism:
     def derived(cls, context: Context, terms: tuple[Term, ...]) -> Morphism:
         """``Morphism(context, terms)`` without the check, for terms known to fit."""
         m = object.__new__(cls)
-        object.__setattr__(m, "context", context)
-        object.__setattr__(m, "terms", terms)
-        object.__setattr__(m, "_hash", hash((context, terms)))
+        _set(m, "context", context)
+        _set(m, "terms", terms)
+        _set(m, "_hash", hash((context, terms)))
         return m
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def domain_sorts(self) -> tuple[str, ...]:

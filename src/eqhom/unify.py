@@ -12,10 +12,9 @@ Pure functions throughout; safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     App,
+    Frozen,
     Morphism,
     Term,
     Var,
@@ -128,13 +127,13 @@ def unify_terms(t: Term, s: Term) -> Subst | None:
     return {name: resolved[image] for name, image in binding.items()}
 
 
-@dataclass(frozen=True)
-class Unifier:
+class Unifier(Frozen):
     """Substitution morphisms for both sides plus the unified canonical term."""
 
-    left: Morphism
-    right: Morphism
-    unified: Morphism
+    __slots__ = _fields = ("left", "right", "unified")
+
+    def __init__(self, left: Morphism, right: Morphism, unified: Morphism):
+        self._assign(left, right, unified)
 
 
 def mgu(t: Term, s: Term) -> Unifier | None:

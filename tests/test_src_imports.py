@@ -2,9 +2,13 @@
 ``__init__.py`` only re-exports, so it is exempt.  Every top-level
 function, class and assigned name of src (dunder names aside) has a
 reader: src reads it outside its own definition, ``__init__.py``
-re-exports it, or the benchmark's tracer names it."""
+re-exports it, or the benchmark's tracer names it.  A text command
+loads none of the heavy standard modules that start-up once paid for."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +101,20 @@ def test_every_src_definition_has_a_caller():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert uncalled_definitions(modules, (SRC / "__init__.py").read_text(encoding="utf-8"),
                                 TRACER.read_text(encoding="utf-8")) == []
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize; json is for --json alone
+STARTUP_FREE = ("dataclasses", "inspect", "ast", "json")
+
+
+def test_a_text_command_loads_no_dataclasses_inspect_ast_or_json():
+    script = ("import sys\n"
+              "import eqhom.cli\n"
+              "code = eqhom.cli.cli_dispatch(['monoid', 'homology', sys.argv[1], '--max-dim', '2'])\n"
+              f"print(code, [m for m in {STARTUP_FREE!r} if m in sys.modules])\n")
+    # -S: no site, whose imports are the environment's, not eqhom's
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(ROOT / "tests" / "data" / "s3.srs")],
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == ["H_0: Z", "H_1: Z/2", "H_2: 0", "0 []"]

@@ -3,18 +3,23 @@ import pickle
 import random
 import sys
 import threading
-from dataclasses import fields
 
 import pytest
 
 from eqhom import morse
 from eqhom.chains import Cell, enumerate_chains
 from eqhom.cli import cli_dispatch
-from eqhom.coeff import expand_derivative, identity_element, star
-from eqhom.homology import boundary_matrices
+from eqhom.coeff import Monomial, expand_derivative, identity_element, star
+from eqhom.collapse import BoundaryMatrix, CellClass
+from eqhom.homology import HomologyGroup, InequalityReport, boundary_matrices
+from eqhom.monoid import Srs, SrsRule
 from eqhom.morse import morse_differential
 from eqhom.parser import parse_presentation, parse_srs
 from eqhom.rewrite import (
+    DEFAULT_JOIN_BUDGET,
+    DEFAULT_STEP_BUDGET,
+    CompletenessReport,
+    CriticalPair,
     Rule,
     Trs,
     check_complete,
@@ -47,7 +52,7 @@ from eqhom.terms import (
     var_count,
     variables,
 )
-from eqhom.unify import match_term
+from eqhom.unify import Unifier, match_term
 
 from conftest import as_unary_trs
 
@@ -365,7 +370,7 @@ def test_hash_eq_contract():
     first, second = build(), build()
     _, app, m, cell = first
     # the hash is fixed at construction, before any hash() call: its slot
-    # holds the generated dataclass hash already
+    # holds the hash of the compared fields already
     for value, parts in ((app, (app.op, app.args, app.sort)), (m, (m.context, m.terms)),
                          (cell, (cell.sort, cell.entries))):
         assert value._hash == hash(parts)
@@ -375,10 +380,14 @@ def test_hash_eq_contract():
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) and "_hash" not in repr(a)
         assert not hasattr(a, "__dict__")
-    for value in (m, cell):
-        cached = [f for f in fields(value) if f.name == "_hash"]
-        assert all(not (f.compare or f.repr or f.init) for f in cached)
-    # the cached hash is the generated dataclass hash, so hash-ordered
+    for value, args in ((m, (m.context, m.terms)), (cell, (cell.sort, cell.entries))):
+        # _hash is no constructor parameter, and neither == nor the repr reads it
+        with pytest.raises(TypeError):
+            type(value)(*args, _hash=value._hash)
+        other = type(value)(*args)
+        object.__setattr__(other, "_hash", value._hash + 1)
+        assert other == value and repr(other) == repr(value)
+    # the cached hash is the hash of the compared fields, so hash-ordered
     # containers iterate as they did before it was cached
     assert hash(app) == hash((app.op, app.args, app.sort))
     assert hash(m) == hash((m.context, m.terms))
@@ -581,6 +590,15 @@ def test_copies_and_pickles_of_a_term_are_the_interned_term():
         assert pickle.loads(pickle.dumps(t)) is t
 
 
+def test_a_deep_copy_of_a_term_past_the_recursion_limit_is_the_term():
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    t = Var("x", "X")
+    for _ in range(depth):
+        t = App("f", (t,), "X")
+    assert copy.deepcopy(t) is t and copy.deepcopy([t, (t,)]) == [t, (t,)]
+
+
 def test_assigning_or_deleting_a_term_field_raises():
     v = Var("x", "X")
     app = App("f", (v,), "X")
@@ -637,3 +655,96 @@ def test_replace_at_past_the_recursion_limit():
         inner = App("g", (c, inner), "X")
     assert replace_at(t, (2,) * (depth - 1) + (1,), v) is inner
     assert replace_at(t, (), c) is c and replace_at(t, (1,), c) is t
+
+
+def _value_classes():
+    """Each value class with its constructor's arguments by name, in order;
+    the fields ``==`` and ``hash`` read; the defaults of the trailing
+    parameters; and one changed argument that leaves the value equal
+    (True) or not (False)."""
+    v = Var("x1", "X")
+    fx = App("f", (v,), "X")
+    sig = Signature(("X",), (("f", ("X",), "X"),))
+    rule = Rule("r", App("f", (fx,), "X"), v)
+    m = Morphism((("x1", "X"),), (fx,))
+    cell = Cell("X", (m,))
+    group = HomologyGroup(1, (2,))
+    word_rule = SrsRule("r", "aa", "")
+    return [
+        (Signature, {"sorts": ("X",), "ops": sig.ops}, ("sorts", "ops"), {},
+         ("sorts", ("X", "Y"), False)),
+        (Morphism, {"context": (("x1", "X"),), "terms": (fx,)}, ("context", "terms"), {},
+         ("terms", (v,), False)),
+        (Cell, {"sort": "X", "entries": (m,)}, ("sort", "entries"), {}, ("entries", (), False)),
+        (Monomial, {"factors": (("f", 1, m),), "tail": m}, ("factors", "tail"), {},
+         ("factors", (), False)),
+        (Rule, {"name": "r", "lhs": rule.lhs, "rhs": v}, ("name", "lhs", "rhs"), {},
+         ("name", "s", False)),
+        (Trs, {"signature": sig, "rules": (rule,), "step_budget": 7, "join_budget": 8},
+         ("signature", "rules", "step_budget", "join_budget"),
+         {"step_budget": DEFAULT_STEP_BUDGET, "join_budget": DEFAULT_JOIN_BUDGET},
+         ("join_budget", 9, False)),
+        (CriticalPair, {"outer": rule, "inner": rule, "position": (1,), "left": fx, "right": v},
+         ("outer", "inner", "position", "left", "right"), {}, ("position", (), False)),
+        (Unifier, {"left": m, "right": m, "unified": m}, ("left", "right", "unified"), {},
+         ("unified", identity((("x1", "X"),)), False)),
+        (CellClass, {"kind": "redundant", "partner": cell, "epsilon": -1},
+         ("kind", "partner", "epsilon"), {"partner": None, "epsilon": None}, ("epsilon", 1, False)),
+        (HomologyGroup, {"rank": 1, "torsion": (2,)}, ("rank", "torsion"), {}, ("rank", 0, False)),
+        (SrsRule, {"name": "r", "lhs": "aa", "rhs": ""}, ("name", "lhs", "rhs"), {},
+         ("rhs", "a", False)),
+        (Srs, {"alphabet": ("a",), "rules": (word_rule,), "step_budget": 7, "names": {"a": "x"}},
+         ("alphabet", "rules"), {"step_budget": 10_000, "names": {}}, ("step_budget", 8, True)),
+        (BoundaryMatrix, {"dim": 1, "rows": [cell], "cols": [cell], "entries": [[1]], "modulus": 0},
+         None, {}, ("modulus", 2, False)),
+        (InequalityReport, {"dim": 0, "modulus": 0, "chain_counts": {0: 1}, "groups": {0: group},
+                            "weak_lhs": 1, "weak_rhs": 1, "strong_lhs": 1, "strong_rhs": 1},
+         None, {}, ("weak_rhs", 2, False)),
+        (CompletenessReport, {"reduced": True, "reducedness_failures": [], "locally_confluent": True,
+                              "unjoinable": [], "termination_probe_ok": True,
+                              "termination_offender": None, "probe_terms": 3,
+                              "budget_exceeded": False, "assume_terminating": True},
+         None, {"assume_terminating": False}, ("probe_terms", 4, False)),
+    ]
+
+
+@pytest.mark.parametrize("cls, args, compared, defaults, change", _value_classes(),
+                         ids=[case[0].__name__ for case in _value_classes()])
+def test_value_class_contract(cls, args, compared, defaults, change):
+    """``compared`` None: a mutable report, unhashable, compared by every field."""
+    by_position, by_keyword = cls(*args.values()), cls(**args)
+    for value in (by_position, by_keyword):
+        assert [getattr(value, name) for name in args] == list(args.values())
+    assert by_position == by_keyword and not by_position != by_keyword
+    assert by_position != object() and by_position != ()
+    required = {name: arg for name, arg in args.items() if name not in defaults}
+    for value in (cls(*required.values()), cls(**required)):
+        assert {name: getattr(value, name) for name in defaults} == defaults
+    name, other, equal = change
+    changed = cls(**{**args, name: other})
+    assert (changed == by_position, changed != by_position) == (equal, not equal)
+    if compared is None:
+        with pytest.raises(TypeError):
+            hash(by_position)
+        setattr(by_position, name, other)  # a report stays mutable
+        assert by_position == changed
+        return
+    assert hash(by_position) == hash(tuple(getattr(by_position, f) for f in compared))
+    for field in args:
+        with pytest.raises(AttributeError):
+            setattr(by_position, field, args[field])
+        with pytest.raises(AttributeError):
+            delattr(by_position, field)
+    assert [getattr(by_position, name) for name in args] == list(args.values())
+
+
+COPIED = (Signature, Rule, SrsRule, Morphism, Cell, Monomial, HomologyGroup)
+
+
+@pytest.mark.parametrize("cls, args", [case[:2] for case in _value_classes() if case[0] in COPIED],
+                         ids=[cls.__name__ for cls in COPIED])
+def test_copies_and_pickles_of_a_value_are_equal(cls, args):
+    value = cls(**args)
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
