@@ -16,10 +16,11 @@ per sort.  Chains are the cells surviving the collapse:
   redexes indexed and ordered as in ``eqhom.rewrite.max_redex``.
 
 ``chain_extensions`` tabulates those entries per raw composite, keyed by
-the redex index each creates.  The term engine's matching reads the same
-table: a cell that is no chain splits at the maximal redex of the
-composite through its first non-chain entry, and its partner's new entry
-is the table's entry at that index (``eqhom.morse``).
+the redex index each creates.  The term engine's matching is this
+module's ``match``, which reads the same table: a cell that is no chain
+splits at the maximal redex of the composite through its first non-chain
+entry, and its partner's new entry is the table's entry at that index.
+``eqhom.morse`` hands it to the collapse.
 
 ``extend_chains`` builds a dimension from the one below a chain at a time,
 in canonical order since keys of one dimension have one length, so a caller
@@ -46,7 +47,7 @@ from .terms import (
     subterms,
     variables,
 )
-from .unify import unify_terms
+from .unify import match_tuple, unify_terms
 
 
 class Cell(Frozen):
@@ -120,33 +121,38 @@ def mgu_extension(T: Morphism, sub: Term, rule: Rule) -> Morphism | None:
     return essential_from_terms(terms)
 
 
-def sigma_cell_entry(m: Morphism, trs: Trs) -> str | None:
-    """The operation symbol when ``m`` applies one symbol to its context
-    variables in order, else None."""
-    if len(m.terms) != 1:
-        return None
-    t = m.terms[0]
-    if isinstance(t, Var):
-        return None
-    if t.args == tuple(Var(n, s) for n, s in m.context):
-        return t.op
-    return None
-
-
-def longest_chain_prefix(cell: Cell, trs: Trs) -> int:
-    """Number of leading entries that form a chain (0..dim)."""
-    for k, entry in enumerate(cell.entries):
-        if k == 0:
-            ok = sigma_cell_entry(entry, trs) is not None
-        else:
-            ok = entry in chain_extensions(composite(cell, trs, k), trs).values()
-        if not ok:
-            return k
-    return cell.dim
+def match(cell: Cell, trs: Trs) -> tuple[bool, Cell | None]:
+    """(chain?, split partner one dimension up or None), from one scan with
+    one table lookup per entry.  The head is a chain entry when it applies
+    one symbol to its context variables in order, else it splits into that
+    symbol and its arguments.  An entry ``t`` after a chain prefix with raw
+    composite ``T`` is a chain entry exactly when it is ``u``, the entry of
+    ``chain_extensions(T)`` at the maximal redex of ``T∘t``; else, when
+    ``u`` exists, the cell splits at ``t = u∘w``, both halves canonical."""
+    entries = cell.entries
+    if not entries:
+        return True, None
+    head, context = entries[0].term, entries[0].context
+    if head.args != tuple(Var(*v) for v in context):
+        split = (op_morphism(trs.signature, head.op), Morphism.derived(context, head.args))
+        return False, Cell(cell.sort, split + entries[1:])
+    for k in range(1, len(entries)):
+        T, t = composite(cell, trs, k), entries[k]
+        u = chain_extensions(T, trs).get(max_redex(compose_raw(T, t).term, trs))
+        if u == t:
+            continue
+        if u is None:
+            return False, None
+        # t unifies T at the redex with the rule's left side, so it is an instance of u,
+        # their mgu; w is no selection: canonical t = u∘w would be u
+        binding = match_tuple(u.terms, t.terms)
+        w = Morphism.derived(t.context, tuple(binding[name] for name, _ in u.context))
+        return False, Cell(cell.sort, entries[:k] + (u, w) + entries[k + 1:])
+    return True, None
 
 
 def is_chain(cell: Cell, trs: Trs) -> bool:
-    return longest_chain_prefix(cell, trs) == cell.dim
+    return match(cell, trs)[0]
 
 
 @memoised("extensions")

@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 from math import isqrt
-from pathlib import Path
 
 from .chains import Cell, enumerate_chains
 from .collapse import MatchingError
@@ -68,7 +67,8 @@ class InputError(Exception):
 def _load(path: str, parse):
     """``parse`` of the text of the input file at ``path``."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -183,7 +183,7 @@ def _cmd_homology(args) -> int:
     for n in range(args.max_dim + 1):
         print(f"H_{n}: {groups[n].describe(d)}   ({counts[n]} chain(s))")
     if args.max_dim >= 2:
-        print(inequalities(2, d, counts, groups).lines()[-1])
+        print(inequalities(trs, 2, d, counts, groups).lines()[-1])
     return 0
 
 

@@ -22,8 +22,10 @@ rank over the base PID, then a field, keeps the Euler-characteristic
 bookkeeping of the strong inequality uniform.  The weak inequality
 bounds ``s(H_n)`` by the number of n-chains; the strong one alternates
 chain counts against ranks.  At dimension 2 the strong inequality is the
-axiom-count bound: #rules - #operations + #sorts is at least
-s(H_2) - rank(H_1) + rank(H_0).
+axiom-count bound: #rules - #operations + #sorts, the presentation's own
+counts (``InequalityReport.axioms``), is at least s(H_2) - rank(H_1) +
+rank(H_0).  It equals c_2 - c_1 + c_0: an operation whose application to
+fresh variables is a left side drops out of both c_1 and c_2.
 """
 
 from __future__ import annotations
@@ -240,12 +242,13 @@ def homology_group(matrices: dict[int, BoundaryMatrix], n: int, d: int,
 
 class InequalityReport(Record):
     __slots__ = _fields = ("dim", "modulus", "chain_counts", "groups",
-                           "weak_lhs", "weak_rhs", "strong_lhs", "strong_rhs")
+                           "weak_lhs", "weak_rhs", "strong_lhs", "strong_rhs", "axioms")
 
     def __init__(self, dim: int, modulus: int, chain_counts: dict[int, int],
                  groups: dict[int, HomologyGroup], weak_lhs: int, weak_rhs: int,
-                 strong_lhs: int, strong_rhs: int):
-        self._assign(dim, modulus, chain_counts, groups, weak_lhs, weak_rhs, strong_lhs, strong_rhs)
+                 strong_lhs: int, strong_rhs: int, axioms: tuple[int, int, int]):
+        self._assign(dim, modulus, chain_counts, groups, weak_lhs, weak_rhs, strong_lhs,
+                     strong_rhs, axioms)
 
     @property
     def weak_holds(self) -> bool:
@@ -265,10 +268,10 @@ class InequalityReport(Record):
             f"[{'holds' if self.strong_holds else 'VIOLATED'}]",
         ]
         if n == 2:
-            c = self.chain_counts
+            r, o, s = self.axioms
             out.append(
                 f"axiom-count bound: #rules - #ops + #sorts = "
-                f"{c[2]} - {c[1]} + {c[0]} = {c[2] - c[1] + c[0]} >= {self.strong_rhs}"
+                f"{r} - {o} + {s} = {r - o + s} >= {self.strong_rhs}"
             )
         return out
 
@@ -285,16 +288,17 @@ def inequality_report(trs: Trs, d: int, n: int,
         chains = enumerate_chains(trs, n)
     counts = {k: len(v) for k, v in chains.items()}
     rows = boundary_rows(trs, chains, n + 1, d)
-    return inequalities(n, d, counts, homology_groups(rows, counts, d, range(n + 1)))
+    return inequalities(trs, n, d, counts, homology_groups(rows, counts, d, range(n + 1)))
 
 
-def inequalities(n: int, d: int, counts: dict[int, int],
+def inequalities(trs: Trs, n: int, d: int, counts: dict[int, int],
                  groups: dict[int, HomologyGroup]) -> InequalityReport:
-    """Both inequalities at dimension ``n`` from chain counts and the
-    homology groups of dimensions 0..n already computed."""
+    """Both inequalities at dimension ``n`` of ``trs`` from chain counts and
+    the homology groups of dimensions 0..n already computed."""
     weak_lhs = counts[n]
     weak_rhs = groups[n].generators
     strong_lhs = sum((-1) ** (n - i) * counts[i] for i in range(n + 1))
     strong_rhs = weak_rhs + sum((-1) ** (n - i) * groups[i].rank for i in range(n))
-    return InequalityReport(n, d, counts, groups, weak_lhs, weak_rhs,
-                            strong_lhs, strong_rhs)
+    sig = trs.signature
+    return InequalityReport(n, d, counts, groups, weak_lhs, weak_rhs, strong_lhs, strong_rhs,
+                            (len(trs.rules), len(sig.ops), len(sig.sorts)))

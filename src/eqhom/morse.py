@@ -1,5 +1,5 @@
-"""The term engine's complex: the normalized boundary of a cell, and the
-split partner that defines its matching.  The collapse itself
+"""The term engine's complex: the normalized boundary of a cell, adapted
+with the matching of ``eqhom.chains``.  The collapse itself
 (classification, routing, the collapsed differential) is
 ``eqhom.collapse``; this module adapts the term complex to it.
 
@@ -14,14 +14,11 @@ otherwise the leftmost non-canonical entry is factored into its
 essential part, pushing the leftover selection rightward until it either
 dies, is absorbed, or falls off the end as a restriction coefficient.
 
-A non-chain cell splits at the entry after its chain prefix, along the
-maximal redex of the composite through that entry: the first half of the
-split is the chain step's entry at that redex index
-(``chain_extensions``), and the entry must factor through it.  This
-split alone defines the matching, whose collapsible cells are those with
-a face that splits back to them.  The adapter's ``match`` scans the
-chain prefix once (``longest_chain_prefix``, unmemoised) and hands it to
-the split, whose halves are canonical by construction.
+The matching lives in ``eqhom.chains``: a non-chain cell splits at the
+entry after its chain prefix, along the maximal redex of the composite
+through that entry, and the adapter's ``match`` is ``chains.match``.
+This split alone defines the matching, whose collapsible cells are those
+with a face that splits back to them.
 
 Coefficients come from a ring (``eqhom.collapse``) with two face hooks,
 so the boundary has one code path: mode ``"symbolic"`` is the presented
@@ -38,7 +35,7 @@ from __future__ import annotations
 from typing import Union
 
 from . import collapse
-from .chains import Cell, chain_extensions, composite, longest_chain_prefix
+from .chains import Cell, match
 from .coeff import (
     RingoidElement,
     expand_derivative,
@@ -47,7 +44,7 @@ from .coeff import (
     star,
 )
 from .collapse import DEFAULT_ROUTE_BUDGET, CellClass, MatchingError, add_term
-from .rewrite import Trs, max_redex, memoised, normal_form_morphism, op_morphism
+from .rewrite import Trs, memoised, normal_form_morphism
 from .terms import (
     Morphism,
     Var,
@@ -61,7 +58,6 @@ from .terms import (
     is_partial_permutation,
     var_count,
 )
-from .unify import match_tuple
 
 Coeff = Union[int, RingoidElement]
 Boundary = dict[Cell, Coeff]
@@ -145,27 +141,6 @@ def normalized_boundary(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     return acc
 
 
-def _try_split(cell: Cell, trs: Trs, prefix: int) -> Cell | None:
-    """The partner one dimension up of a cell that is no chain, its chain
-    prefix ``prefix`` entries long, when the cell is a matched target.
-    Both halves come out canonical, so neither is re-checked."""
-    entries = cell.entries
-    if prefix == 0:
-        head = entries[0]
-        f = op_morphism(trs.signature, head.term.op)
-        return Cell(cell.sort, (f, Morphism.derived(head.context, head.term.args)) + entries[1:])
-    T = composite(cell, trs, prefix)
-    t = entries[prefix]
-    u = chain_extensions(T, trs).get(max_redex(compose_raw(T, t).term, trs))
-    if u is None:
-        return None
-    # t unifies T at the redex with the rule's left side, so it is an instance of u, their mgu
-    binding = match_tuple(u.terms, t.terms)
-    # w is no selection: canonical t = u∘w would be u, a chain entry past the prefix
-    w = Morphism.derived(t.context, tuple(binding[name] for name, _ in u.context))
-    return Cell(cell.sort, entries[:prefix] + (u, w) + entries[prefix + 1:])
-
-
 class _Counts(collapse.Integers):
     """Counting coefficients of the term complex: ∂_i(f) counts the
     occurrences of the i-th variable of ``f``."""
@@ -225,10 +200,7 @@ class _Terms:
         self.ring = ring_of(mode)
 
     def match(self, cell: Cell) -> tuple[bool, Cell | None]:
-        prefix = longest_chain_prefix(cell, self.system)
-        if prefix == cell.dim:
-            return True, None
-        return False, _try_split(cell, self.system, prefix)
+        return match(cell, self.system)
 
     def boundary(self, cell: Cell) -> Boundary:
         return normalized_boundary(cell, self.system, self.ring.name)

@@ -8,6 +8,8 @@ import pytest
 from eqhom.collapse import MatchingError, assemble_matrices, classify
 from eqhom.monoid import word_morse_differential
 from eqhom.parser import parse_presentation, parse_srs
+from eqhom.rewrite import Rule, Trs
+from eqhom.terms import App, Signature, Var
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,6 +54,21 @@ def as_unary_trs(srs):
     lines = ["sorts X"] + [f"op {c} : X -> X" for c in srs.alphabet] + ["var x : X"]
     lines += [f"rule {r.name} : {term(r.lhs)} -> {term(r.rhs)}" for r in srs.rules]
     return parse_presentation("\n".join(lines) + "\n")
+
+
+def _mirror_term(t):
+    if isinstance(t, Var):
+        return t
+    return App(t.op, tuple(_mirror_term(a) for a in reversed(t.args)), t.sort)
+
+
+def mirror(trs):
+    """The system with the arguments of every operation reversed, in its
+    declaration and in every rule: an isomorphic theory."""
+    sig = trs.signature
+    ops = tuple((name, tuple(reversed(args)), result) for name, args, result in sig.ops)
+    rules = tuple(Rule(r.name, _mirror_term(r.lhs), _mirror_term(r.rhs)) for r in trs.rules)
+    return Trs(Signature(sig.sorts, ops), rules)
 
 
 def routed_word_matrices(srs, chains, max_dim):

@@ -10,7 +10,7 @@ from eqhom.chains import (
     enumerate_chains,
     extend_chains,
     is_chain,
-    longest_chain_prefix,
+    match,
     max_redex,
     redex_less,
     valid_entry,
@@ -28,6 +28,8 @@ from eqhom.terms import (
     variables,
 )
 from eqhom.unify import match_term
+
+from conftest import mirror
 
 SIG = Signature(("X",), (("plus", ("X", "X"), "X"), ("zero", (), "X")))
 ZERO = SIG.app("zero")
@@ -135,21 +137,34 @@ def test_chain_prefixes_are_chains(ab_trs, group_trs):
             for cell in cells:
                 for k in range(dim):
                     assert is_chain(Cell(cell.sort, cell.entries[:k]), trs)
-                assert longest_chain_prefix(cell, trs) == dim
+                assert match(cell, trs) == (True, None)
 
 
 def test_routed_prefixes_are_the_longest_enumerated_chains(data_dir):
-    # every cell that routing meets through d_4 of group theory: its chain
-    # prefix is the longest leading part that enumeration lists as a chain
-    trs = parse_presentation((data_dir / "group.lwv").read_text())
-    chains = enumerate_chains(trs, 4)
-    boundary_matrices(trs, chains, 4, degree(trs))
-    routed = trs.cache("express_count")
-    assert len(routed) == 1414
-    for cell in routed:
-        expected = max(k for k in range(cell.dim + 1)
-                       if Cell(cell.sort, cell.entries[:k]) in chains[k])
-        assert longest_chain_prefix(cell, trs) == expected, cell
+    # every cell that routing meets through d_4 of each certifiable fixture
+    # and its mirror: it is a chain exactly when enumeration lists it, and a
+    # partner is one dimension up and keeps the longest leading part of the
+    # cell that enumeration lists as a chain
+    routed_counts = {}
+    for path in sorted(data_dir.glob("*.lwv")):
+        trs = parse_presentation(path.read_text())
+        if not check_complete(trs).certified:
+            continue
+        for system in (trs, mirror(trs)):
+            chains = enumerate_chains(system, 4)
+            boundary_matrices(system, chains, 4, degree(system))
+            routed = system.cache("express_count")
+            routed_counts.setdefault(path.name, []).append(len(routed))
+            for cell in routed:
+                prefix = max(k for k in range(cell.dim + 1)
+                             if Cell(cell.sort, cell.entries[:k]) in chains[k])
+                chain, partner = match(cell, system)
+                assert chain == (prefix == cell.dim), cell
+                if partner is not None:
+                    assert partner.dim == cell.dim + 1, cell
+                    assert partner.entries[:prefix] == cell.entries[:prefix], cell
+    assert routed_counts == {"abelian_unit.lwv": [6, 6], "group.lwv": [1414, 1396],
+                             "involution.lwv": [3, 3], "involution3.lwv": [17, 17]}
 
 
 def test_extending_each_chain_in_turn_is_the_global_sort(data_dir):

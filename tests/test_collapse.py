@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from eqhom import collapse
-from eqhom.chains import chain_extensions, enumerate_chains, longest_chain_prefix
+from eqhom.chains import chain_extensions, enumerate_chains, match
 from eqhom.collapse import MatchingError, assemble_matrices, morse_differential
 from eqhom.homology import boundary_matrices
 from eqhom.monoid import _Words, enumerate_word_chains
@@ -197,22 +197,22 @@ def _count_calls(monkeypatch, fn) -> list[int]:
 
 
 def test_routing_scans_each_chain_prefix_once(monkeypatch, data_dir):
-    # one ``match`` per routed cell: the term adapter scans the chain
-    # prefix once per ``match``, and the word adapter is one pass itself
+    # one ``match`` per routed cell: the term adapter's is one scan of the
+    # cell (``chains.match``), and the word adapter's is one pass itself
     trs = parse_presentation((data_dir / "group.lwv").read_text())
     term_chains = enumerate_chains(trs, 3)
-    scans = _count_calls(monkeypatch, longest_chain_prefix)
+    scans = _count_calls(monkeypatch, match)
     boundary_matrices(trs, term_chains, 3, degree(trs))
     assert scans[0] == len(trs.cache("express_count")) == 85
 
     srs = parse_srs((data_dir / "s3.srs").read_text())
     word_chains = enumerate_word_chains(srs, 5)
     matches = [0]
-    match = _Words.match
+    word_match = _Words.match
 
     def counted(cx, cell):
         matches[0] += 1
-        return match(cx, cell)
+        return word_match(cx, cell)
 
     monkeypatch.setattr(_Words, "match", counted)
     routed_word_matrices(srs, word_chains, 5)

@@ -223,6 +223,17 @@ def test_cli_homology_group_inequality_line(capsys, data_dir, group_trs):
     assert "axiom-count bound" in out
 
 
+def test_the_axiom_count_line_counts_the_presentation(capsys, tmp_path):
+    # f(x) is a left side, so f drops out of the 1-chains and r out of the
+    # 2-chains; the line still counts the presentation's 1 rule, 2 ops, 1 sort
+    path = tmp_path / "f.lwv"
+    path.write_text("sorts X\nop f : X -> X\nop e : -> X\nvar x : X\nrule r : f(x) -> x\n")
+    for argv in (("inequality", "--dim", "2"), ("homology", "--max-dim", "2")):
+        code, out, _ = _run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert out.splitlines()[-1] == "axiom-count bound: #rules - #ops + #sorts = 1 - 2 + 1 = 0 >= 0"
+
+
 def test_cli_inequality(capsys, data_dir):
     code, out, _ = _run(capsys, "inequality", str(data_dir / "group.lwv"), "--dim", "2")
     assert code == 0

@@ -9,7 +9,7 @@ from eqhom.chains import (
     Cell,
     composite,
     enumerate_chains,
-    longest_chain_prefix,
+    match,
     mgu_extension,
     valid_entry,
 )
@@ -17,17 +17,16 @@ from eqhom.coeff import multiply
 from eqhom.homology import boundary_matrices, homology_group
 from eqhom.morse import (
     _Terms,
-    _try_split,
     classify,
     morse_differential,
     normalized_boundary,
 )
 from eqhom.parser import parse_presentation
-from eqhom.rewrite import Rule, Trs, degree, max_redex, op_morphism
-from eqhom.terms import App, Morphism, Signature, Var, compose_raw, is_partial_permutation
+from eqhom.rewrite import degree, max_redex, op_morphism
+from eqhom.terms import Morphism, Var, compose_raw, is_partial_permutation
 from eqhom.unify import match_tuple
 
-from conftest import signed_monomial_count, vanishes, verify_matching
+from conftest import mirror, signed_monomial_count, vanishes, verify_matching
 
 
 def xv(name):
@@ -70,13 +69,17 @@ def tau2(trs):
 
 def test_longest_chain_prefix_examples(ab_trs):
     sig = ab_trs.signature
-    assert longest_chain_prefix(tau1(ab_trs), ab_trs) == 3  # a chain: all prefixes chain
-    # a head that is not a bare operation stops the prefix at once
+    assert match(tau1(ab_trs), ab_trs) == (True, None)  # a chain: all prefixes chain
+    # a head that is not a bare operation stops the prefix at once: it splits
+    # into the operation and its arguments
     nested = Cell("X", (Morphism(
         (("x1", "X"), ("x2", "X"), ("x3", "X")),
         (sig.app("plus", sig.app("plus", xv("x1"), xv("x2")), xv("x3")),)),))
-    assert longest_chain_prefix(nested, ab_trs) == 0
-    assert longest_chain_prefix(redundant_zz(ab_trs), ab_trs) == 1
+    args = Morphism((("x1", "X"), ("x2", "X"), ("x3", "X")),
+                    (sig.app("plus", xv("x1"), xv("x2")), xv("x3")))
+    assert match(nested, ab_trs) == (False, Cell("X", plus_cell(ab_trs).entries + (args,)))
+    # past its one-entry chain prefix, (zero, zero) splits at the left-unit chain entry
+    assert match(redundant_zz(ab_trs), ab_trs) == (False, tau2(ab_trs))
 
 
 def test_boundary_of_operations(ab_trs):
@@ -396,21 +399,6 @@ def _split_by_definition(cell, trs, prefix):
     return Cell(cell.sort, entries[:prefix] + (u, w) + entries[prefix + 1:])
 
 
-def _mirror_term(t):
-    if isinstance(t, Var):
-        return t
-    return App(t.op, tuple(_mirror_term(a) for a in reversed(t.args)), t.sort)
-
-
-def _mirror(trs):
-    """The system with the arguments of every operation reversed, in its
-    declaration and in every rule: an isomorphic theory."""
-    sig = trs.signature
-    ops = tuple((name, tuple(reversed(args)), result) for name, args, result in sig.ops)
-    rules = tuple(Rule(r.name, _mirror_term(r.lhs), _mirror_term(r.rhs)) for r in trs.rules)
-    return Trs(Signature(sig.sorts, ops), rules)
-
-
 @pytest.mark.parametrize("name, max_dim, d, groups, chains, splits", [
     ("involution.lwv", 4, 0, ["0", "Z + Z/2", "0", "Z/2", "0"],
      ([1, 3, 1, 1, 1, 1], [1, 3, 1, 1, 1, 1]), (0, 0)),
@@ -425,7 +413,7 @@ def test_the_mirror_has_the_same_homology_and_splits_by_definition(
     # every cell routed through d_{max_dim + 1} that is no chain, the split
     # equals the one recomputed from its definition
     trs = parse_presentation((data_dir / name).read_text())
-    for system, counts, split in zip((trs, _mirror(trs)), chains, splits):
+    for system, counts, split in zip((trs, mirror(trs)), chains, splits):
         cells = enumerate_chains(system, max_dim + 1)
         assert [len(cells[n]) for n in sorted(cells)] == counts
         mats = boundary_matrices(system, cells, max_dim + 1, d)
@@ -433,9 +421,9 @@ def test_the_mirror_has_the_same_homology_and_splits_by_definition(
                 for n in range(max_dim + 1)] == groups
         compared = 0
         for cell in system.cache("express_count"):
-            prefix = longest_chain_prefix(cell, system)
+            prefix = max(k for k in range(cell.dim + 1)
+                         if Cell(cell.sort, cell.entries[:k]) in cells[k])
             if prefix < cell.dim:
-                expected = _split_by_definition(cell, system, prefix)
-                assert _try_split(cell, system, prefix) == expected, cell
+                assert match(cell, system) == (False, _split_by_definition(cell, system, prefix)), cell
                 compared += 1
         assert compared == split

@@ -104,7 +104,7 @@ def test_every_src_definition_has_a_caller():
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize; json is for --json alone
-STARTUP_FREE = ("dataclasses", "inspect", "ast", "json")
+STARTUP_FREE = ("dataclasses", "inspect", "ast", "json", "pathlib")
 
 
 def test_a_text_command_loads_no_dataclasses_inspect_ast_or_json():

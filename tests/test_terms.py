@@ -521,15 +521,15 @@ def test_the_trusting_kernels_only_see_arguments_that_fit(data_dir, monkeypatch)
                        for e in cell.entries), cell
         partners.clear()
 
-    split = morse._try_split
+    match = morse.match
 
-    def recorded_split(*args):
-        partner = split(*args)
+    def recorded_match(*args):
+        chain, partner = match(*args)
         if partner is not None:
             partners.append(partner)
-        return partner
+        return chain, partner
 
-    monkeypatch.setattr(morse, "_try_split", recorded_split)
+    monkeypatch.setattr(morse, "match", recorded_match)
 
     for fn, fits in TRUSTING:  # rebound in every module that imported it, recursion included
         wrapper = checking(fn, fits)
@@ -698,7 +698,8 @@ def _value_classes():
         (BoundaryMatrix, {"dim": 1, "rows": [cell], "cols": [cell], "entries": [[1]], "modulus": 0},
          None, {}, ("modulus", 2, False)),
         (InequalityReport, {"dim": 0, "modulus": 0, "chain_counts": {0: 1}, "groups": {0: group},
-                            "weak_lhs": 1, "weak_rhs": 1, "strong_lhs": 1, "strong_rhs": 1},
+                            "weak_lhs": 1, "weak_rhs": 1, "strong_lhs": 1, "strong_rhs": 1,
+                            "axioms": (1, 1, 1)},
          None, {}, ("weak_rhs", 2, False)),
         (CompletenessReport, {"reduced": True, "reducedness_failures": [], "locally_confluent": True,
                               "unjoinable": [], "termination_probe_ok": True,
