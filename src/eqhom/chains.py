@@ -29,7 +29,7 @@ reading a prefix (the F_p stop of ``eqhom.homology``) builds no chain past it.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .rewrite import (RedexIndex, Rule, Trs, certify, is_irreducible, max_redex, memoised,
                       op_morphism)
@@ -75,14 +75,10 @@ def cell_key(cell: Cell) -> tuple:
     return (cell.sort, tuple(repr(m) for m in cell.entries))
 
 
-def composite(cell: Cell, trs: Trs, upto: int | None = None) -> Morphism:
-    """Raw composite of the first ``upto`` entries (no rewriting),
-    memoised per entry prefix: a cell's sort is its first entry's codomain."""
-    return _composite(cell.entries[:upto], trs)
-
-
 @memoised("composite")
-def _composite(entries: tuple[Morphism, ...], trs: Trs) -> Morphism:
+def composite(entries: tuple[Morphism, ...], trs: Trs) -> Morphism:
+    """Raw composite of a cell's entries or of a prefix of them (no
+    rewriting): a cell's sort is its first entry's codomain."""
     return compose_chain(entries)
 
 
@@ -137,7 +133,7 @@ def match(cell: Cell, trs: Trs) -> tuple[bool, Cell | None]:
         split = (op_morphism(trs.signature, head.op), Morphism.derived(context, head.args))
         return False, Cell(cell.sort, split + entries[1:])
     for k in range(1, len(entries)):
-        T, t = composite(cell, trs, k), entries[k]
+        T, t = composite(entries[:k], trs), entries[k]
         u = chain_extensions(T, trs).get(max_redex(compose_raw(T, t).term, trs))
         if u == t:
             continue
@@ -206,5 +202,5 @@ def extend_chains(cells: list[Cell], trs: Trs) -> Iterator[Cell]:
     key is its parent's key plus one entry, so each parent's children,
     sorted in turn, follow the global sort."""
     for cell in cells:
-        us = chain_extensions(composite(cell, trs), trs).values()
+        us = chain_extensions(composite(cell.entries, trs), trs).values()
         yield from sorted((Cell(cell.sort, cell.entries + (u,)) for u in us), key=cell_key)

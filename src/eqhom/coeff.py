@@ -32,7 +32,7 @@ the count mode of ``eqhom.morse`` computes that image directly.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .rewrite import Trs, normal_form, normal_form_morphism
 from .terms import (

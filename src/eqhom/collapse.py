@@ -5,12 +5,13 @@ the word engine computes the same collapse directly on its chains
 (Anick's resolution, ``eqhom.monoid``) and keeps its routed adapter
 only as the tests' oracle.
 
-An engine supplies its complex through a small adapter (``Complex``):
-``match``, which tells from one scan of a cell whether it is a chain
-and, when it is not, the partner one dimension up that splits it; the
-signed boundary; and the ring of its coefficients.  The split alone
-defines the matching; everything else lives here, generic in the ring
-as Sköldberg's collapse is.
+An engine supplies its complex through a small adapter ``cx``:
+``cx.match(cell)`` is (chain?, split partner or None) from one scan of
+the cell, the partner one dimension up; ``cx.boundary(cell)`` is the
+signed boundary, a dict from face to coefficient; ``cx.ring`` is the
+ring of those coefficients; and ``cx.system`` owns the memo tables
+(``system.cache(kind) -> dict``).  The split alone defines the matching;
+everything else lives here, generic in the ring as Sköldberg's collapse is.
 
 Classification.  A chain (or a 0-cell) is critical.  Any other cell is
 redundant when it splits, that is when it is a face of its split partner
@@ -60,14 +61,14 @@ dimension down, read lazily from ``matrix_rows`` or all at once by
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterator, Protocol
+from collections.abc import Callable, Hashable, Iterator
 
 from .rewrite import BudgetExceeded
 from .terms import Frozen, Record
 
 DEFAULT_ROUTE_BUDGET = 200_000
 
-Boundary = dict[Hashable, Any]
+Boundary = dict[Hashable, object]
 Matrix = list[list[int]]
 
 
@@ -111,16 +112,6 @@ class Integers:
         return c
 
 
-class Complex(Protocol):
-    """What an engine supplies about its complex over ``system``."""
-
-    system: Any  # owns the memo tables: ``system.cache(kind) -> dict``
-    ring: Any  # the ring of ``boundary``'s coefficients, e.g. ``Integers``
-
-    def match(self, cell) -> tuple[bool, Any]: ...  # (chain?, split partner or None)
-    def boundary(self, cell) -> Boundary: ...
-
-
 def add_term(acc: Boundary, cell, coeff) -> None:
     """``acc[cell] += coeff``, dropping the cell when the sum is zero."""
     if cell in acc:
@@ -131,7 +122,7 @@ def add_term(acc: Boundary, cell, coeff) -> None:
         acc.pop(cell, None)
 
 
-def classify(cell, cx: Complex) -> CellClass:
+def classify(cell, cx) -> CellClass:
     """Critical, redundant-with-partner or collapsible-with-partner."""
     cache = cx.system.cache("classify")  # by hand: its system comes through the adapter
     hit = cache.get(cell)
@@ -140,7 +131,7 @@ def classify(cell, cx: Complex) -> CellClass:
     return hit
 
 
-def _classify(cell, cx: Complex) -> CellClass:
+def _classify(cell, cx) -> CellClass:
     chain, split = cx.match(cell)
     if chain:
         return CellClass("critical")
@@ -185,7 +176,7 @@ def evaluate(key, entry, arg, cache, counter: list[int], exhausted: str):
         value = cache.get(key)
 
 
-def _route(cell, cx: Complex):
+def _route(cell, cx):
     """One entry of routing: ``cell`` as a combination of critical cells.
     A chain is itself, a cell with no partner vanishes, and a redundant
     cell is ``-ε`` times the rest of its partner's boundary, each face
@@ -204,7 +195,7 @@ def _route(cell, cx: Complex):
     return out
 
 
-def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
+def morse_differential(cell, cx, budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
     ring = cx.ring
     cache = cx.system.cache("express_" + ring.name)  # by hand: written by ``evaluate``
@@ -217,7 +208,7 @@ def morse_differential(cell, cx: Complex, budget: int = DEFAULT_ROUTE_BUDGET) ->
     return out
 
 
-def matrix_rows(differential: Callable[[Any], Boundary], rows: list, cols: list,
+def matrix_rows(differential: Callable[[object], Boundary], rows: list, cols: list,
                 modulus: int = 0) -> Iterator[list[int]]:
     """The differentials of ``rows`` as integer rows over ``cols``, reduced
     modulo ``modulus`` unless it is 0, each routed when it is read."""
@@ -233,7 +224,7 @@ def matrix_rows(differential: Callable[[Any], Boundary], rows: list, cols: list,
         yield row
 
 
-def assemble_matrices(differential: Callable[[Any], Boundary], chains: dict[int, list],
+def assemble_matrices(differential: Callable[[object], Boundary], chains: dict[int, list],
                       max_dim: int, modulus: int = 0) -> dict[int, BoundaryMatrix]:
     """Matrices of the counting differentials for dimensions 1..max_dim,
     every row of ``matrix_rows`` read."""

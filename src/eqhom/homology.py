@@ -30,7 +30,7 @@ fresh variables is a left side drops out of both c_1 and c_2.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .chains import Cell, enumerate_chains, extend_chains
 from .collapse import BoundaryMatrix, Matrix, assemble_matrices, matrix_rows

@@ -32,8 +32,6 @@ ringoid renames none of them.
 
 from __future__ import annotations
 
-from typing import Union
-
 from . import collapse
 from .chains import Cell, match
 from .coeff import (
@@ -59,7 +57,7 @@ from .terms import (
     var_count,
 )
 
-Coeff = Union[int, RingoidElement]
+Coeff = int | RingoidElement
 Boundary = dict[Cell, Coeff]
 
 

@@ -137,6 +137,8 @@ def parse_presentation(text: str) -> Trs:
             if not names:
                 raise ParseError("syntax-error", "sorts needs at least one name", lineno)
             for name in names:
+                if not re.fullmatch(r"\w+", name):  # op and var lines read only \w+ sorts
+                    raise ParseError("syntax-error", f"sort {name!r} is not a word", lineno)
                 _declare(sorts, name, lineno, "sort")
         elif head == "op":
             m = re.fullmatch(rf"({IDENT.pattern})\s*:\s*([\w\s]*)->\s*(\w+)", rest)
@@ -242,6 +244,8 @@ def parse_srs(text: str) -> Srs:
             if not names:
                 raise ParseError("syntax-error", "letters needs at least one name", lineno)
             for letter in names:
+                if "->" in letter:  # a rule's first -> would cut it
+                    raise ParseError("syntax-error", f"letter {letter!r} holds ->", lineno)
                 _declare(letters, letter, lineno, "letter")
         elif head == "rule":
             m = re.fullmatch(r"(\w+)\s*:\s*(.*)", rest)

@@ -38,9 +38,9 @@ identity.  Terms and morphisms hash once, at construction: no hash walks a term.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from functools import reduce
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Union
 
 Position = tuple[int, ...]
 ROOT: Position = ()
@@ -132,7 +132,7 @@ class App(_Term):
         return f"{self.op}({','.join(map(repr, self.args))})"
 
 
-Term = Union[Var, App]
+Term = Var | App
 
 
 class Signature(Frozen):

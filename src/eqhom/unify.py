@@ -23,15 +23,6 @@ from .terms import (
     variables,
 )
 
-__all__ = [
-    "Subst",
-    "Unifier",
-    "match_term",
-    "match_tuple",
-    "mgu",
-    "unify_terms",
-]
-
 Subst = dict[str, Term]
 
 

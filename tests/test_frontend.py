@@ -103,7 +103,7 @@ def test_parse_reads_a_rule_side_nested_20000_deep(side):
     assert u == Var("x", "X")
 
 
-@pytest.mark.parametrize("declaration", ["op 1 : -> X", "var x 2y : X", "op é : -> X"])
+@pytest.mark.parametrize("declaration", ["op 1 : -> X", "var x 2y : X", "op é : -> X", "sorts Y-Z"])
 def test_a_name_no_term_can_spell_is_refused_where_it_is_declared(declaration):
     with pytest.raises(ParseError) as err:
         parse_presentation(f"sorts X\n{declaration}\n")
@@ -142,6 +142,17 @@ def test_parse_srs(z2_srs):
     assert z2_srs.rules[0].rhs == ""
     with pytest.raises(ParseError):
         parse_srs("letters a\nrule r : -> a\n")
+
+
+def test_a_letter_no_rule_can_spell_is_refused_where_it_is_declared():
+    # a rule's first -> cuts its sides, so no left side could hold this letter;
+    # each refusal names the letter or sort
+    with pytest.raises(ParseError) as err:
+        parse_srs("letters a->b c\n")
+    assert str(err.value) == "syntax-error at line 1:0: letter 'a->b' holds ->"
+    with pytest.raises(ParseError) as err:
+        parse_presentation("sorts X Y-Z\n")
+    assert str(err.value) == "syntax-error at line 1:0: sort 'Y-Z' is not a word"
 
 
 def test_srs_letters_are_one_character_each(data_dir):
@@ -262,7 +273,8 @@ def test_top_chains_built_as_read_print_what_enumerated_ones_print(
             assert _run(capsys, argv[0], str(path), *argv[1:]) == lazy
         assert lazy[0] == 0, (path.name, lazy)
         seen.add(path.name)
-    assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv"}
+    assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv",
+                    "two_sorted.lwv"}
 
 
 def test_cli_resolution(capsys, data_dir):

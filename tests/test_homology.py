@@ -273,7 +273,7 @@ def test_sparse_fp_rank_agrees_on_every_fixture_boundary(data_dir):
             _assert_fp_ranks_agree(entries, p, where)
         seen.add(where[0])
     assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv",
-                         "respelled.srs", "s3.srs", "z2.srs"}
+                    "two_sorted.lwv", "respelled.srs", "s3.srs", "z2.srs"}
 
 
 def test_json_and_text_homology_read_the_same_rows(capsys, data_dir):
@@ -296,8 +296,24 @@ def test_json_and_text_homology_read_the_same_rows(capsys, data_dir):
                             for n, g, c in records], (path.name, d)
             seen.add((path.name, d))
     assert seen == {(name, d) for name in ("abelian_unit.lwv", "involution.lwv",
-                                           "involution3.lwv") for d in (0, 2, 3, 5, 7)} | {
+                                           "involution3.lwv", "two_sorted.lwv")
+                    for d in (0, 2, 3, 5, 7)} | {
         ("group.lwv", 2)}
+
+
+def test_the_two_sorted_fixture_obeys_universal_coefficients(data_dir):
+    # dim H_n(Z/2) = rank H_n + #(even torsion of H_n) + #(even torsion of H_{n-1})
+    trs = parse_presentation((data_dir / "two_sorted.lwv").read_text())
+    chains = enumerate_chains(trs, 6)
+    counts = {k: len(v) for k, v in chains.items()}
+    assert counts == {0: 2, 1: 4, 2: 3, 3: 2, 4: 2, 5: 2, 6: 2}
+    groups = {d: homology_groups({k: m.entries for k, m in boundary_matrices(
+        trs, chains, 6, d).items()}, counts, d, range(6)) for d in (0, 2)}
+    assert [g.describe(0) for g in groups[0].values()] == ["0", "Z/2", "0", "Z/2", "0", "Z/2"]
+    even = {n: sum(t % 2 == 0 for t in g.torsion) for n, g in groups[0].items()}
+    for n, g in groups[2].items():
+        assert g.rank == groups[0][n].rank + even[n] + even.get(n - 1, 0), n
+    assert [g.rank for g in groups[2].values()] == [0, 1, 1, 1, 1, 1]
 
 
 def test_each_matrix_is_reduced_once(monkeypatch, capsys, data_dir):
@@ -357,7 +373,8 @@ def test_the_stop_rule_keeps_every_group_on_every_fixture(data_dir):
                         assert read[k] == counts[k], (path.name, p, dims, k)
                 unread += sum(counts[k] - read[k] for k in range(max(dims.start, 1), top + 2))
         seen.add(path.name)
-    assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv"}
+    assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv",
+                    "two_sorted.lwv"}
     assert unread > 0
 
 

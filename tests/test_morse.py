@@ -374,7 +374,7 @@ def _split_by_definition(cell, trs, prefix):
         head = entries[0]
         f = op_morphism(trs.signature, head.term.op)
         return Cell(cell.sort, (f, Morphism.derived(head.context, head.term.args)) + entries[1:])
-    T = composite(cell, trs, prefix)
+    T = composite(entries[:prefix], trs)
     t = entries[prefix]
     top = max_redex(compose_raw(T, t).term, trs)
     if top is None:

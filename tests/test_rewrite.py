@@ -86,6 +86,7 @@ PINNED_CRITICAL_PAIRS = [
     ("group.lwv", 55, "492d623a6f13240e50a8766c1c7e5a7cfdec80fbea810e0b678bede183a1f585"),
     ("involution.lwv", 1, "03808946b8dbc2aa91bfffae74a66a57804ff13194a60d0e0a85903b10032b95"),
     ("involution3.lwv", 3, "6c7964125184de07ca6ce5685834ea80be5139cf3e606f44ae1bc8b1d206ac49"),
+    ("two_sorted.lwv", 2, "e01293a73716d5cb8c1ea774a75c9c61b499e80eb6b9ba8b41f923e223a65cd6"),
     ("unreduced.lwv", 6, "758a8e0a502a454f5a8ff9900899413ce1e8e0cb489ab34d2005ed775312394a"),
 ]
 

@@ -98,7 +98,7 @@ def _term_d2(trs):
     ops = {c.entries[0].terms[0].op: c for c in chains[1]}
     out = {}
     for cell in chains[2]:
-        lhs = composite(cell, trs).terms[0]
+        lhs = composite(cell.entries, trs).terms[0]
         [rule] = [r for r in trs.rules if match_term(r.lhs, lhs) is not None]
         change = _ops(rule.lhs)
         change.subtract(_ops(rule.rhs))
@@ -191,7 +191,7 @@ def test_term_d2_is_squiers_on_the_fixtures(path):
 
 def test_every_certifiable_term_fixture_is_covered():
     assert {p.name for p in TERM_FIXTURES} == {
-        "abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv"}
+        "abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv", "two_sorted.lwv"}
 
 
 @pytest.mark.parametrize("name", GROUPS)

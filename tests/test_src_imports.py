@@ -103,8 +103,9 @@ def test_every_src_definition_has_a_caller():
                                 TRACER.read_text(encoding="utf-8")) == []
 
 
-# dataclasses pulls in inspect, ast, dis and tokenize; json is for --json alone
-STARTUP_FREE = ("dataclasses", "inspect", "ast", "json", "pathlib")
+# dataclasses pulls in inspect, ast, dis and tokenize; json is for --json alone;
+# annotations need no typing
+STARTUP_FREE = ("dataclasses", "inspect", "ast", "json", "pathlib", "typing")
 
 
 def test_a_text_command_loads_no_dataclasses_inspect_ast_or_json():
