@@ -15,8 +15,13 @@ per sort.  Chains are the cells surviving the collapse:
   creating a strictly larger maximal redex in its raw composite, with
   redexes indexed and ordered as in ``eqhom.rewrite.max_redex``.
 
-``chain_extensions`` tabulates those entries per raw composite, keyed by
-the redex index each creates.  The term engine's matching is this
+``chain_extensions`` tabulates those entries per raw composite ``T``,
+keyed by the redex index ``(p, rank)`` each creates.  A rule at a
+non-variable position ``p`` of ``T`` gives an entry past five filters, in
+order: the head symbols agree, ``(p, rank)`` is above ``T``'s maximal
+redex, the mgu ``u`` exists, ``u``'s components are normal forms, and
+``T∘u`` has maximal redex ``(p, rank)``; a selection ``u`` only renames
+``T``, so the last refuses it.  The term engine's matching is this
 module's ``match``, which reads the same table: a cell that is no chain
 splits at the maximal redex of the composite through its first non-chain
 entry, and its partner's new entry is the table's entry at that index.
@@ -41,13 +46,12 @@ from .terms import (
     compose_chain,
     compose_raw,
     essential_from_terms,
-    is_partial_permutation,
     render_morphism,
     substitute,
     subterms,
     variables,
 )
-from .unify import match_tuple, unify_terms
+from .unify import match_term, unify_terms
 
 
 class Cell(Frozen):
@@ -80,24 +84,6 @@ def composite(entries: tuple[Morphism, ...], trs: Trs) -> Morphism:
     """Raw composite of a cell's entries or of a prefix of them (no
     rewriting): a cell's sort is its first entry's codomain."""
     return compose_chain(entries)
-
-
-def redex_less(a: RedexIndex | None, b: RedexIndex | None) -> bool:
-    """Strict order with None as bottom."""
-    if b is None:
-        return False
-    if a is None:
-        return True
-    return a < b
-
-
-def valid_entry(m: Morphism, trs: Trs) -> bool:
-    """Usable as a cell entry, given a canonical ``m`` (``mgu_extension``
-    builds it so): not a selection of variables (which rules out
-    identities), all components in normal form."""
-    if is_partial_permutation(m):
-        return False
-    return all(is_irreducible(t, trs) for t in m.terms)
 
 
 def mgu_extension(T: Morphism, sub: Term, rule: Rule) -> Morphism | None:
@@ -139,9 +125,11 @@ def match(cell: Cell, trs: Trs) -> tuple[bool, Cell | None]:
             continue
         if u is None:
             return False, None
-        # t unifies T at the redex with the rule's left side, so it is an instance of u,
-        # their mgu; w is no selection: canonical t = u∘w would be u
-        binding = match_tuple(u.terms, t.terms)
+        # t unifies T at the redex with the rule's left side: an instance of u, their mgu, so
+        # the components' matches agree; w is no selection: canonical t = u∘w would be u
+        binding = {}
+        for pattern, subject in zip(u.terms, t.terms):
+            binding.update(match_term(pattern, subject))
         w = Morphism.derived(t.context, tuple(binding[name] for name, _ in u.context))
         return False, Cell(cell.sort, entries[:k] + (u, w) + entries[k + 1:])
     return True, None
@@ -153,26 +141,22 @@ def is_chain(cell: Cell, trs: Trs) -> bool:
 
 @memoised("extensions")
 def chain_extensions(T: Morphism, trs: Trs) -> dict[RedexIndex, Morphism]:
-    """All valid entries extending the chain with raw composite ``T``,
-    keyed by the redex index (p, rank) each creates: the composite with
-    the entry has that strictly larger maximal redex, at a non-variable
-    position of ``T`` itself, and the entry is the most general unifier
-    of ``T`` at ``p`` against the rule's left side.  Memoised per ``T``;
-    the returned dict is shared, not to be mutated."""
+    """The entries extending the chain with raw composite ``T``, keyed by
+    the redex index each creates, past the five filters of the module
+    docstring.  Memoised per ``T``; the returned dict is shared, not to be mutated."""
     base = max_redex(T.term, trs)
     out = {}
     for p, sub in subterms(T.term):
         if isinstance(sub, Var):
             continue
         for rank, rule in enumerate(trs.rules):
-            if rule.lhs.op != sub.op or not redex_less(base, (p, rank)):
+            if rule.lhs.op != sub.op or not (base is None or base < (p, rank)):
                 continue
             u = mgu_extension(T, sub, rule)
-            if u is None or not valid_entry(u, trs):
+            if u is None or not all(is_irreducible(t, trs) for t in u.terms):
                 continue
-            if max_redex(compose_raw(T, u).term, trs) != (p, rank):
-                continue
-            out[p, rank] = u
+            if max_redex(compose_raw(T, u).term, trs) == (p, rank):
+                out[p, rank] = u
     return out
 
 

@@ -14,11 +14,11 @@ morphism ``a`` and is kept rightmost as the normal form.  Multiplying
 pushes the left factor's tail through the right factor's derivatives by
 composing it into their subscripts, and composes the tails.  Subscripts
 and tails are stored in normal form over the context ``x1..xn`` of their
-domain sorts, so equality of monomials is structural.  The three
-constructors (``identity_element``, ``star``, and ``expand_derivative``
-on its subscript) take morphisms already over such contexts and rename
-nothing; ``star`` takes a normal form.  ``multiply`` composes onto such
-a tail in ``rewrite.normal_form_morphism``.
+domain sorts, so equality of monomials is structural.  The two
+constructors (``star``, whose image of an identity is the unit, and
+``expand_derivative`` on its subscript) take morphisms already over such
+contexts and rename nothing; ``star`` takes a normal form.  ``multiply``
+composes onto such a tail in ``rewrite.normal_form_morphism``.
 
 ``expand_derivative`` rewrites the derivative of a composite term into
 the sum of one monomial per occurrence of the chosen context variable
@@ -36,7 +36,6 @@ from collections.abc import Iterable
 
 from .rewrite import Trs, normal_form, normal_form_morphism
 from .terms import (
-    Context,
     Frozen,
     Morphism,
     Term,
@@ -100,10 +99,6 @@ class RingoidElement(dict):
             mag = "" if abs(c) == 1 else f"{abs(c)}·"
             bits.append(f"{sign}{mag}{render_monomial(m)}")
         return "".join(bits) or "0"
-
-
-def identity_element(context: Context) -> RingoidElement:
-    return RingoidElement({Monomial((), identity(context)): 1})
 
 
 def star(alpha: Morphism) -> RingoidElement:

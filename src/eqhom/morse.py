@@ -37,7 +37,6 @@ from .chains import Cell, match
 from .coeff import (
     RingoidElement,
     expand_derivative,
-    identity_element,
     multiply,
     star,
 )
@@ -84,10 +83,7 @@ def _phi(entries: tuple[Morphism, ...], k: int,
             return None
         if is_canonical(work[k]):
             return tuple(work), None
-        ess, pi = _factor(work[k], trs)
-        if is_partial_permutation(ess):
-            return None
-        work[k] = ess
+        work[k], pi = _factor(work[k], trs)  # renamed injectively: no selection either
         if k + 1 == len(work):
             return tuple(work), pi
         work[k + 1] = compose_raw(pi, work[k + 1])
@@ -156,8 +152,8 @@ class _Ringoid:
     def one(self, cell: Cell) -> RingoidElement:
         """The identity on the cell's domain: its last entry's context."""
         entries = cell.entries
-        return identity_element(entries[-1].context if entries
-                                else canonical_context((cell.sort,)))
+        return star(identity(entries[-1].context if entries
+                             else canonical_context((cell.sort,))))
 
     def element(self, alpha: Morphism, trs: Trs) -> RingoidElement:
         return star(alpha)

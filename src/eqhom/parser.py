@@ -145,6 +145,8 @@ def parse_presentation(text: str) -> Trs:
             if not m:
                 raise ParseError("syntax-error", f"bad op declaration {rest!r}", lineno)
             name, arg_str, result = m.group(1), m.group(2), m.group(3)
+            if re.fullmatch(r"x[1-9][0-9]*", name):  # printed terms name their variables so
+                raise ParseError("syntax-error", f"operation {name!r} reads as a variable", lineno)
             args = tuple(arg_str.split())
             for s in (*args, result):
                 if s not in sorts:

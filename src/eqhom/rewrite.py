@@ -54,6 +54,7 @@ from .unify import match_term, unify_terms
 
 DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_JOIN_BUDGET = 1_000
+PROBE_SIZE, PROBE_DEPTH, PROBE_SEED = 40, 4, 0  # termination probe: random terms per sort
 
 _MISSING = object()  # memo miss; None is a valid memoised result
 
@@ -397,15 +398,14 @@ def random_term(sig: Signature, sort: str, rng: random.Random, depth: int,
     return sig.app(name, *args)
 
 
-def check_complete(trs: Trs, sample_size: int = 40, sample_depth: int = 4,
-                   seed: int = 0, assume_terminating: bool = False) -> CompletenessReport:
+def check_complete(trs: Trs, assume_terminating: bool = False) -> CompletenessReport:
     """Certify reducedness, local confluence, and a termination probe."""
     failures = reducedness_failures(trs, is_irreducible)
-    rng = random.Random(seed)
+    rng = random.Random(PROBE_SEED)
     probes: list[Term] = [r.rhs for r in trs.rules] + [r.lhs for r in trs.rules]
     for sort in trs.signature.sorts:
-        probes.extend(random_term(trs.signature, sort, rng, sample_depth)
-                      for _ in range(sample_size))
+        probes.extend(random_term(trs.signature, sort, rng, PROBE_DEPTH)
+                      for _ in range(PROBE_SIZE))
     return judge(failures, critical_pairs(trs), lambda cp: joinable(cp.left, cp.right, trs),
                  lambda t: normal_form(t, trs), probes, render_term, assume_terminating)
 

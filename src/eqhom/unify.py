@@ -44,21 +44,6 @@ def match_term(pattern: Term, subject: Term) -> Subst | None:
     return binding
 
 
-def match_tuple(patterns: tuple[Term, ...], subjects: tuple[Term, ...]) -> Subst | None:
-    """Componentwise nonlinear match of term tuples."""
-    if len(patterns) != len(subjects):
-        return None
-    binding: Subst = {}
-    for p, s in zip(patterns, subjects):
-        sub = match_term(p, s)
-        if sub is None:
-            return None
-        for k, v in sub.items():
-            if binding.setdefault(k, v) != v:
-                return None
-    return binding
-
-
 def _occurs(name: str, t: Term, binding: Subst) -> bool:
     stack = [t]
     while stack:

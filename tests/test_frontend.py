@@ -112,6 +112,19 @@ def test_a_name_no_term_can_spell_is_refused_where_it_is_declared(declaration):
     assert trs.rules[0].lhs == trs.signature.app("_e1")
 
 
+@pytest.mark.parametrize("declaration", ["op x1 : -> X", "op x12 : X -> X"])
+def test_an_operation_named_like_a_printed_variable_is_refused(declaration):
+    # printed terms name their variables x1, x2, ...: such a constant would print as one
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"sorts X\n{declaration}\n")
+    assert (err.value.kind, err.value.line) == ("syntax-error", 2)
+    assert repr(declaration.split()[1]) in str(err.value)
+    # variables may keep such names, and only x[1-9][0-9]* is taken
+    trs = parse_presentation("sorts X\nop x0 : -> X\nop x01 : X -> X\nvar x1 : X\n"
+                             "rule r : x01(x1) -> x0\n")
+    assert trs.rules[0].lhs == trs.signature.app("x01", Var("x1", "X"))
+
+
 def test_parse_print_round_trip(ab_trs, group_trs, unreduced_trs):
     for trs in (ab_trs, group_trs, unreduced_trs):
         assert parse_presentation(print_presentation(trs)) == trs

@@ -9,7 +9,7 @@ import pytest
 from eqhom import morse
 from eqhom.chains import Cell, enumerate_chains
 from eqhom.cli import cli_dispatch
-from eqhom.coeff import Monomial, expand_derivative, identity_element, star
+from eqhom.coeff import Monomial, expand_derivative, star
 from eqhom.collapse import BoundaryMatrix, CellClass
 from eqhom.homology import HomologyGroup, InequalityReport, boundary_matrices
 from eqhom.monoid import Srs, SrsRule
@@ -461,10 +461,6 @@ def _expand_derivative_fits(system, i, tm, subscript, trs):
             and _numbered(tm.context) and _numbered(subscript.context))
 
 
-def _identity_element_fits(system, context):
-    return _numbered(context)
-
-
 def _star_fits(system, alpha):
     return _numbered(alpha.context) and not any(
         isinstance(sub, App) and match_term(rule.lhs, sub) is not None
@@ -473,8 +469,7 @@ def _star_fits(system, alpha):
 
 # the kernels that trust their callers, each with the condition its callers keep
 TRUSTING = [(substitute, _substitute_fits), (replace_at, _replace_at_fits),
-            (expand_derivative, _expand_derivative_fits),
-            (identity_element, _identity_element_fits), (star, _star_fits)]
+            (expand_derivative, _expand_derivative_fits), (star, _star_fits)]
 
 
 def _rewrites(trs):
