@@ -262,6 +262,9 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+_EXIT_CODES = {InputError: 1, ParseError: 1, MatchingError: 2, BudgetExceeded: 3, CoefficientError: 4}
+
+
 def cli_dispatch(argv: list[str]) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -276,24 +279,14 @@ def cli_dispatch(argv: list[str]) -> int:
             return 1
     try:
         return args.func(args)
-    except (InputError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CoefficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except CompletenessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _certification_code(exc.report)
-    except MatchingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        message, code = exc, _certification_code(exc.report)
     except RecursionError:
-        print("error: recursion limit exceeded: a term is nested too deeply", file=sys.stderr)
-        return 3
+        message, code = "recursion limit exceeded: a term is nested too deeply", 3
+    except tuple(_EXIT_CODES) as exc:
+        message, code = exc, next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

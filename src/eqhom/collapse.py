@@ -40,13 +40,13 @@ routes no more.
 The evaluator.  ``evaluate`` runs any memoised recursion whose entries
 are generators: an entry yields the key of each value it needs, is sent
 that value, and returns its own, which is never None.  Routing is one
-such entry per cell (``_route``), the word engine's lift
-(``eqhom.monoid``) another.  The entries run post-order on an explicit
-stack, so depth is bounded by the budget and not by Python's recursion
-limit.  The budget rule is one step per memo entry a differential
-writes, its root included; a non-terminating recursion, or a
-differential that writes more entries than the budget, is a
-``BudgetExceeded``.
+such entry per cell (``_route``), the word engine's lift (``eqhom.monoid``)
+another.  The entries run post-order on an explicit stack, so depth is
+bounded by the budget and not by Python's recursion limit.  The budget
+rule is one step per memo entry a differential writes, its root included,
+out of ``DEFAULT_ROUTE_BUDGET`` as it reads when the differential starts;
+a non-terminating recursion, or a differential that writes more entries
+than the budget, is a ``BudgetExceeded``.
 
 Coefficients live in a stateless ring object that the adapter shares
 (``Integers``, a subclass, or the term engine's ringoid).  A ring
@@ -195,11 +195,11 @@ def _route(cell, cx):
     return out
 
 
-def morse_differential(cell, cx, budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
+def morse_differential(cell, cx) -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
     ring = cx.ring
     cache = cx.system.cache("express_" + ring.name)  # by hand: written by ``evaluate``
-    counter = [budget, budget]  # steps left, budget
+    counter = [DEFAULT_ROUTE_BUDGET] * 2  # steps left, budget
     exhausted = "routing budget exhausted: one differential routed more than {} cells"
     out: Boundary = {}
     for face, coeff in cx.boundary(cell).items():

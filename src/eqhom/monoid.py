@@ -73,11 +73,11 @@ class SrsRule(Frozen):
 
 
 class Srs(Memoised):
-    __slots__ = ("alphabet", "rules", "step_budget", "names", "redex")
-    _fields, _compared = __slots__[:4], __slots__[:2]  # == reads no budget and no names
+    __slots__ = ("alphabet", "rules", "names", "redex")
+    _fields, _compared = __slots__[:3], __slots__[:2]  # == reads no names
 
     def __init__(self, alphabet: tuple[str, ...],  # one character each, in declaration order
-                 rules: tuple[SrsRule, ...], step_budget: int = 10_000, names: dict | None = None):
+                 rules: tuple[SrsRule, ...], names: dict | None = None):
         if any(len(a) != 1 for a in alphabet):
             raise ValueError(f"letters are one character each: {alphabet}")
         if len(set(alphabet)) != len(alphabet):
@@ -91,12 +91,12 @@ class Srs(Memoised):
                     raise ValueError(f"rule {r.name}: letter {c!r} not declared")
         # a match is where a left side ends, and group i + 1 spans rule i;
         # with no rules, an empty alternation would match everywhere
-        super().__init__(alphabet, rules, step_budget, {} if names is None else names, re.compile(
+        super().__init__(alphabet, rules, {} if names is None else names, re.compile(
             "|".join(f"(?<=({re.escape(r.lhs)}))" for r in rules) or "(?!)"))
 
     def with_rules(self, rules: tuple[SrsRule, ...]) -> Srs:
         """This system with ``rules`` in place of its own, and fresh memos."""
-        return Srs(self.alphabet, rules, self.step_budget, self.names)
+        return Srs(self.alphabet, rules, self.names)
 
 
 WordCell = tuple[Word, ...]
@@ -114,7 +114,7 @@ def reduce_word(w: Word, srs: Srs) -> Word:
         return hit
     given = w
     start = 0  # a rewrite at i leaves w[:i] redex-free: the next redex ends after i
-    for _ in range(srs.step_budget):
+    for _ in range(rewrite.DEFAULT_STEP_BUDGET):
         hit = cache.get(w)
         if hit is not None:
             cache[given] = hit
@@ -304,10 +304,9 @@ def anick_differential(cell: WordCell, srs: Srs) -> Lifted:
     chains: ``collapse.evaluate`` over ``_lift_entry`` (memoised with
     every entry it needs, read-only), one step of
     ``collapse.DEFAULT_ROUTE_BUDGET`` per entry it writes."""
-    budget = collapse.DEFAULT_ROUTE_BUDGET
     exhausted = "lift budget exhausted: one differential computed more than {} entries"
-    return collapse.evaluate(cell, _lift_entry, srs, srs.cache("anick"), [budget, budget],
-                             exhausted)
+    return collapse.evaluate(cell, _lift_entry, srs, srs.cache("anick"),
+                             [collapse.DEFAULT_ROUTE_BUDGET] * 2, exhausted)
 
 
 def word_boundary_matrices(srs: Srs, chains: dict[int, list[WordCell]],

@@ -40,7 +40,7 @@ from .coeff import (
     multiply,
     star,
 )
-from .collapse import DEFAULT_ROUTE_BUDGET, CellClass, MatchingError, add_term
+from .collapse import CellClass, MatchingError, add_term
 from .rewrite import Trs, memoised, normal_form_morphism
 from .terms import (
     Morphism,
@@ -206,7 +206,6 @@ def classify(cell: Cell, trs: Trs) -> CellClass:
     return collapse.classify(cell, _Terms(trs))
 
 
-def morse_differential(cell: Cell, trs: Trs, mode: str = "count",
-                       budget: int = DEFAULT_ROUTE_BUDGET) -> Boundary:
+def morse_differential(cell: Cell, trs: Trs, mode: str = "count") -> Boundary:
     """Differential of a critical cell in the collapsed complex."""
-    return collapse.morse_differential(cell, _Terms(trs, mode), budget)
+    return collapse.morse_differential(cell, _Terms(trs, mode))

@@ -9,7 +9,7 @@
     var x : X
     rule r1 : plus(x, zero) -> x
     order r1 r2          # optional, overrides file order
-    budget steps 10000   # optional
+    budget steps 10000   # optional; order and each budget at most once
     budget join 1000     # optional
 
 Terms use prefix syntax ``f(t1,...,tn)``; constants are written bare.
@@ -127,7 +127,7 @@ def parse_presentation(text: str) -> Trs:
     rule_specs: list[tuple[str, str, int, int]] = []  # name, cut line, body start, line
     rule_lines: dict[str, int] = {}
     order: list[str] | None = None
-    order_line = 0
+    once: dict[str, int] = {}  # "order", "budget steps" and "budget join", each with its line
     budgets = {"steps": DEFAULT_STEP_BUDGET, "join": DEFAULT_JOIN_BUDGET}
 
     for lineno, head, rest, line in _directives(
@@ -170,11 +170,13 @@ def parse_presentation(text: str) -> Trs:
             _declare(rule_lines, m.group(1), lineno, "rule")
             rule_specs.append((m.group(1), line, len(line) - len(m.group(2)), lineno))
         elif head == "order":
-            order, order_line = rest.split(), lineno
+            _declare(once, head, lineno, "directive")
+            order = rest.split()
         elif head == "budget":
             m = re.fullmatch(r"(steps|join)\s+(\d+)", rest)
             if not m:
                 raise ParseError("syntax-error", f"bad budget {rest!r}", lineno)
+            _declare(once, f"budget {m.group(1)}", lineno, "directive")
             budgets[m.group(1)] = int(m.group(2))
 
     sig = Signature(tuple(sorts), tuple(ops))
@@ -203,9 +205,9 @@ def parse_presentation(text: str) -> Trs:
         unknown = [n for n in order if n not in by_name]
         if unknown:
             raise ParseError("undeclared-name", f"order names unknown rules {unknown}",
-                             order_line)
+                             once["order"])
         if len(order) != len(rules) or len(set(order)) != len(order):
-            raise ParseError("syntax-error", "order must list every rule once", order_line)
+            raise ParseError("syntax-error", "order must list every rule once", once["order"])
         rules = [by_name[n] for n in order]
 
     return Trs(sig, tuple(rules), budgets["steps"], budgets["join"])

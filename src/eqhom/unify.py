@@ -129,15 +129,10 @@ def mgu(t: Term, s: Term) -> Unifier | None:
 
     t_vars, s_vars = variables(t), variables(s)
     sigma = {v.name: v for v in t_vars + s_vars} | sigma  # identity on the unbound variables
-    unified_raw = substitute(t, sigma)
-
-    # One canonical renaming, fixed by the unified term, applied everywhere.
-    raw_vars = variables(unified_raw)
-    unified = essential_from_terms((unified_raw,))
-    renaming = {old.name: Var(*new) for old, new in zip(raw_vars, unified.context)}
-    # The substitutions are morphisms from the unified domain into each
-    # term's context, so their tuple slots follow the original contexts.
-    left, right = (Morphism.derived(unified.context,
-                                    tuple(substitute(sigma[v.name], renaming) for v in vs))
-                   for vs in (t_vars, s_vars))
-    return Unifier(left=left, right=right, unified=unified)
+    # One canonical naming of σt and the images, whose variables all occur in σt: the unified
+    # term's.  Each substitution maps the unified domain into its own term's context.
+    named = essential_from_terms((substitute(t, sigma), *(sigma[v.name] for v in t_vars + s_vars)))
+    context, terms, k = named.context, named.terms, 1 + len(t_vars)
+    return Unifier(left=Morphism.derived(context, terms[1:k]),
+                   right=Morphism.derived(context, terms[k:]),
+                   unified=Morphism.derived(context, terms[:1]))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
+import random
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -8,8 +11,8 @@ import pytest
 from eqhom.collapse import MatchingError, assemble_matrices, classify
 from eqhom.monoid import word_morse_differential
 from eqhom.parser import parse_presentation, parse_srs
-from eqhom.rewrite import Rule, Trs
-from eqhom.terms import App, Signature, Var
+from eqhom.rewrite import Rule, Trs, check_complete
+from eqhom.terms import App, Signature, Var, essential_from_terms, subterms
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,6 +72,60 @@ def mirror(trs):
     ops = tuple((name, tuple(reversed(args)), result) for name, args, result in sig.ops)
     rules = tuple(Rule(r.name, _mirror_term(r.lhs), _mirror_term(r.rhs)) for r in trs.rules)
     return Trs(Signature(sig.sorts, ops), rules)
+
+
+GENERATED_SIGNATURE = Signature(("X",), (("m", ("X", "X"), "X"), ("i", ("X",), "X"),
+                                         ("e", (), "X")))
+_LEAVES = (Var("x", "X"), Var("y", "X"), Var("z", "X"), GENERATED_SIGNATURE.app("e"))
+
+
+def _random_application(rng, depth):
+    """``m`` or ``i`` of random arguments, at most ``depth`` applications deep."""
+    op = rng.choice(("m", "i"))
+    return GENERATED_SIGNATURE.app(op, *(
+        _random_application(rng, depth - 1) if depth > 1 and rng.random() < 0.7
+        else rng.choice(_LEAVES) for _ in GENERATED_SIGNATURE.arg_sorts(op)))
+
+
+def _size(t):
+    return sum(1 for _ in subterms(t))
+
+
+def _random_rule(rng, name):
+    """A left side at most three applications deep, and a right side that
+    uses each variable occurrence of the left side once, joined by ``m`` in
+    a random order and shape, perhaps under ``i``; None unless it is
+    strictly smaller than the left side."""
+    lhs = _random_application(rng, 3)
+    items = [u for _, u in subterms(lhs) if isinstance(u, Var)] or [GENERATED_SIGNATURE.app("e")]
+    rng.shuffle(items)
+    while len(items) > 1:
+        pair = GENERATED_SIGNATURE.app("m", items.pop(), items.pop())
+        items.insert(rng.randrange(len(items) + 1), pair)
+    rhs = items[0] if rng.random() < 0.7 else GENERATED_SIGNATURE.app("i", items[0])
+    return Rule(name, lhs, rhs) if _size(rhs) < _size(lhs) else None
+
+
+@lru_cache(maxsize=None)
+def generated_systems(count=500 if os.environ.get("EQHOM_SLOW") == "1" else 50, seed=0):
+    """The first ``count`` complete systems of one to three random rules over
+    ``m : X X -> X``, ``i : X -> X`` and ``e : -> X`` that ``check_complete``
+    certifies, distinct up to the names of their variables.  Each rule keeps
+    the count of every variable and shrinks the term, so each system
+    terminates and has degree 0: its homology is over Z, and any prime is a
+    modulus."""
+    rng, seen, kept = random.Random(seed), set(), []
+    while len(kept) < count:
+        rules = tuple(_random_rule(rng, f"r{k}") for k in range(1, rng.randint(1, 3) + 1))
+        if any(rule is None for rule in rules):
+            continue
+        key = tuple(essential_from_terms((rule.lhs, rule.rhs)) for rule in rules)
+        if key not in seen:
+            seen.add(key)
+            trs = Trs(GENERATED_SIGNATURE, rules)
+            if check_complete(trs).certified:
+                kept.append(trs)
+    return tuple(kept)
 
 
 def routed_word_matrices(srs, chains, max_dim):

@@ -79,14 +79,15 @@ def test_verify_matching_accepts_a_matched_pair():
     assert cx.caches["classify"]["r"] == collapse.CellClass("redundant", "p", -1)
 
 
-def test_routing_cycle_exhausts_the_budget():
+def test_routing_cycle_exhausts_the_budget(monkeypatch):
     cycle = Table({"T"}, {"r": "p", "s": "q"},
                   {"T": {"r": 1}, "p": {"r": 1, "s": 1}, "q": {"s": 1, "r": 1}})
+    monkeypatch.setattr(collapse, "DEFAULT_ROUTE_BUDGET", 50)
     with pytest.raises(BudgetExceeded, match="routing budget exhausted"):
-        morse_differential("T", cycle, budget=50)
+        morse_differential("T", cycle)
 
 
-def test_deep_routing_does_not_recurse():
+def test_deep_routing_does_not_recurse(monkeypatch):
     # T -> r0; r_i is redundant with partner p_i, whose other face is
     # r_{i+1}, so each step of the routing line flips the sign
     n = 5_000
@@ -98,22 +99,25 @@ def test_deep_routing_does_not_recurse():
     line = Table({"T", "c"}, splits, boundaries)
     assert morse_differential("T", line) == {"c": 3 * (-1) ** n}
     assert len(line.caches["express_count"]) == n + 1
+    monkeypatch.setattr(collapse, "DEFAULT_ROUTE_BUDGET", n)
     with pytest.raises(BudgetExceeded, match=rf"^routing budget exhausted: .*\b{n}\b"):
-        morse_differential("T", Table({"T", "c"}, splits, boundaries), budget=n)
+        morse_differential("T", Table({"T", "c"}, splits, boundaries))
 
 
-def test_routing_takes_one_budget_step_per_entry_it_writes():
+def test_routing_takes_one_budget_step_per_entry_it_writes(monkeypatch):
     # T -> r0 -> r1 -> r2 -> c: three redundant cells and the chain c are
     # memoised, so budget 4 routes T and budget 3 does not
     splits = {f"r{i}": f"p{i}" for i in range(3)}
     boundaries = {"T": {"r0": 1}, "p0": {"r0": 1, "r1": 1}, "p1": {"r1": 1, "r2": 1},
                   "p2": {"r2": 1, "c": 1}}
     line = Table({"T", "c"}, splits, boundaries)
-    assert morse_differential("T", line, budget=4) == {"c": -1}
+    monkeypatch.setattr(collapse, "DEFAULT_ROUTE_BUDGET", 4)
+    assert morse_differential("T", line) == {"c": -1}
     assert len(line.caches["express_count"]) == 4
+    monkeypatch.setattr(collapse, "DEFAULT_ROUTE_BUDGET", 3)
     with pytest.raises(BudgetExceeded, match=r"^routing budget exhausted: one differential "
                                              r"routed more than 3 cells$"):
-        morse_differential("T", Table({"T", "c"}, splits, boundaries), budget=3)
+        morse_differential("T", Table({"T", "c"}, splits, boundaries))
 
 
 def _fibonacci(n, calls):

@@ -394,12 +394,17 @@ def test_cli_reports_a_matching_failure_in_one_line(capsys, data_dir, monkeypatc
 
 
 def test_cli_reports_an_exhausted_lift_budget_in_one_line(capsys, data_dir, monkeypatch):
-    # the word engine's lift reads its budget at call time, one step per entry computed
+    # both engines read the documented budget when a differential starts, one
+    # step per memo entry it writes: the word engine's lift and the term engine's routing
     monkeypatch.setattr(collapse, "DEFAULT_ROUTE_BUDGET", 5)
-    code, out, err = _run(capsys, "monoid", "homology", str(data_dir / "s3.srs"),
-                          "--max-dim", "3")
-    assert (code, out) == (3, "")
-    assert err == "error: lift budget exhausted: one differential computed more than 5 entries\n"
+    for argv, err in [
+        (("monoid", "homology", "s3.srs"),
+         "error: lift budget exhausted: one differential computed more than 5 entries\n"),
+        (("homology", "group.lwv"),
+         "error: routing budget exhausted: one differential routed more than 5 cells\n"),
+    ]:
+        *command, name = argv
+        assert _run(capsys, *command, str(data_dir / name), "--max-dim", "3") == (3, "", err)
 
 
 def test_cli_check_reports_a_rewrite_cycle(capsys, tmp_path):
@@ -657,8 +662,16 @@ def test_cli_rejects_negative_dimensions(capsys, data_dir, argv):
      "variable 'e' already declared at line 2", 4),
     ("var-op.lwv", "sorts X\nvar e : X\nop f : X -> X\nop e : -> X\nrule r : f(e) -> e\n",
      "operation 'e' already declared at line 2", 4),
+    # a directive that sets one value is refused a second time, not overridden
+    ("order.lwv", "sorts X\nop e : -> X\nop f : X -> X\nrule a : f(e) -> e\n"
+                  "rule b : f(f(e)) -> e\n\norder a b\norder b a\n",
+     "directive 'order' already declared at line 7", 8),
+    ("steps.lwv", "sorts X\nop e : -> X\nbudget steps 5\nbudget join 9\nbudget steps 5\n",
+     "directive 'budget steps' already declared at line 3", 5),
+    ("join.lwv", "sorts X\nop e : -> X\nbudget join 9\nbudget steps 5\nbudget join 8\n",
+     "directive 'budget join' already declared at line 3", 5),
 ], ids=["srs-letters", "srs-rules", "lwv-rules", "lwv-sorts", "lwv-ops", "lwv-vars",
-        "lwv-op-then-var", "lwv-var-then-op"])
+        "lwv-op-then-var", "lwv-var-then-op", "lwv-order", "lwv-budget-steps", "lwv-budget-join"])
 def test_cli_reports_a_duplicate_name_in_one_line(capsys, tmp_path, name, text, duplicate, line):
     path = tmp_path / name
     path.write_text(text)

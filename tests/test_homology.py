@@ -32,6 +32,8 @@ from eqhom.monoid import enumerate_word_chains, word_boundary_matrices
 from eqhom.parser import parse_presentation, parse_srs
 from eqhom.rewrite import check_complete, degree
 
+from conftest import generated_systems, mirror
+
 
 def test_snf_examples():
     assert smith_normal_form([[2, 0], [0, 3]]) == ([1, 6], 2)
@@ -347,10 +349,31 @@ def _saturated(trs, chains, top, p, dims):
     return homology_groups(rows, {k: len(v) for k, v in chains.items()}, p, dims), read
 
 
-def test_the_stop_rule_keeps_every_group_on_every_fixture(data_dir):
+def _stop_rule_unread(trs, top, p, name):
+    """Check that the F_p stop over the lazy rows keeps every group through
+    ``top``, from H_0 and from H_2, against the full matrices; the number
+    of rows it left unread."""
     # equal groups from H_0 up mean equal ranks of every matrix, since
     # rank d_{n+1} = c_n - rank d_n - dim H_n; a range from 2 reads its
     # first matrix with no bound
+    chains = enumerate_chains(trs, top + 1)
+    counts = {k: len(v) for k, v in chains.items()}
+    full = {k: m.entries for k, m in boundary_matrices(trs, chains, top + 1, p).items()}
+    unread = 0
+    for dims in (range(top + 1), range(2, top + 1)):
+        groups, read = _saturated(trs, chains, top + 1, p, dims)
+        assert groups == homology_groups(full, counts, p, dims), (name, p, dims)
+        # no row may be skipped without a bound, or where a nonzero
+        # H_{k-1} keeps rank k below the kernel
+        for k in range(dims.start, dims.stop + 1):
+            unbounded = k == dims.start > 1
+            if unbounded or k - 1 in dims and groups[k - 1].rank:
+                assert read[k] == counts[k], (name, p, dims, k)
+        unread += sum(counts[k] - read[k] for k in range(max(dims.start, 1), top + 2))
+    return unread
+
+
+def test_the_stop_rule_keeps_every_group_on_every_fixture(data_dir):
     tops = {"group.lwv": 3}
     seen, unread = set(), 0
     for path in sorted(data_dir.glob("*.lwv")):
@@ -358,20 +381,8 @@ def test_the_stop_rule_keeps_every_group_on_every_fixture(data_dir):
         if not check_complete(trs).certified:
             continue
         top = tops.get(path.name, 4)
-        chains = enumerate_chains(trs, top + 1)
-        counts = {k: len(v) for k, v in chains.items()}
-        for p in [p for p in (2, 3, 5, 7) if degree(trs) % p == 0]:
-            full = {k: m.entries for k, m in boundary_matrices(trs, chains, top + 1, p).items()}
-            for dims in (range(top + 1), range(2, top + 1)):
-                groups, read = _saturated(trs, chains, top + 1, p, dims)
-                assert groups == homology_groups(full, counts, p, dims), (path.name, p, dims)
-                # no row may be skipped without a bound, or where a nonzero
-                # H_{k-1} keeps rank k below the kernel
-                for k in range(dims.start, dims.stop + 1):
-                    unbounded = k == dims.start > 1
-                    if unbounded or k - 1 in dims and groups[k - 1].rank:
-                        assert read[k] == counts[k], (path.name, p, dims, k)
-                unread += sum(counts[k] - read[k] for k in range(max(dims.start, 1), top + 2))
+        unread += sum(_stop_rule_unread(trs, top, p, path.name)
+                      for p in (2, 3, 5, 7) if degree(trs) % p == 0)
         seen.add(path.name)
     assert seen == {"abelian_unit.lwv", "group.lwv", "involution.lwv", "involution3.lwv",
                     "two_sorted.lwv"}
@@ -572,3 +583,47 @@ def test_rule_order_invariance_of_homology(ab_trs, data_dir):
         mats = boundary_matrices(trs, chains, 4, 0)
         groups = [homology_group(mats, n, 0, counts) for n in range(4)]
         assert all(g.is_trivial for g in groups)
+
+
+# complete systems of random rules (conftest.generated_systems), all of degree 0
+GENERATED = generated_systems()
+GENERATED_IDS = [f"generated-{k}" for k in range(len(GENERATED))]
+
+
+def test_the_generated_systems_reach_dimension_three():
+    assert len(GENERATED) >= 50
+    assert sum(bool(enumerate_chains(trs, 3)[3]) for trs in GENERATED) >= 5
+
+
+def _integral_groups(trs, top):
+    chains = enumerate_chains(trs, top + 1)
+    rows = {k: m.entries for k, m in boundary_matrices(trs, chains, top + 1, 0).items()}
+    return homology_groups(rows, {k: len(v) for k, v in chains.items()}, 0, range(top + 1))
+
+
+@pytest.mark.parametrize("trs", GENERATED, ids=GENERATED_IDS)
+def test_generated_homology_is_the_mirrors_and_the_reversed_orders(trs):
+    # the mirror and the reversed rule order match other cells, on isomorphic theories
+    groups = _integral_groups(trs, 3)
+    assert groups == _integral_groups(mirror(trs), 3)
+    assert groups == _integral_groups(trs.with_rules(trs.rules[::-1]), 3)
+
+
+@pytest.mark.parametrize("trs", GENERATED, ids=GENERATED_IDS)
+def test_generated_differentials_square_to_zero_through_d4(trs):
+    mats = boundary_matrices(trs, enumerate_chains(trs, 4), 4, 0)
+    for n in range(2, 5):
+        assert not any(map(any, matrix_product(mats[n], mats[n - 1]))), n
+
+
+@pytest.mark.parametrize("trs", GENERATED, ids=GENERATED_IDS)
+def test_the_stop_rule_keeps_every_group_on_generated_systems(trs):
+    for p in (2, 3):  # degree 0: every prime is a modulus
+        _stop_rule_unread(trs, 3, p, trs.rules)
+
+
+@pytest.mark.parametrize("trs", GENERATED, ids=GENERATED_IDS)
+def test_generated_systems_satisfy_the_morse_inequalities(trs):
+    for n in range(4):
+        rep = inequality_report(trs, 0, n)
+        assert rep.weak_holds and rep.strong_holds, n

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eqhom import collapse, monoid
+from eqhom import collapse, monoid, rewrite
 from eqhom.chains import enumerate_chains
 from eqhom.homology import boundary_matrices, homology_group, homology_groups, smith_normal_form
 from eqhom.monoid import (
@@ -645,14 +645,15 @@ def test_a_reduced_system_has_only_overlap_pairs(z2_srs, s3_srs):
                 == list(_word_critical_pairs_with_containment(srs)))
 
 
-def test_reduce_word_stops_a_growing_word_within_budget():
+def test_reduce_word_stops_a_growing_word_within_budget(monkeypatch):
     # a -> b b a rewrites a forever, two letters longer each step:
     # reduce_word gives up after its step budget with BudgetExceeded and
     # memoises nothing, and each search for where a redex ends resumes just
     # after the last rewrite's start (position 0, then 1, 3, 5, ...) rather
     # than rescanning the word
     budget = 500
-    srs = Srs(("a", "b"), (SrsRule("r1", "a", "bba"),), budget)
+    monkeypatch.setattr(rewrite, "DEFAULT_STEP_BUDGET", budget)
+    srs = Srs(("a", "b"), (SrsRule("r1", "a", "bba"),))
     starts = []
     pattern = srs.redex
 

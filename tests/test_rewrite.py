@@ -293,6 +293,4 @@ def test_system_equality_ignores_caches_but_not_term_budgets(ab_trs, group_trs, 
     used.cache("nf")
     assert used.caches and not fresh.caches
     assert used == fresh and hash(used) == hash(fresh)
-    budgeted = Srs(z2_srs.alphabet, z2_srs.rules, step_budget=fresh.step_budget + 1)
-    assert budgeted == fresh and hash(budgeted) == hash(fresh)  # equal up to the budget
     assert Srs(z2_srs.alphabet, ()) != fresh

@@ -40,7 +40,7 @@ from eqhom.rewrite import check_complete, degree
 from eqhom.terms import App, subterms
 from eqhom.unify import match_term
 
-from conftest import as_unary_trs
+from conftest import as_unary_trs, generated_systems
 from test_group_homology import GROUPS
 from test_monoid import _reduce_from_scratch as leftmost, _shortlex_system
 
@@ -181,12 +181,19 @@ def test_word_d2_is_squiers_on_the_fixtures(path):
     _assert_word_d2(parse_srs(path.read_text()))
 
 
-@pytest.mark.parametrize("path", WORD_FIXTURES + TERM_FIXTURES,
-                         ids=[p.name for p in WORD_FIXTURES + TERM_FIXTURES])
-def test_term_d2_is_squiers_on_the_fixtures(path):
+def _term_system(path):
     text = path.read_text()
-    _assert_term_d2(as_unary_trs(parse_srs(text)) if path.suffix == ".srs"
-                    else parse_presentation(text))
+    return as_unary_trs(parse_srs(text)) if path.suffix == ".srs" else parse_presentation(text)
+
+
+# the fixtures, the word ones as unary term systems, and the generated systems
+TERM_SYSTEMS = {p.name: _term_system(p) for p in WORD_FIXTURES + TERM_FIXTURES}
+TERM_SYSTEMS.update((f"generated-{k}", trs) for k, trs in enumerate(generated_systems()))
+
+
+@pytest.mark.parametrize("trs", TERM_SYSTEMS.values(), ids=TERM_SYSTEMS)
+def test_term_d2_is_squiers_on_the_fixtures(trs):
+    _assert_term_d2(trs)
 
 
 def test_every_certifiable_term_fixture_is_covered():

@@ -688,8 +688,8 @@ def _value_classes():
         (HomologyGroup, {"rank": 1, "torsion": (2,)}, ("rank", "torsion"), {}, ("rank", 0, False)),
         (SrsRule, {"name": "r", "lhs": "aa", "rhs": ""}, ("name", "lhs", "rhs"), {},
          ("rhs", "a", False)),
-        (Srs, {"alphabet": ("a",), "rules": (word_rule,), "step_budget": 7, "names": {"a": "x"}},
-         ("alphabet", "rules"), {"step_budget": 10_000, "names": {}}, ("step_budget", 8, True)),
+        (Srs, {"alphabet": ("a",), "rules": (word_rule,), "names": {"a": "x"}},
+         ("alphabet", "rules"), {"names": {}}, ("names", {"a": "y"}, True)),
         (BoundaryMatrix, {"dim": 1, "rows": [cell], "cols": [cell], "entries": [[1]], "modulus": 0},
          None, {}, ("modulus", 2, False)),
         (InequalityReport, {"dim": 0, "modulus": 0, "chain_counts": {0: 1}, "groups": {0: group},
